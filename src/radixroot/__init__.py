@@ -4,7 +4,7 @@ structure of residues mod n under multiplication by units, and
 exhaustive verifiers for two digital-root invariance laws.
 """
 
-from .arith import Factorization, Rational, divisors, factorize, gcd, is_coprime, pow_rational, rational_new, totient
+from .arith import Factorization, Rational, divisors, factorize, gcd, is_coprime, pow_rational, totient
 from .digroot import (
     DigitRootResult,
     additive_persistence,

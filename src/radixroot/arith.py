@@ -115,7 +115,7 @@ class Rational:
 
     def __post_init__(self):
         _require_natural(self.num, "num")
-        if not isinstance(self.den, int) or self.den <= 0:
+        if not isinstance(self.den, int) or isinstance(self.den, bool) or self.den <= 0:
             raise DomainError(f"denominator must be a positive integer, got {self.den!r}")
         g = math.gcd(self.num, self.den)
         if g > 1:
@@ -159,10 +159,6 @@ class Rational:
 
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
-
-
-def rational_new(num: int, den: int) -> Rational:
-    return Rational(num, den)
 
 
 def pow_rational(base: int, exponent: int) -> Rational:

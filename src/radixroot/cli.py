@@ -31,22 +31,25 @@ def parse_value_literal(text: str) -> Rational:
         return radix.value_of(radix.parse(text))
     if "/" in text:
         num_text, _, den_text = text.partition("/")
-        if not (num_text.isdigit() and den_text.isdigit()):
+        num, den = radix._decimal(num_text), radix._decimal(den_text)
+        if num is None or den is None:
             raise ParseError(f"invalid rational literal {text!r}", 0)
-        return Rational(int(num_text), int(den_text))
-    if not text.isdigit():
+        if den == 0:
+            raise ParseError(f"zero denominator in {text!r}", len(num_text) + 1)
+        return Rational(num, den)
+    num = radix._decimal(text)
+    if num is None:
         raise ParseError(f"invalid number literal {text!r}", 0)
-    return Rational(int(text))
+    return Rational(num)
 
 
 def parse_base_range(text: str) -> range:
     """'2..16' -> range(2, 17); a single number selects just that base."""
     lo, sep, hi = text.partition("..")
-    try:
-        low = int(lo)
-        high = int(hi) if sep else low
-    except ValueError:
-        raise ParseError(f"invalid base range {text!r}", 0) from None
+    low = radix._decimal(lo)
+    high = radix._decimal(hi) if sep else low
+    if low is None or high is None:
+        raise ParseError(f"invalid base range {text!r}", 0)
     if high < low:
         raise PreconditionError(f"inverted base range {text!r}")
     if low < 2:
@@ -63,19 +66,11 @@ def _resolve_workers(flag_value: int | None) -> int:
             flag_value = int(env)
         except ValueError:
             raise PreconditionError(f"RADIXROOT_WORKERS must be an integer, got {env!r}") from None
-    if flag_value < 1:
-        raise PreconditionError(f"workers must be >= 1, got {flag_value}")
     return flag_value
 
 
 def _rational_json(q: Rational) -> dict:
     return {"num": str(q.num), "den": str(q.den)}
-
-
-def _join_digits(digits, base: int) -> str:
-    if base <= 36:
-        return "".join(radix.ALPHABET[d] for d in digits)
-    return ",".join(str(d) for d in digits)
 
 
 def _emit(args, doc: dict, text: str) -> None:
@@ -97,41 +92,22 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _encode(q: Rational, base: int, infinite: bool) -> radix.PositionalRepr:
-    if infinite or not radix.classify(q, base).is_terminating:
-        return radix.to_repeating(q, base)
-    return radix.to_finite(q, base)
-
-
-def _repr_result(r: radix.PositionalRepr) -> dict:
-    return {
-        "text": radix.format_repr(r),
-        "base": r.base,
-        "int_digits": list(r.int_digits),
-        "frac_digits": list(r.frac_digits),
-        "repetend": list(r.repetend),
-    }
-
-
 def cmd_repr(args) -> int:
+    """``repr --base`` and ``convert --to``: one value in one base."""
+    key = "base" if args.command == "repr" else "to"
+    base = getattr(args, key)
     q = parse_value_literal(args.value)
-    r = _encode(q, args.base, args.infinite)
+    r = radix._encode(q, base, args.infinite)
     doc = {
-        "command": "repr",
-        "inputs": {"value": _rational_json(q), "base": args.base, "infinite": args.infinite},
-        "result": _repr_result(r),
-    }
-    _emit(args, doc, radix.format_repr(r))
-    return EXIT_OK
-
-
-def cmd_convert(args) -> int:
-    q = parse_value_literal(args.value)
-    r = _encode(q, args.to, args.infinite)
-    doc = {
-        "command": "convert",
-        "inputs": {"value": _rational_json(q), "to": args.to, "infinite": args.infinite},
-        "result": _repr_result(r),
+        "command": args.command,
+        "inputs": {"value": _rational_json(q), key: base, "infinite": args.infinite},
+        "result": {
+            "text": radix.format_repr(r),
+            "base": r.base,
+            "int_digits": list(r.int_digits),
+            "frac_digits": list(r.frac_digits),
+            "repetend": list(r.repetend),
+        },
     }
     _emit(args, doc, radix.format_repr(r))
     return EXIT_OK
@@ -238,7 +214,7 @@ def cmd_verify(args) -> int:
         ]
         if rep.preconditions_ok:
             lines.append(
-                f"  repetend={_join_digits(rep.repetend, rep.base)}"
+                f"  repetend={radix._join_digits(rep.repetend, rep.base)}"
                 f" root={rep.repetend_root}"
                 f" t''_divisible={rep.t_doubleprime_divisible}"
             )
@@ -316,7 +292,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_magic(args) -> int:
     res = theorems.solve_missing_digit(args.pattern, args.base)
-    rendered = [_join_digits([d], args.base) for d in res.candidates]
+    rendered = [radix._join_digits([d], args.base) for d in res.candidates]
     text = f"ambiguous: {rendered[0]} or {rendered[1]}" if res.ambiguous else rendered[0]
     doc = {
         "command": "magic",
@@ -357,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--infinite", action="store_true")
     add_json(p)
-    p.set_defaults(func=cmd_convert)
+    p.set_defaults(func=cmd_repr)
 
     p = sub.add_parser("digroot", help="digital root, persistence and trajectory")
     p.add_argument("value")

@@ -9,13 +9,10 @@ from dataclasses import dataclass
 
 from .arith import Rational, _require_natural
 from .errors import DomainError
-from .radix import _nonterminating_reason, _require_base, classify
+from .radix import _nonterminating_reason, _require_base, _smooth_split, classify
 
 
-def digit_sum(n: int, k: int) -> int:
-    """Sum of the base-k digits of n."""
-    _require_base(k)
-    _require_natural(n, "n")
+def _digit_sum(n: int, k: int) -> int:
     s = 0
     while n:
         n, d = divmod(n, k)
@@ -23,10 +20,40 @@ def digit_sum(n: int, k: int) -> int:
     return s
 
 
+def _trajectory(n: int, k: int) -> list[int]:
+    """n followed by its successive base-k digit sums, down to one digit."""
+    chain = [n]
+    while n >= k:
+        n = _digit_sum(n, k)
+        chain.append(n)
+    return chain
+
+
+def _scaled(num: int, den: int, k: int) -> int:
+    """k^rho0 * num/den for a reduced num/den that terminates in base k."""
+    return num * k ** _smooth_split(den, k)[2] // den
+
+
+def _tf_integer(q: Rational, k: int) -> int:
+    """k^rho0 * q, for a q that must terminate in base k."""
+    if not classify(q, k).is_terminating:
+        raise DomainError(_nonterminating_reason(q, k))
+    return _scaled(q.num, q.den, k)
+
+
+def digit_sum(n: int, k: int) -> int:
+    """Sum of the base-k digits of n."""
+    _require_base(k)
+    _require_natural(n, "n")
+    return _digit_sum(n, k)
+
+
 def digit_sum_iter(n: int, k: int, times: int) -> int:
+    _require_base(k)
+    _require_natural(n, "n")
     _require_natural(times, "times")
     for _ in range(times):
-        n = digit_sum(n, k)
+        n = _digit_sum(n, k)
     return n
 
 
@@ -34,11 +61,7 @@ def additive_persistence(n: int, k: int) -> int:
     """Number of digit-sum iterations needed to reach a single digit."""
     _require_base(k)
     _require_natural(n, "n")
-    count = 0
-    while n >= k:
-        n = digit_sum(n, k)
-        count += 1
-    return count
+    return len(_trajectory(n, k)) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,32 +78,26 @@ class DigitRootResult:
     trajectory: tuple[int, ...]
 
 
+def _root_result(n: int, k: int) -> DigitRootResult:
+    chain = _trajectory(n, k)
+    return DigitRootResult(chain[-1], len(chain) - 1, tuple(chain[1:]))
+
+
 def digital_root(n: int, k: int) -> DigitRootResult:
     """Iterate the digit sum until a single base-k digit remains."""
     _require_base(k)
     _require_natural(n, "n")
-    trajectory = []
-    while n >= k:
-        n = digit_sum(n, k)
-        trajectory.append(n)
-    return DigitRootResult(n, len(trajectory), tuple(trajectory))
-
-
-def _scaled_integer(q: Rational, k: int) -> int:
-    c = classify(q, k)
-    if not c.is_terminating:
-        raise DomainError(_nonterminating_reason(q, k))
-    return q.num * k**c.rho0 // q.den
+    return _root_result(n, k)
 
 
 def tf_digit_sum(q: Rational, k: int) -> int:
     """Digit sum of a terminating fractional: digit_sum of k^rho0 * q."""
-    return digit_sum(_scaled_integer(q, k), k)
+    return _digit_sum(_tf_integer(q, k), k)
 
 
 def tf_digital_root(q: Rational, k: int) -> DigitRootResult:
     """Digital root of a terminating fractional: root of k^rho0 * q."""
-    return digital_root(_scaled_integer(q, k), k)
+    return _root_result(_tf_integer(q, k), k)
 
 
 def digit_sum_of_digits(digits, k: int) -> int:

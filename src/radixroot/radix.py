@@ -23,6 +23,21 @@ from .arith import Rational, divisors, factorize, totient
 from .errors import DomainError, ParseError
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_DIGIT_VALUES = {ch: i for i, upper in enumerate(ALPHABET) for ch in (upper, upper.lower())}
+
+
+def _decimal(text: str) -> int | None:
+    """Value of an ASCII decimal numeral, or None for any other text.
+
+    This is the one rule for numbers typed as text: ``str.isdigit`` alone
+    also accepts non-ASCII digits such as '١' or '²'.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's int-string limit
+        return None
 
 
 def _require_base(k: int) -> int:
@@ -140,21 +155,38 @@ class PositionalRepr:
         for d in self.int_digits + self.frac_digits + self.repetend:
             if not isinstance(d, int) or not 0 <= d < self.base:
                 raise DomainError(f"digit {d!r} out of range for base {self.base}")
-        if not self.int_digits:
-            raise DomainError("integer part must have at least one digit")
-        if len(self.int_digits) > 1 and self.int_digits[0] == 0:
-            raise DomainError("leading zero in integer part")
-        if not self.repetend and self.frac_digits and self.frac_digits[-1] == 0:
-            raise DomainError("finite fractional part must not end in zero")
-        if self.repetend:
-            if not any(self.repetend):
-                raise DomainError("repetend must contain a nonzero digit")
-            if _string_period(self.repetend) != len(self.repetend):
-                raise DomainError("repetend longer than its minimal period")
+        broken = _noncanonical(self.int_digits, self.frac_digits, self.repetend)
+        if broken:
+            raise DomainError(broken[0])
 
     @property
     def period(self) -> int:
         return len(self.repetend)
+
+
+def _trusted(base: int, int_digits: tuple, frac_digits: tuple, repetend: tuple = ()) -> PositionalRepr:
+    """A PositionalRepr from digit tuples already known to be in range and
+    canonical, without repeating the public constructor's checks."""
+    r = object.__new__(PositionalRepr)
+    for name, value in zip(PositionalRepr.__slots__, (base, int_digits, frac_digits, repetend)):
+        object.__setattr__(r, name, value)
+    return r
+
+
+def _noncanonical(int_digits, frac_digits, repetend) -> tuple[str, str] | None:
+    """The first canonical-form rule the digits break, as (message, part),
+    or None.  ``part`` is "int", "frac" or "rep": the section at fault."""
+    if not int_digits:
+        return "integer part must have at least one digit", "int"
+    if len(int_digits) > 1 and int_digits[0] == 0:
+        return "leading zero in integer part", "int"
+    if not repetend and frac_digits and frac_digits[-1] == 0:
+        return "finite fractional part must not end in zero", "frac"
+    if repetend and not any(repetend):
+        return "repetend must contain a nonzero digit", "rep"
+    if repetend and _string_period(repetend) != len(repetend):
+        return "repetend longer than its minimal period", "rep"
+    return None
 
 
 def _string_period(digits: tuple[int, ...]) -> int:
@@ -188,14 +220,34 @@ def _split_at_point(scaled: int, k: int, rho0: int) -> tuple[tuple[int, ...], tu
     return tuple(digits[:-rho0]), tuple(digits[-rho0:])
 
 
+def _repetend(rem: int, p: int, k: int) -> tuple[int, ...]:
+    """Repetend of rem/p in base k (0 < rem < p, gcd(p, k) = 1), from the
+    closed form rem * (k^T - 1) / p with T = ord_p(k)."""
+    t = multiplicative_order(k, p)
+    rep = _digits_of(rem * (k**t - 1) // p, k)
+    return (0,) * (t - len(rep)) + tuple(rep)
+
+
+def _expand(num: int, den: int, k: int, c: RadixClassification, infinite: bool) -> PositionalRepr:
+    """Digits of num/den in base k, given its classification c: the finite
+    form when it terminates, unless ``infinite`` asks for the repeating one
+    (which needs num > 0)."""
+    if c.is_terminating:
+        scaled = num * k**c.rho0 // den
+        if not infinite:
+            return _trusted(k, *_split_at_point(scaled, k, c.rho0))
+        return _trusted(k, *_split_at_point(scaled - 1, k, c.rho0), (k - 1,))
+    smooth, p, rho0 = _smooth_split(den, k)
+    whole, rem = divmod(num * (k**rho0 // smooth), p)
+    return _trusted(k, *_split_at_point(whole, k, rho0), _repetend(rem, p, k))
+
+
 def to_finite(q: Rational, k: int) -> PositionalRepr:
     """The unique finite base-k representation of a terminating rational."""
     c = classify(q, k)
     if not c.is_terminating:
         raise DomainError(_nonterminating_reason(q, k))
-    scaled = q.num * k**c.rho0 // q.den
-    int_part, frac_part = _split_at_point(scaled, k, c.rho0)
-    return PositionalRepr(k, int_part, frac_part)
+    return _expand(q.num, q.den, k, c, False)
 
 
 def to_repeating(q: Rational, k: int) -> PositionalRepr:
@@ -207,23 +259,16 @@ def to_repeating(q: Rational, k: int) -> PositionalRepr:
     alternate form that trades the last digit down and repeats k-1
     forever, e.g. [4.25]_6 -> [4.24(5)]_6.
     """
-    _require_base(k)
-    if q.is_zero:
-        raise DomainError("0 has no representation with infinitely many nonzero digits")
+    return _encode(q, k, True)
+
+
+def _encode(q: Rational, k: int, infinite: bool) -> PositionalRepr:
+    """Canonical base-k representation of q: finite when it terminates,
+    unless ``infinite`` forces the repeating form."""
     c = classify(q, k)
-    if c.is_terminating:
-        scaled = q.num * k**c.rho0 // q.den
-        int_part, frac_part = _split_at_point(scaled - 1, k, c.rho0)
-        return PositionalRepr(k, int_part, frac_part, (k - 1,))
-    smooth, p, rho0 = _smooth_split(q.den, k)
-    t = c.period
-    m = q.num * (k**rho0 // smooth)
-    whole, rem = divmod(m, p)
-    block = rem * (k**t - 1) // p
-    rep = _digits_of(block, k)
-    rep = [0] * (t - len(rep)) + rep
-    int_part, frac_part = _split_at_point(whole, k, rho0)
-    return PositionalRepr(k, int_part, frac_part, tuple(rep))
+    if infinite and q.is_zero:
+        raise DomainError("0 has no representation with infinitely many nonzero digits")
+    return _expand(q.num, q.den, k, c, infinite)
 
 
 def period(q: Rational, k: int) -> int:
@@ -258,55 +303,48 @@ def convert(r: PositionalRepr, k2: int, infinite: bool = False) -> PositionalRep
 
     ``infinite`` forces the repeating form even for terminating values.
     """
-    q = value_of(r)
-    if infinite:
-        return to_repeating(q, k2)
-    if classify(q, k2).is_terminating:
-        return to_finite(q, k2)
-    return to_repeating(q, k2)
+    return _encode(value_of(r), k2, infinite)
+
+
+def _join_digits(digits, base: int) -> str:
+    """Digits as text: one 0-9A-Z character each up to base 36, decimal
+    numbers joined by commas above."""
+    if base <= 36:
+        return "".join(ALPHABET[d] for d in digits)
+    return ",".join(str(d) for d in digits)
 
 
 def format_repr(r: PositionalRepr) -> str:
     """Render a representation in bracket notation."""
-    if r.base <= 36:
-        def join(digits):
-            return "".join(ALPHABET[d] for d in digits)
-    else:
-        def join(digits):
-            return ",".join(str(d) for d in digits)
-
-    body = join(r.int_digits)
+    body = _join_digits(r.int_digits, r.base)
     if r.frac_digits or r.repetend:
-        body += "." + join(r.frac_digits)
+        body += "." + _join_digits(r.frac_digits, r.base)
     if r.repetend:
-        body += f"({join(r.repetend)})"
+        body += f"({_join_digits(r.repetend, r.base)})"
     return f"[{body}]_{r.base}"
 
 
-def _tokenize_chars(section: str, start: int, base: int) -> list[int]:
+def _tokenize(section: str, start: int, base: int, placeholder: bool = False) -> tuple[int | None, ...]:
+    """Digit values of ``section``, which begins at offset ``start`` of the
+    input: one character per digit up to base 36, comma-separated ASCII
+    decimals above.  With ``placeholder`` a '?' digit reads as None."""
+    if not section:
+        return ()
     out = []
-    for i, ch in enumerate(section):
-        value = ALPHABET.find(ch.upper())
-        if value < 0:
-            raise ParseError(f"invalid digit character {ch!r}", start + i)
-        if value >= base:
-            raise ParseError(f"digit {ch!r} is >= base {base}", start + i)
+    pos = start
+    for token in section if base <= 36 else section.split(","):
+        if placeholder and token == "?":
+            value = None
+        else:
+            value = _DIGIT_VALUES.get(token) if base <= 36 else _decimal(token)
+            if value is None:
+                kind = "character" if base <= 36 else "token"
+                raise ParseError(f"invalid digit {kind} {token!r}", pos)
+            if value >= base:
+                raise ParseError(f"digit {token!r} is >= base {base}", pos)
         out.append(value)
-    return out
-
-
-def _tokenize_commas(section: str, start: int, base: int) -> list[int]:
-    out = []
-    offset = 0
-    for token in section.split(","):
-        if not token.isdigit():
-            raise ParseError(f"invalid digit token {token!r}", start + offset)
-        value = int(token)
-        if value >= base:
-            raise ParseError(f"digit {value} is >= base {base}", start + offset)
-        out.append(value)
-        offset += len(token) + 1
-    return out
+        pos += len(token) + (base > 36)
+    return tuple(out)
 
 
 def parse(text: str) -> PositionalRepr:
@@ -330,14 +368,11 @@ def parse(text: str) -> PositionalRepr:
     suffix = text[close + 1:]
     if not suffix.startswith("_"):
         raise ParseError("expected '_' after ']'", close + 1)
-    base_text = suffix[1:]
-    if not base_text.isdigit():
+    base = _decimal(suffix[1:])
+    if base is None:
         raise ParseError("expected a decimal base after '_'", close + 2)
-    base = int(base_text)
     if base < 2:
         raise ParseError(f"base must be >= 2, got {base}", close + 2)
-
-    tokenize = _tokenize_chars if base <= 36 else _tokenize_commas
 
     rep_section = ""
     rep_start = None
@@ -367,24 +402,14 @@ def parse(text: str) -> PositionalRepr:
     else:
         int_section, frac_section, frac_start = body, "", None
 
-    if not int_section:
-        raise ParseError("integer part must have at least one digit", 1)
+    int_digits = _tokenize(int_section, 1, base)
+    frac_digits = _tokenize(frac_section, frac_start, base)
+    repetend = _tokenize(rep_section, rep_start, base)
 
-    int_digits = tokenize(int_section, 1, base)
-    frac_digits = tokenize(frac_section, frac_start, base) if frac_section else []
-    repetend = tokenize(rep_section, rep_start, base) if rep_section else []
-
-    if len(int_digits) > 1 and int_digits[0] == 0:
-        raise ParseError("leading zero in integer part", 1)
-    if not repetend and frac_digits and frac_digits[-1] == 0:
-        raise ParseError(
-            "finite fractional part must not end in zero",
-            frac_start + len(frac_section) - 1,
-        )
-    if repetend:
-        if not any(repetend):
-            raise ParseError("repetend must contain a nonzero digit", rep_start)
-        if _string_period(tuple(repetend)) != len(repetend):
-            raise ParseError("repetend longer than its minimal period", rep_start)
-
-    return PositionalRepr(base, tuple(int_digits), tuple(frac_digits), tuple(repetend))
+    broken = _noncanonical(int_digits, frac_digits, repetend)
+    if broken:
+        message, part = broken
+        if part == "frac":
+            raise ParseError(message, frac_start + len(frac_section) - 1)
+        raise ParseError(message, 1 if part == "int" else rep_start)
+    return _trusted(base, int_digits, frac_digits, repetend)

@@ -21,27 +21,56 @@ from dataclasses import dataclass
 from functools import partial
 
 from .arith import Rational, divisors, factorize
-from .digroot import digit_sum_of_digits, digital_root, tf_digit_sum, tf_digital_root
-from .errors import DomainError, ParseError, PreconditionError
-from .modring import orbit_of
-from .radix import ALPHABET, _nonterminating_reason, _require_base, _smooth_split, classify, to_repeating
+from .digroot import _digit_sum, _scaled, _tf_integer, _trajectory
+from .errors import DomainError, PreconditionError
+from .radix import _nonterminating_reason, _repetend, _require_base, _smooth_split, _tokenize, classify
+
+
+def _require_at_least(value: int, low: int, name: str) -> None:
+    if value < low:
+        raise PreconditionError(f"{name} must be >= {low}, got {value}")
 
 
 def _orbit_label(modulus: int, value: int) -> int:
-    if modulus == 1:
-        return 1
-    return orbit_of(modulus, value % modulus)
+    """The gcd-class label of value mod modulus (see ``modring.orbit_of``);
+    modulus 1 has the single label 1."""
+    return math.gcd(value % modulus, modulus)
 
 
 def verify_lemma_dr(q: Rational, k: int) -> bool:
     """Digit sum and digital root of a terminating fractional agree mod k-1."""
-    _require_base(k)
-    return (tf_digit_sum(q, k) - tf_digital_root(q, k).root) % (k - 1) == 0
+    n = _tf_integer(q, k)
+    return (_digit_sum(n, k) - _trajectory(n, k)[-1]) % (k - 1) == 0
 
 
-def _require_proper_divisor(r: int, k: int) -> None:
+def _require_main1_args(q: Rational, r: int, k: int) -> None:
+    """Preconditions shared by verify_main1 and verify_cor1."""
+    if not classify(q, k).is_terminating:
+        raise DomainError(_nonterminating_reason(q, k))
     if not isinstance(r, int) or r < 2 or r >= k or k % r != 0:
         raise PreconditionError(f"r must be a divisor of {k} with 2 <= r < {k}, got {r!r}")
+    if q.is_zero:
+        raise PreconditionError("q must be positive")
+
+
+def _main1(num: int, den: int, r: int, k: int, terms_max: int) -> tuple[list[int], bool, int | None]:
+    """The main1 kernel for q = num/den: the roots R_j of q/r^j for
+    j = 0..terms_max, whether every r^j * R_j = R_0 mod k-1, and the first
+    j whose root leaves the orbit of R_0 or breaks that congruence."""
+    modulus = k - 1
+    roots = []
+    congruence_ok, witness = True, None
+    for j in range(terms_max + 1):
+        d = den * r**j
+        g = math.gcd(num, d)
+        root = _trajectory(_scaled(num // g, d // g, k), k)[-1]
+        roots.append(root)
+        in_orbit = _orbit_label(modulus, root) == _orbit_label(modulus, roots[0])
+        congruent = (r**j * root - roots[0]) % modulus == 0
+        congruence_ok = congruence_ok and congruent
+        if witness is None and not (in_orbit and congruent):
+            witness = j
+    return roots, congruence_ok, witness
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,39 +99,19 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
     Every root R_j (reduced mod k-1) must lie in the orbit of R_0, and
     r^j * R_j must stay congruent to R_0 mod k-1.
     """
-    _require_base(k)
-    _require_proper_divisor(r, k)
-    if q.is_zero:
-        raise PreconditionError("q must be positive")
-    if terms_max < 1:
-        raise PreconditionError(f"terms must be >= 1, got {terms_max}")
-    if not classify(q, k).is_terminating:
-        raise DomainError(_nonterminating_reason(q, k))
-
-    modulus = k - 1
-    terms = []
-    for j in range(terms_max + 1):
-        value = q / r**j
-        root = tf_digital_root(value, k).root
-        terms.append(Main1Term(j, value, root, _orbit_label(modulus, root)))
-
-    orbit_delta = terms[0].orbit_label
-    r0 = terms[0].root
-    witness = None
-    congruence_ok = True
-    for term in terms:
-        in_orbit = term.orbit_label == orbit_delta
-        congruent = (r**term.j * term.root - r0) % modulus == 0
-        if not congruent:
-            congruence_ok = False
-        if witness is None and not (in_orbit and congruent):
-            witness = term.j
+    _require_main1_args(q, r, k)
+    _require_at_least(terms_max, 1, "terms")
+    roots, congruence_ok, witness = _main1(q.num, q.den, r, k, terms_max)
+    terms = tuple(
+        Main1Term(j, Rational(q.num, q.den * r**j), root, _orbit_label(k - 1, root))
+        for j, root in enumerate(roots)
+    )
     return Main1Report(
         base=k,
         q=q,
         r=r,
-        terms=tuple(terms),
-        orbit_delta=orbit_delta,
+        terms=terms,
+        orbit_delta=terms[0].orbit_label,
         congruence_ok=congruence_ok,
         passed=witness is None,
         witness=witness,
@@ -111,15 +120,11 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
 
 def verify_cor1(q: Rational, r: int, k: int) -> bool:
     """If the root of q is divisible by k-1, so is the root of q/r."""
-    _require_base(k)
-    _require_proper_divisor(r, k)
-    if q.is_zero:
-        raise PreconditionError("q must be positive")
-    if not classify(q, k).is_terminating:
-        raise DomainError(_nonterminating_reason(q, k))
-    if tf_digital_root(q, k).root % (k - 1) != 0:
+    _require_main1_args(q, r, k)
+    root0, root1 = _main1(q.num, q.den, r, k, 1)[0]
+    if root0 % (k - 1) != 0:
         raise PreconditionError(f"digital root of {q} is not divisible by {k - 1}")
-    return tf_digital_root(q / r, k).root % (k - 1) == 0
+    return root1 % (k - 1) == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +140,27 @@ class Main2Report:
     t_doubleprime_divisible: bool
     passed: bool
     reason: str | None = None
+
+
+def _main2(n: int, s: int, k: int) -> Main2Report:
+    """The main2 kernel for an irreducible n/s, preconditions included."""
+    smooth, p, rho0 = _smooth_split(s, k)
+    repetend, root, divisible, reason = (), None, False, None
+    if p == 1:
+        reason = f"{n}/{s} terminates in base {k}: no repetend"
+    elif math.gcd(p, k - 1) != 1:
+        reason = f"gcd({p}, {k - 1}) = {math.gcd(p, k - 1)} != 1"
+    else:
+        repetend = _repetend(n * (k**rho0 // smooth) % p, p, k)
+        root = _trajectory(sum(repetend), k)[-1]
+        scaled = n * k**rho0 * (k ** len(repetend) - 1)
+        divisible = scaled % s == 0 and (scaled // s) % (k - 1) == 0
+    return Main2Report(
+        base=k, n=n, s=s, smooth_part=smooth, p_part=p,
+        preconditions_ok=reason is None, repetend=repetend, repetend_root=root,
+        t_doubleprime_divisible=divisible,
+        passed=reason is None and root % (k - 1) == 0 and divisible, reason=reason,
+    )
 
 
 def verify_main2(n: int, s: int, k: int) -> Main2Report:
@@ -153,31 +179,7 @@ def verify_main2(n: int, s: int, k: int) -> Main2Report:
         raise PreconditionError(f"s must be an integer >= 2, got {s!r}")
     if math.gcd(n, s) != 1:
         raise DomainError(f"{n}/{s} is not an irreducible fraction")
-
-    smooth, p, rho0 = _smooth_split(s, k)
-    if p == 1:
-        reason = f"{n}/{s} terminates in base {k}: no repetend"
-    elif math.gcd(p, k - 1) != 1:
-        reason = f"gcd({p}, {k - 1}) = {math.gcd(p, k - 1)} != 1"
-    else:
-        reason = None
-    if reason is not None:
-        return Main2Report(
-            base=k, n=n, s=s, smooth_part=smooth, p_part=p,
-            preconditions_ok=False, repetend=(), repetend_root=None,
-            t_doubleprime_divisible=False, passed=False, reason=reason,
-        )
-
-    repetend = to_repeating(Rational(n, s), k).repetend
-    root = digital_root(digit_sum_of_digits(repetend, k), k).root
-    scaled = n * k**rho0 * (k ** len(repetend) - 1)
-    divisible = scaled % s == 0 and (scaled // s) % (k - 1) == 0
-    passed = root % (k - 1) == 0 and divisible
-    return Main2Report(
-        base=k, n=n, s=s, smooth_part=smooth, p_part=p,
-        preconditions_ok=True, repetend=repetend, repetend_root=root,
-        t_doubleprime_divisible=divisible, passed=passed,
-    )
+    return _main2(n, s, k)
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,6 @@ def _smooth_values(k: int, bound: int) -> list[int]:
 def _main1_tuples(bases, bound: int) -> list[tuple[int, int, int, int]]:
     tuples = []
     for k in bases:
-        _require_base(k)
         proper = [d for d in divisors(k) if 2 <= d < k]
         if not proper:
             continue
@@ -221,18 +222,25 @@ def _main1_tuples(bases, bound: int) -> list[tuple[int, int, int, int]]:
     return tuples
 
 
+def _require_bases(bases) -> list[int]:
+    bases = list(bases)
+    for k in bases:
+        _require_base(k)
+    return bases
+
+
 def _run_main1_chunk(chunk, terms_max: int):
     tested = failed = degenerate = 0
     failures = []
     for k, r, a, b in chunk:
-        report = verify_main1(Rational(a, b), r, k, terms_max)
+        witness = _main1(a, b, r, k, terms_max)[2]
         tested += 1
         if k == 2:
             degenerate += 1
-        if not report.passed:
+        if witness is not None:
             failed += 1
             failures.append(
-                {"base": k, "r": r, "num": a, "den": b, "witness": report.witness}
+                {"base": k, "r": r, "num": a, "den": b, "witness": witness}
             )
     return tested, failed, 0, degenerate, failures
 
@@ -241,11 +249,10 @@ def _run_main2_chunk(chunk):
     tested = failed = skipped = degenerate = 0
     failures = []
     for k, n, s in chunk:
-        _, p, _ = _smooth_split(s, k)
-        if p == 1 or math.gcd(p, k - 1) != 1:
+        report = _main2(n, s, k)
+        if not report.preconditions_ok:
             skipped += 1
             continue
-        report = verify_main2(n, s, k)
         tested += 1
         if k == 2:
             degenerate += 1
@@ -256,8 +263,6 @@ def _run_main2_chunk(chunk):
 
 
 def _run_chunked(runner, tuples, workers: int) -> FuzzSummary:
-    if workers < 1:
-        raise PreconditionError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(tuples) < 2 * workers:
         results = [runner(tuples)]
     else:
@@ -280,6 +285,10 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
     every reduced a/b with a <= bound and k-smooth b <= bound, in
     lexicographic order.
     """
+    bases = _require_bases(bases)
+    _require_at_least(bound, 0, "bound")
+    _require_at_least(terms_max, 1, "terms")
+    _require_at_least(workers, 1, "workers")
     tuples = _main1_tuples(bases, bound)
     return _run_chunked(partial(_run_main1_chunk, terms_max=terms_max), tuples, workers)
 
@@ -290,8 +299,10 @@ def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSumma
     Tuples whose denominator has no part coprime to the base, or whose
     coprime part shares a factor with k-1, are counted as skipped.
     """
-    for k in bases:
-        _require_base(k)
+    bases = _require_bases(bases)
+    _require_at_least(n_bound, 0, "n_bound")
+    _require_at_least(s_bound, 0, "s_bound")
+    _require_at_least(workers, 1, "workers")
     tuples = [
         (k, n, s)
         for k in bases
@@ -315,34 +326,6 @@ class MagicDigitResult:
         return self.candidates[0]
 
 
-def _pattern_digits(pattern: str, k: int) -> tuple[list[int], int]:
-    """Known digit values of a pattern plus the count of '?' placeholders."""
-    known = []
-    placeholders = 0
-    if k <= 36:
-        for i, ch in enumerate(pattern):
-            if ch == "?":
-                placeholders += 1
-                continue
-            value = ALPHABET.find(ch.upper())
-            if value < 0:
-                raise ParseError(f"invalid digit character {ch!r}", i)
-            if value >= k:
-                raise ParseError(f"digit {ch!r} is >= base {k}", i)
-            known.append(value)
-    else:
-        offset = 0
-        for token in pattern.split(","):
-            if token == "?":
-                placeholders += 1
-            elif token.isdigit() and int(token) < k:
-                known.append(int(token))
-            else:
-                raise ParseError(f"invalid digit token {token!r}", offset)
-            offset += len(token) + 1
-    return known, placeholders
-
-
 def solve_missing_digit(pattern: str, k: int) -> MagicDigitResult:
     """Recover the single unknown digit of a number divisible by k-1.
 
@@ -351,12 +334,13 @@ def solve_missing_digit(pattern: str, k: int) -> MagicDigitResult:
     indistinguishable; that case is reported as ambiguous.
     """
     _require_base(k)
-    known, placeholders = _pattern_digits(pattern, k)
+    digits = _tokenize(pattern, 0, k, placeholder=True)
+    placeholders = digits.count(None)
     if placeholders != 1:
         raise PreconditionError(
             f"pattern must contain exactly one '?' placeholder, found {placeholders}"
         )
-    residue = (-sum(known)) % (k - 1)
+    residue = (-sum(d for d in digits if d is not None)) % (k - 1)
     if residue == 0:
         return MagicDigitResult((0, k - 1))
     return MagicDigitResult((residue,))

@@ -13,7 +13,6 @@ from radixroot import (
     gcd,
     is_coprime,
     pow_rational,
-    rational_new,
     totient,
 )
 
@@ -116,14 +115,20 @@ def test_large_magnitudes():
 
 
 def test_rational_examples():
-    q = rational_new(161, 36)
+    q = Rational(161, 36)
     assert (q.num, q.den) == (161, 36)
-    assert rational_new(4, 2) == Rational(2)
-    assert rational_new(0, 5) == Rational(0, 1)
+    assert Rational(4, 2) == Rational(2)
+    assert Rational(0, 5) == Rational(0, 1)
     with pytest.raises(DomainError):
-        rational_new(1, 0)
+        Rational(1, 0)
     with pytest.raises(DomainError):
         Rational(-1, 2)
+
+
+@pytest.mark.parametrize("num, den", [(True, 3), (3, True), (3, False)])
+def test_rational_rejects_bool_parts(num, den):
+    with pytest.raises(DomainError):
+        Rational(num, den)
 
 
 @given(st.integers(0, 10**9), st.integers(1, 10**9))

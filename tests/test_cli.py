@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import radixroot
 from radixroot.cli import main, parse_base_range, parse_value_literal
-from radixroot import PreconditionError, Rational
+from radixroot import ParseError, PreconditionError, Rational
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +148,20 @@ def test_fuzz_main1_text_and_exit(capsys):
     assert code == 0 and "tested=0" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("main1", "--bases", "4..6", "--bound", "-5"),
+        ("main1", "--bases", "4..6", "--bound", "5", "--terms", "0"),
+        ("main2", "--bases", "4..6", "--n-bound", "-5", "--s-bound", "5"),
+        ("main2", "--bases", "4..6", "--n-bound", "5", "--s-bound", "-5"),
+    ],
+)
+def test_fuzz_negative_bounds_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "fuzz", *argv)
+    assert code == 2 and out == "" and "must be >=" in err
+
+
 def test_fuzz_main2_json(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "main2", "--bases", "2..5",
                            "--n-bound", "8", "--s-bound", "8", "--json")
@@ -191,6 +210,36 @@ def test_literal_and_range_parsing():
         parse_base_range("1..4")
 
 
+@pytest.mark.parametrize(
+    "parser, text",
+    [
+        (parse_value_literal, "\u00b2/3"),
+        (parse_value_literal, "3/\u0661"),
+        (parse_value_literal, "\u00b2"),
+        (parse_value_literal, "5/0"),
+        pytest.param(parse_value_literal, "1" * 5000, id="past-int-string-limit"),
+        (parse_value_literal, "[1]_\u00b2"),
+        (parse_base_range, "\u0661\u0660"),
+        (parse_base_range, "1_6"),
+        (parse_base_range, "2..1_6"),
+        (parse_base_range, " 2..4"),
+        (parse_base_range, "-1..4"),
+    ],
+)
+def test_malformed_literals_raise_parse_error(parser, text):
+    with pytest.raises(ParseError) as excinfo:
+        parser(text)
+    assert 0 <= excinfo.value.position <= len(text)
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789/[]_ \u00b2\u0661")))
+def test_value_literals_raise_only_positioned_parse_errors(text):
+    try:
+        parse_value_literal(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+
+
 def test_bad_literals_exit_2(capsys):
     assert run_cli(capsys, "classify", "-5", "--base", "10")[0] == 2
     assert run_cli(capsys, "classify", "5/0", "--base", "10")[0] == 2
@@ -211,10 +260,14 @@ def test_argparse_usage_errors_exit_2(capsys):
 
 
 def test_installed_entry_point_smoke():
+    # The child process imports the same radixroot as this one, installed or not.
+    package_parent = str(Path(radixroot.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "radixroot", "repr", "9/7", "--base", "10"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[1.(285714)]_10"

@@ -294,6 +294,12 @@ def test_parse_format_round_trip(num, den, k):
         "[1,99.0]_40",
         "[1,,2]_40",
         "[2A7E]_16extra",
+        "[1]_\u0661\u0660",
+        "[1]_\u00b2",
+        "[1,\u00b2]_40",
+        "[\u0131]_36",
+        pytest.param("[1]_" + "1" * 5000, id="base-past-int-string-limit"),
+        pytest.param("[1," + "1" * 5000 + "]_40", id="digit-past-int-string-limit"),
     ],
 )
 def test_parse_rejects_malformed_input_with_position(text):
@@ -302,6 +308,21 @@ def test_parse_rejects_malformed_input_with_position(text):
     assert isinstance(excinfo.value.position, int)
     assert 0 <= excinfo.value.position <= len(text) + 1
     assert "position" in str(excinfo.value)
+
+
+bracket_literals = st.builds(
+    lambda body, base: f"[{body}]_{base}",
+    st.text(alphabet="0123456789aAzZ.,()[]?_\u00b2\u0661"),
+    st.text(alphabet="0123456789\u00b2\u0661", max_size=3),
+)
+
+
+@given(st.one_of(st.text(), bracket_literals))
+def test_parse_raises_only_positioned_parse_errors(text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
 
 
 def test_parse_error_positions_point_at_offenders():

@@ -206,6 +206,22 @@ def test_fuzz_rejects_bad_worker_count():
         fuzz_main1(range(4, 5), 5, 2, workers=0)
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: fuzz_main1(range(4, 7), -5, 3),
+        lambda: fuzz_main1([], -1, 3),
+        lambda: fuzz_main1(range(4, 7), 5, 0),
+        lambda: fuzz_main2(range(4, 7), -5, 5),
+        lambda: fuzz_main2(range(4, 7), 5, -5),
+        lambda: fuzz_main2([], 5, 5, workers=0),
+    ],
+)
+def test_fuzz_rejects_negative_bounds_before_enumerating(sweep):
+    with pytest.raises(PreconditionError):
+        sweep()
+
+
 def test_solve_missing_digit_examples():
     assert solve_missing_digit("2?99561", 10).candidates == (4,)
     result = solve_missing_digit("?", 10)
@@ -230,3 +246,23 @@ def test_solve_missing_digit_errors():
         solve_missing_digit("1x?", 10)
     with pytest.raises(ParseError):
         solve_missing_digit("9?", 8)
+
+
+@pytest.mark.parametrize(
+    "pattern, k",
+    [("1,\u00b2,?", 40), ("\u0661?", 10), ("\u0131?", 36), ("1,,?", 40), ("40,?", 40)],
+)
+def test_solve_missing_digit_rejects_non_ascii_and_bad_tokens(pattern, k):
+    with pytest.raises(ParseError) as excinfo:
+        solve_missing_digit(pattern, k)
+    assert 0 <= excinfo.value.position <= len(pattern)
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789aZ,?\u00b2\u0661")), st.integers(2, 60))
+def test_patterns_raise_only_parse_or_precondition_errors(pattern, k):
+    try:
+        solve_missing_digit(pattern, k)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(pattern)
+    except PreconditionError:
+        pass
