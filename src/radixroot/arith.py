@@ -50,7 +50,7 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division (2, 3, then a 6k+-1 wheel)."""
     _require_natural(n, "n")

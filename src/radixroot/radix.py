@@ -72,22 +72,29 @@ class RadixClassification:
 def _smooth_split(den: int, k: int) -> tuple[int, int, int]:
     """Split den into (smooth, p, rho0): the largest divisor made of primes
     of k, the coprime remainder, and min {r : smooth | k^r}."""
-    k_exponents = dict(factorize(k).factors)
-    smooth = 1
     p = den
     rho0 = 0
-    for prime, e_k in k_exponents.items():
-        e = 0
-        while p % prime == 0:
-            p //= prime
-            e += 1
-        if e:
-            smooth *= prime**e
-            rho0 = max(rho0, -(-e // e_k))
-    return smooth, p, rho0
+    for prime, e_k in factorize(k).factors:
+        if p % prime:
+            continue
+        # Divide by prime, prime^2, prime^4, ... while they divide, then step
+        # back down the same squares: O(log e) divisions for prime^e, not e.
+        squares = []
+        square = prime
+        while p % square == 0:
+            p //= square
+            squares.append(square)
+            square *= square
+        e = (1 << len(squares)) - 1
+        for i in range(len(squares) - 1, -1, -1):
+            if p % squares[i] == 0:
+                p //= squares[i]
+                e += 1 << i
+        rho0 = max(rho0, -(-e // e_k))
+    return den // p, p, rho0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def multiplicative_order(k: int, p: int) -> int:
     """Smallest T >= 1 with k^T = 1 mod p; requires gcd(k, p) = 1, p >= 2.
 
@@ -210,6 +217,34 @@ def _digits_of(n: int, k: int) -> list[int]:
     return out
 
 
+# Digit strings up to this long convert by Horner's rule. The value is a
+# pick: cutoffs from 16 to 256 timed within noise of each other on strings
+# of 300 to 66,000 digits in bases 2, 10 and 40.
+_HORNER_DIGITS = 64
+
+
+def _int_of(digits: tuple[int, ...], k: int, powers: dict[int, int] | None = None) -> int:
+    """The integer whose base-k digits, most significant first, are
+    ``digits``; 0 for no digits.
+
+    Long strings are halved and joined as hi * k^len(lo) + lo, each power
+    of k computed once per call (``powers``), so the cost is that of a few
+    full-size multiplications rather than one per digit.
+    """
+    if len(digits) <= _HORNER_DIGITS:
+        n = 0
+        for d in digits:
+            n = n * k + d
+        return n
+    if powers is None:
+        powers = {}
+    mid = len(digits) // 2
+    width = len(digits) - mid
+    if width not in powers:
+        powers[width] = k**width
+    return _int_of(digits[:mid], k, powers) * powers[width] + _int_of(digits[mid:], k, powers)
+
+
 def _split_at_point(scaled: int, k: int, rho0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Digits of scaled/k^rho0: pad to rho0+1 digits and split at the point."""
     digits = _digits_of(scaled, k)
@@ -221,11 +256,14 @@ def _split_at_point(scaled: int, k: int, rho0: int) -> tuple[tuple[int, ...], tu
 
 
 def _repetend(rem: int, p: int, k: int) -> tuple[int, ...]:
-    """Repetend of rem/p in base k (0 < rem < p, gcd(p, k) = 1), from the
-    closed form rem * (k^T - 1) / p with T = ord_p(k)."""
-    t = multiplicative_order(k, p)
-    rep = _digits_of(rem * (k**t - 1) // p, k)
-    return (0,) * (t - len(rep)) + tuple(rep)
+    """Repetend of rem/p in base k (0 < rem < p, gcd(p, k) = 1): the
+    T = ord_p(k) digits of remainder long division, whose operands all
+    stay below k * p."""
+    out = []
+    for _ in range(multiplicative_order(k, p)):
+        d, rem = divmod(rem * k, p)
+        out.append(d)
+    return tuple(out)
 
 
 def _expand(num: int, den: int, k: int, c: RadixClassification, infinite: bool) -> PositionalRepr:
@@ -254,8 +292,8 @@ def to_repeating(q: Rational, k: int) -> PositionalRepr:
     """The infinite base-k representation of q > 0, with explicit repetend.
 
     For a repeating rational this is the canonical form: regular part of
-    length rho0 followed by the minimal repetend, built from the closed
-    form rem * (k^T - 1) / P.  For a terminating rational it is the
+    length rho0 followed by the minimal repetend of T digits, found by
+    long division in O(T) steps.  For a terminating rational it is the
     alternate form that trades the last digit down and repeats k-1
     forever, e.g. [4.25]_6 -> [4.24(5)]_6.
     """
@@ -282,20 +320,12 @@ def period(q: Rational, k: int) -> int:
 def value_of(r: PositionalRepr) -> Rational:
     """Exact value of a representation, via the k^T - 1 closed form."""
     k = r.base
-    whole = 0
-    for d in r.int_digits:
-        whole = whole * k + d
-    frac = 0
-    for d in r.frac_digits:
-        frac = frac * k + d
+    head = _int_of(r.int_digits + r.frac_digits, k)
     shift = k ** len(r.frac_digits)
     if not r.repetend:
-        return Rational(whole * shift + frac, shift)
-    block = 0
-    for d in r.repetend:
-        block = block * k + d
+        return Rational(head, shift)
     cycle = k ** len(r.repetend) - 1
-    return Rational((whole * shift + frac) * cycle + block, shift * cycle)
+    return Rational(head * cycle + _int_of(r.repetend, k), shift * cycle)
 
 
 def convert(r: PositionalRepr, k2: int, infinite: bool = False) -> PositionalRepr:

@@ -90,3 +90,43 @@ def long_division_digits(num: int, den: int, base: int):
         return int_digits, frac, []
     start = seen[rem]
     return int_digits, frac[:start], frac[start:]
+
+
+def digits_brute(n: int, base: int) -> list[int]:
+    """Base digits of n >= 0, most significant first, one divmod each."""
+    out = []
+    while n:
+        n, d = divmod(n, base)
+        out.insert(0, d)
+    return out or [0]
+
+
+def int_of_digits_brute(digits, base: int) -> int:
+    """Horner's rule over the digits, most significant first."""
+    n = 0
+    for d in digits:
+        n = n * base + d
+    return n
+
+
+def closed_form_repetend(rem: int, p: int, base: int) -> tuple[int, ...]:
+    """Repetend of rem/p (0 < rem < p, gcd(p, base) = 1) from the closed
+    form rem * (base^T - 1) / p, padded to T digits, T = ord_p(base)."""
+    t = multiplicative_order_brute(base, p)
+    digits = digits_brute(rem * (base**t - 1) // p, base)
+    return (0,) * (t - len(digits)) + tuple(digits)
+
+
+def smooth_split_brute(den: int, base: int) -> tuple[int, int, int]:
+    """(smooth, p, rho0): strip each prime of base one division at a time,
+    then find the least rho0 with smooth | base^rho0 by stepping powers."""
+    p = den
+    for prime, _ in factorize_brute(base):
+        while p % prime == 0:
+            p //= prime
+    smooth = den // p
+    rho0, power = 0, 1
+    while power % smooth:
+        power *= base
+        rho0 += 1
+    return smooth, p, rho0

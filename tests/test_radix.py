@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radixroot import (
@@ -23,8 +23,16 @@ from radixroot import (
     to_repeating,
     value_of,
 )
+from radixroot.radix import _digits_of, _int_of, _smooth_split
 
-from oracles import long_division_digits, multiplicative_order_brute
+from oracles import (
+    closed_form_repetend,
+    digits_brute,
+    int_of_digits_brute,
+    long_division_digits,
+    multiplicative_order_brute,
+    smooth_split_brute,
+)
 
 rationals = st.builds(Rational, st.integers(0, 500), st.integers(1, 500))
 positive_rationals = st.builds(Rational, st.integers(1, 500), st.integers(1, 500))
@@ -132,6 +140,85 @@ def test_multiplicative_order_matches_brute_force(k, p):
     if gcd(k, p) != 1:
         return
     assert multiplicative_order(k, p) == multiplicative_order_brute(k, p)
+
+
+def test_number_theory_caches_are_bounded():
+    for cached in (factorize, multiplicative_order):
+        assert cached.cache_parameters()["maxsize"] is not None
+        assert cached.cache_info().maxsize == cached.cache_parameters()["maxsize"]
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 60), st.lists(st.integers(0, 2000), min_size=3, max_size=3), st.integers(1, 10**6))
+def test_smooth_split_matches_one_division_at_a_time(k, exponents, cofactor):
+    den = cofactor
+    for prime, e in zip(factorize(k).primes(), exponents):
+        den *= prime**e
+    assert _smooth_split(den, k) == smooth_split_brute(den, k)
+
+
+def test_smooth_split_of_a_huge_prime_power():
+    assert classify(Rational(1, 2**60000), 10).rho0 == 60000
+    assert classify(Rational(7, 3 * 5**60000), 10).rho0 == 60000
+    q = Rational(3, 2**60000)
+    assert value_of(to_finite(q, 10)) == q
+
+
+@st.composite
+def naturals_with_bases(draw):
+    """(n, k): k in 2..60 and n below 2^20000, including 0, k^w - 1 and k^w."""
+    k = draw(st.integers(2, 60))
+    w = draw(st.integers(0, 20000 // k.bit_length()))
+    n = draw(st.one_of(st.integers(0, 2**20000), st.sampled_from([0, k**w - 1, k**w])))
+    return n, k
+
+
+@settings(max_examples=60)
+@given(naturals_with_bases())
+def test_digit_conversion_matches_naive_loops(n_k):
+    n, k = n_k
+    digits = _digits_of(n, k)
+    assert digits == digits_brute(n, k)
+    assert _int_of(tuple(digits), k) == n == int_of_digits_brute(digits, k)
+    assert _int_of((0,) * 3 + tuple(digits), k) == n
+    assert _int_of((), k) == 0
+
+
+def test_digit_conversion_edges():
+    assert _int_of((1,) + (0,) * 5000, 3) == 3**5000
+    assert _int_of((2,) * 5000, 3) == 3**5000 - 1
+    assert _int_of((0,) * 5000, 3) == 0
+    huge = 2**600 + 1  # a base far above any machine word
+    n = 5 * huge**99 + huge + 7
+    digits = (5,) + (0,) * 97 + (1, 7)
+    assert _digits_of(n, huge) == list(digits)
+    assert _int_of(digits, huge) == n
+
+
+# (base, prime p, ord_p(base)): periods from 10^3 to about 2 * 10^4
+LONG_PERIODS = [
+    (2, 1019, 1018), (2, 4003, 4002), (2, 20029, 20028),
+    (10, 1019, 1018), (10, 4007, 4006), (10, 20047, 20046),
+    (16, 2027, 1013), (16, 8039, 4019), (16, 40031, 20015),
+    (40, 1019, 1018), (40, 4007, 4006), (40, 20023, 20022),
+]
+
+
+@pytest.mark.parametrize("k, p, t", LONG_PERIODS)
+def test_long_repetends_match_closed_form_and_long_division(k, p, t):
+    assert multiplicative_order_brute(k, p) == t
+    num = 5 * p + p // 3
+    r = to_repeating(Rational(num, p), k)
+    assert r.period == t
+    assert r.repetend == closed_form_repetend(num % p, p, k)
+    assert (list(r.int_digits), list(r.frac_digits), list(r.repetend)) == long_division_digits(num, p, k)
+
+
+def test_long_repetend_round_trips_through_comma_notation():
+    q = Rational(12345, 20023)
+    r = to_repeating(q, 40)
+    assert r.period == 20022
+    assert value_of(parse(format_repr(r))) == q
 
 
 def test_value_of_examples():
