@@ -21,6 +21,26 @@ def _require_natural(x: int, name: str) -> int:
     return x
 
 
+def _digits_of(n: int, k: int) -> list[int]:
+    """Base-k digits of n >= 0, most significant first; [0] for n = 0."""
+    if n == 0:
+        return [0]
+    out = []
+    while n:
+        n, d = divmod(n, k)
+        out.append(d)
+    out.reverse()
+    return out
+
+
+def _decimal_text(n: int) -> str:
+    """n >= 0 in decimal, also past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return "".join(map(str, _digits_of(n, 10)))
+
+
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor of two naturals; gcd(0, 0) is undefined."""
     _require_natural(a, "a")
@@ -158,7 +178,7 @@ class Rational:
         return Rational(self.num * other.den, self.den * other.num)
 
     def __str__(self) -> str:
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+        return _decimal_text(self.num) + ("" if self.den == 1 else f"/{_decimal_text(self.den)}")
 
 
 def pow_rational(base: int, exponent: int) -> Rational:

@@ -15,8 +15,8 @@ import os
 import sys
 
 from . import digroot, modring, radix, theorems
-from .arith import Rational
-from .errors import ParseError, PreconditionError
+from .arith import Rational, _decimal_text
+from .errors import DomainError, ParseError, PreconditionError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -70,7 +70,7 @@ def _resolve_workers(flag_value: int | None) -> int:
 
 
 def _rational_json(q: Rational) -> dict:
-    return {"num": str(q.num), "den": str(q.den)}
+    return {"num": _decimal_text(q.num), "den": _decimal_text(q.den)}
 
 
 def _emit(args, doc: dict, text: str) -> None:
@@ -404,7 +404,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ParseError, DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

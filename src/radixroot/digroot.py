@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .arith import Rational, _require_natural
 from .errors import DomainError
-from .radix import _nonterminating_reason, _require_base, _smooth_split, classify
+from .radix import _require_base, _terminating_split
 
 
 def _digit_sum(n: int, k: int) -> int:
@@ -29,16 +29,10 @@ def _trajectory(n: int, k: int) -> list[int]:
     return chain
 
 
-def _scaled(num: int, den: int, k: int) -> int:
-    """k^rho0 * num/den for a reduced num/den that terminates in base k."""
-    return num * k ** _smooth_split(den, k)[2] // den
-
-
-def _tf_integer(q: Rational, k: int) -> int:
-    """k^rho0 * q, for a q that must terminate in base k."""
-    if not classify(q, k).is_terminating:
-        raise DomainError(_nonterminating_reason(q, k))
-    return _scaled(q.num, q.den, k)
+def _scaled(num: int, k: int, split: tuple[int, int, int]) -> int:
+    """k^rho0 * num/den, given the split (den, 1, rho0) of a terminating den."""
+    den, _, rho0 = split
+    return num * k**rho0 // den
 
 
 def digit_sum(n: int, k: int) -> int:
@@ -92,12 +86,12 @@ def digital_root(n: int, k: int) -> DigitRootResult:
 
 def tf_digit_sum(q: Rational, k: int) -> int:
     """Digit sum of a terminating fractional: digit_sum of k^rho0 * q."""
-    return _digit_sum(_tf_integer(q, k), k)
+    return _digit_sum(_scaled(q.num, k, _terminating_split(q, k)), k)
 
 
 def tf_digital_root(q: Rational, k: int) -> DigitRootResult:
     """Digital root of a terminating fractional: root of k^rho0 * q."""
-    return _root_result(_tf_integer(q, k), k)
+    return _root_result(_scaled(q.num, k, _terminating_split(q, k)), k)
 
 
 def digit_sum_of_digits(digits, k: int) -> int:
@@ -105,7 +99,7 @@ def digit_sum_of_digits(digits, k: int) -> int:
     _require_base(k)
     total = 0
     for d in digits:
-        if not isinstance(d, int) or not 0 <= d < k:
+        if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < k:
             raise DomainError(f"digit {d!r} out of range for base {k}")
         total += d
     return total

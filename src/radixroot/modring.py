@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import divisors, factorize
+from .arith import factorize
 from .errors import DomainError
 
 
@@ -70,10 +70,13 @@ def additive_order(x: ResidueClass) -> int:
     return x.modulus // math.gcd(x.value, x.modulus)
 
 
+def _units(n: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, n) if math.gcd(d, n) == 1)
+
+
 def units(n: int) -> tuple[int, ...]:
     """Residues coprime to n, ascending; the multiplicative group mod n."""
-    _require_modulus(n)
-    return tuple(d for d in range(1, n) if math.gcd(d, n) == 1)
+    return _units(_require_modulus(n))
 
 
 def gcd_class(n: int, d: int) -> tuple[int, ...]:
@@ -87,7 +90,7 @@ def orbit(n: int, x: ResidueClass) -> tuple[int, ...]:
     _require_modulus(n)
     if x.modulus != n:
         raise DomainError(f"modulus mismatch: {x.modulus} != {n}")
-    return tuple(sorted({g * x.value % n for g in units(n)}))
+    return tuple(sorted({g * x.value % n for g in _units(n)}))
 
 
 def orbit_of(n: int, x: int) -> int:
@@ -109,7 +112,10 @@ class OrbitPartition:
 def orbit_partition(n: int) -> OrbitPartition:
     """Partition of all residues mod n, one class per divisor of n."""
     _require_modulus(n)
-    return OrbitPartition(n, {d: gcd_class(n, d) for d in divisors(n)})
+    classes = {}
+    for x in range(n):
+        classes.setdefault(math.gcd(x, n), []).append(x)
+    return OrbitPartition(n, {d: tuple(classes[d]) for d in sorted(classes)})
 
 
 def unit_group_is_cyclic(n: int) -> bool:
@@ -121,6 +127,4 @@ def unit_group_is_cyclic(n: int) -> bool:
     if len(factors) == 1:
         p, _ = factors[0]
         return p != 2
-    if len(factors) == 2 and factors[0] == (2, 1):
-        return True
-    return False
+    return len(factors) == 2 and factors[0] == (2, 1)

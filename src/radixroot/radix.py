@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import Rational, divisors, factorize, totient
+from .arith import Rational, _decimal_text, _digits_of, divisors, factorize, totient
 from .errors import DomainError, ParseError
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -122,21 +122,20 @@ def classify(q: Rational, k: int) -> RadixClassification:
     return RadixClassification(Kind.REPEATING, rho0, multiplicative_order(k, p))
 
 
-def _nonterminating_reason(q: Rational, k: int) -> str:
-    _, p, _ = _smooth_split(q.den, k)
-    bad = ", ".join(str(prime) for prime in factorize(p).primes())
-    return (
-        f"{q} has no finite base-{k} expansion: denominator prime(s) "
-        f"{bad} do not divide {k}"
-    )
+def _terminating_split(q: Rational, k: int) -> tuple[int, int, int]:
+    """The split (den, 1, rho0) of q's denominator when q terminates in
+    base k; else a DomainError that names the coprime part, unfactored."""
+    _require_base(k)
+    smooth, p, rho0 = _smooth_split(q.den, k)
+    if p != 1:
+        raise DomainError(f"{q} has no finite base-{k} expansion: denominator prime(s) "
+                          f"dividing {_decimal_text(p)} do not divide {k}")
+    return smooth, p, rho0
 
 
 def min_exponent(q: Rational, k: int) -> int:
     """Smallest rho with k^rho * q an integer; q must terminate in base k."""
-    c = classify(q, k)
-    if not c.is_terminating:
-        raise DomainError(_nonterminating_reason(q, k))
-    return c.rho0
+    return _terminating_split(q, k)[2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +159,7 @@ class PositionalRepr:
         object.__setattr__(self, "frac_digits", tuple(self.frac_digits))
         object.__setattr__(self, "repetend", tuple(self.repetend))
         for d in self.int_digits + self.frac_digits + self.repetend:
-            if not isinstance(d, int) or not 0 <= d < self.base:
+            if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < self.base:
                 raise DomainError(f"digit {d!r} out of range for base {self.base}")
         broken = _noncanonical(self.int_digits, self.frac_digits, self.repetend)
         if broken:
@@ -203,18 +202,6 @@ def _string_period(digits: tuple[int, ...]) -> int:
         if digits == digits[:t] * (n // t):
             return t
     return n
-
-
-def _digits_of(n: int, k: int) -> list[int]:
-    """Base-k digits of n >= 0, most significant first; [0] for n = 0."""
-    if n == 0:
-        return [0]
-    out = []
-    while n:
-        n, d = divmod(n, k)
-        out.append(d)
-    out.reverse()
-    return out
 
 
 # Digit strings up to this long convert by Horner's rule. The value is a
@@ -266,26 +253,20 @@ def _repetend(rem: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _expand(num: int, den: int, k: int, c: RadixClassification, infinite: bool) -> PositionalRepr:
-    """Digits of num/den in base k, given its classification c: the finite
-    form when it terminates, unless ``infinite`` asks for the repeating one
-    (which needs num > 0)."""
-    if c.is_terminating:
-        scaled = num * k**c.rho0 // den
-        if not infinite:
-            return _trusted(k, *_split_at_point(scaled, k, c.rho0))
-        return _trusted(k, *_split_at_point(scaled - 1, k, c.rho0), (k - 1,))
-    smooth, p, rho0 = _smooth_split(den, k)
+def _expand(num: int, k: int, split: tuple[int, int, int], infinite: bool) -> PositionalRepr:
+    """Digits of num/den in base k, given the split (smooth, p, rho0) of
+    den: the finite form when it terminates (p = 1), unless ``infinite``
+    asks for the repeating one (which needs num > 0)."""
+    smooth, p, rho0 = split
     whole, rem = divmod(num * (k**rho0 // smooth), p)
-    return _trusted(k, *_split_at_point(whole, k, rho0), _repetend(rem, p, k))
+    if p == 1 and infinite:
+        return _trusted(k, *_split_at_point(whole - 1, k, rho0), (k - 1,))
+    return _trusted(k, *_split_at_point(whole, k, rho0), _repetend(rem, p, k) if p > 1 else ())
 
 
 def to_finite(q: Rational, k: int) -> PositionalRepr:
     """The unique finite base-k representation of a terminating rational."""
-    c = classify(q, k)
-    if not c.is_terminating:
-        raise DomainError(_nonterminating_reason(q, k))
-    return _expand(q.num, q.den, k, c, False)
+    return _expand(q.num, k, _terminating_split(q, k), False)
 
 
 def to_repeating(q: Rational, k: int) -> PositionalRepr:
@@ -303,10 +284,10 @@ def to_repeating(q: Rational, k: int) -> PositionalRepr:
 def _encode(q: Rational, k: int, infinite: bool) -> PositionalRepr:
     """Canonical base-k representation of q: finite when it terminates,
     unless ``infinite`` forces the repeating form."""
-    c = classify(q, k)
+    _require_base(k)
     if infinite and q.is_zero:
         raise DomainError("0 has no representation with infinitely many nonzero digits")
-    return _expand(q.num, q.den, k, c, infinite)
+    return _expand(q.num, k, _smooth_split(q.den, k), infinite)
 
 
 def period(q: Rational, k: int) -> int:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .arith import Rational, divisors, factorize
-from .digroot import _digit_sum, _scaled, _tf_integer, _trajectory
+from .digroot import _digit_sum, _scaled, _trajectory
 from .errors import DomainError, PreconditionError
-from .radix import _nonterminating_reason, _repetend, _require_base, _smooth_split, _tokenize, classify
+from .radix import _repetend, _require_base, _smooth_split, _terminating_split, _tokenize
 
 
 def _require_at_least(value: int, low: int, name: str) -> None:
@@ -39,14 +39,13 @@ def _orbit_label(modulus: int, value: int) -> int:
 
 def verify_lemma_dr(q: Rational, k: int) -> bool:
     """Digit sum and digital root of a terminating fractional agree mod k-1."""
-    n = _tf_integer(q, k)
+    n = _scaled(q.num, k, _terminating_split(q, k))
     return (_digit_sum(n, k) - _trajectory(n, k)[-1]) % (k - 1) == 0
 
 
 def _require_main1_args(q: Rational, r: int, k: int) -> None:
     """Preconditions shared by verify_main1 and verify_cor1."""
-    if not classify(q, k).is_terminating:
-        raise DomainError(_nonterminating_reason(q, k))
+    _terminating_split(q, k)
     if not isinstance(r, int) or r < 2 or r >= k or k % r != 0:
         raise PreconditionError(f"r must be a divisor of {k} with 2 <= r < {k}, got {r!r}")
     if q.is_zero:
@@ -63,7 +62,7 @@ def _main1(num: int, den: int, r: int, k: int, terms_max: int) -> tuple[list[int
     for j in range(terms_max + 1):
         d = den * r**j
         g = math.gcd(num, d)
-        root = _trajectory(_scaled(num // g, d // g, k), k)[-1]
+        root = _trajectory(_scaled(num // g, k, _smooth_split(d // g, k)), k)[-1]
         roots.append(root)
         in_orbit = _orbit_label(modulus, root) == _orbit_label(modulus, roots[0])
         congruent = (r**j * root - roots[0]) % modulus == 0
@@ -173,7 +172,7 @@ def verify_main2(n: int, s: int, k: int) -> Main2Report:
     natural number divisible by k-1.
     """
     _require_base(k)
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PreconditionError(f"n must be an integer >= 1, got {n!r}")
     if not isinstance(s, int) or s < 2:
         raise PreconditionError(f"s must be an integer >= 2, got {s!r}")

@@ -12,6 +12,8 @@ import radixroot
 from radixroot.cli import main, parse_base_range, parse_value_literal
 from radixroot import ParseError, PreconditionError, Rational
 
+from oracles import digits_brute
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -72,6 +74,50 @@ def test_digroot_repeating_input_is_rejected_with_reason(capsys):
     code, _, err = run_cli(capsys, "digroot", "161/36", "--base", "10")
     assert code == 2
     assert "denominator prime" in err and "do not divide 10" in err
+
+
+def child_env():
+    """Environment for a ``python -m radixroot`` child that imports the
+    same radixroot as this process, installed or not."""
+    package_parent = str(Path(radixroot.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["digroot", "Q", "--base", "10"],
+    ["verify", "main1", "--q", "Q", "--r", "2", "--base", "10"],
+    ["verify", "cor1", "--q", "Q", "--r", "2", "--base", "10"],
+    ["verify", "lemma31", "--q", "Q", "--base", "10"],
+])
+def test_termination_only_commands_reject_a_huge_prime_denominator_at_once(argv):
+    # 10^29 + 319 is prime; the timeout turns a hang into a failure.
+    q = f"1/{10**29 + 319}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "radixroot", *(q if a == "Q" else a for a in argv)],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert proc.returncode == 2
+    assert f"dividing {10**29 + 319} do not divide 10" in proc.stderr
+
+
+def test_values_past_the_int_string_limit_render_in_both_modes(capsys):
+    literal = "[1" + "0" * 20000 + "]_2"
+    decimal = "".join(map(str, digits_brute(2**20000, 10)))
+    code, out, _ = run_cli(capsys, "convert", literal, "--to", "10")
+    assert code == 0 and out.strip() == f"[{decimal}]_10"
+    code, out, _ = run_cli(capsys, "convert", literal, "--to", "10", "--json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["value"] == {"num": decimal, "den": "1"}
+
+
+def test_unexpected_errors_are_not_reported_as_usage_errors(monkeypatch):
+    def broken(q, k):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(radixroot.digroot, "tf_digital_root", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["digroot", "7", "--base", "10"])
 
 
 def test_orbits_output(capsys):
@@ -260,14 +306,11 @@ def test_argparse_usage_errors_exit_2(capsys):
 
 
 def test_installed_entry_point_smoke():
-    # The child process imports the same radixroot as this one, installed or not.
-    package_parent = str(Path(radixroot.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "radixroot", "repr", "9/7", "--base", "10"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[1.(285714)]_10"

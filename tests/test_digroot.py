@@ -128,3 +128,5 @@ def test_digit_sum_of_digits_examples():
     assert digit_sum_of_digits([8, 1], 10) == 9
     with pytest.raises(DomainError):
         digit_sum_of_digits([3, 10], 10)
+    with pytest.raises(DomainError):
+        digit_sum_of_digits([True, 5], 10)

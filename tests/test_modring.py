@@ -130,6 +130,7 @@ def test_orbit_partition_covers_disjointly():
         seen = []
         for d, members in part.classes.items():
             assert len(members) == totient(n // d)
+            assert members == gcd_class(n, d)
             seen.extend(members)
         assert sorted(seen) == list(range(n))
 

@@ -19,10 +19,16 @@ from radixroot import (
     parse,
     period,
     pow_rational,
+    tf_digit_sum,
+    tf_digital_root,
     to_finite,
     to_repeating,
     value_of,
+    verify_cor1,
+    verify_lemma_dr,
+    verify_main1,
 )
+from radixroot import arith, radix
 from radixroot.radix import _digits_of, _int_of, _smooth_split
 
 from oracles import (
@@ -87,6 +93,35 @@ def test_min_exponent_examples():
         min_exponent(Rational(9, 7), 10)
 
 
+def test_termination_checks_never_order_or_factor_the_denominator(monkeypatch):
+    # 10^29 + 319 is prime: trial division or an order computation on it
+    # would not finish, so the split alone must decide termination.
+    q = Rational(1, 10**29 + 319)
+
+    def fail(*args):
+        raise AssertionError(f"termination check computed {args}")
+
+    def factor_base_only(n):
+        return factorize(n) if n == 10 else fail(n)
+
+    monkeypatch.setattr(radix, "multiplicative_order", fail)
+    for module in (arith, radix):
+        monkeypatch.setattr(module, "totient", fail)
+        monkeypatch.setattr(module, "factorize", factor_base_only)
+    checks = [
+        lambda: min_exponent(q, 10),
+        lambda: to_finite(q, 10),
+        lambda: tf_digit_sum(q, 10),
+        lambda: tf_digital_root(q, 10),
+        lambda: verify_main1(q, 2, 10, 3),
+        lambda: verify_cor1(q, 2, 10),
+        lambda: verify_lemma_dr(q, 10),
+    ]
+    for check in checks:
+        with pytest.raises(DomainError, match=f"dividing {10**29 + 319} do not divide 10"):
+            check()
+
+
 def test_to_finite_examples():
     assert to_finite(Rational(161), 6).int_digits == (4, 2, 5)
     assert to_finite(Rational(10878), 16).int_digits == (2, 10, 7, 14)
@@ -96,6 +131,9 @@ def test_to_finite_examples():
     assert to_finite(Rational(0), 9).int_digits == (0,)
     with pytest.raises(DomainError):
         to_finite(Rational(9, 7), 10)
+    # the message spells out a denominator past the int-to-str digit limit
+    with pytest.raises(DomainError, match="dividing 3 do not divide 10"):
+        to_finite(Rational(1, 3 * 10**5000), 10)
 
 
 def test_to_repeating_examples():
@@ -310,6 +348,8 @@ def test_convert_examples():
 def test_positional_repr_validation():
     with pytest.raises(DomainError):
         PositionalRepr(10, (1, 10))
+    with pytest.raises(DomainError):
+        PositionalRepr(10, (True,))
     with pytest.raises(DomainError):
         PositionalRepr(10, ())
     with pytest.raises(DomainError):

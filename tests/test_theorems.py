@@ -134,6 +134,8 @@ def test_main2_rejects_reducible_fraction():
     with pytest.raises(PreconditionError):
         verify_main2(0, 7, 10)
     with pytest.raises(PreconditionError):
+        verify_main2(True, 7, 10)
+    with pytest.raises(PreconditionError):
         verify_main2(9, 1, 10)
 
 
