@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run both invariance sweeps at full scale and print their summaries.
 
+Each summary line ends with the sweep's elapsed time and its rate in
+tuples per second (main2 counts skipped tuples, which it also decides).
 Exit status is nonzero if either sweep finds a violation, so this doubles
 as a regression gate:
 
@@ -26,6 +28,11 @@ class SweepConfig:
     workers: int
 
 
+def _timing(tuples: int, elapsed: float) -> str:
+    """Elapsed time and tuples decided per second, e.g. ``(0.15s, 104000/s)``."""
+    return f"({elapsed:.2f}s, {tuples / elapsed:.0f}/s)"
+
+
 def run(config: SweepConfig) -> int:
     failed = 0
     started = time.perf_counter()
@@ -33,7 +40,7 @@ def run(config: SweepConfig) -> int:
     elapsed = time.perf_counter() - started
     print(
         f"main1  tested={summary.tested} failed={summary.failed}"
-        f" degenerate={summary.degenerate} ({elapsed:.2f}s)"
+        f" degenerate={summary.degenerate} {_timing(summary.tested, elapsed)}"
     )
     for failure in summary.failures:
         print(f"  FAIL {failure}")
@@ -44,7 +51,8 @@ def run(config: SweepConfig) -> int:
     elapsed = time.perf_counter() - started
     print(
         f"main2  tested={summary.tested} skipped={summary.skipped}"
-        f" failed={summary.failed} degenerate={summary.degenerate} ({elapsed:.2f}s)"
+        f" failed={summary.failed} degenerate={summary.degenerate}"
+        f" {_timing(summary.tested + summary.skipped, elapsed)}"
     )
     for failure in summary.failures:
         print(f"  FAIL {failure}")

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = success / check verified, 1 = check violation found,
-2 = usage, parse, or precondition error.  ``--json`` switches every
+2 = usage, parse, or precondition error, 141 (128 + SIGPIPE) = the reader
+closed stdout before all output was written.  ``--json`` switches every
 subcommand to a single JSON document on stdout; diagnostics go to stderr.
 Rationals are serialized as {"num": "...", "den": "..."} strings so that
 consumers never overflow, digit lists as arrays of integers.
@@ -21,6 +22,7 @@ from .errors import DomainError, ParseError, PreconditionError
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_value_literal(text: str) -> Rational:
@@ -403,10 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here so a closed reader surfaces inside this try block.
+        sys.stdout.flush()
+        return code
     except (ParseError, DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten output does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -43,31 +43,42 @@ def verify_lemma_dr(q: Rational, k: int) -> bool:
     return (_digit_sum(n, k) - _trajectory(n, k)[-1]) % (k - 1) == 0
 
 
-def _require_main1_args(q: Rational, r: int, k: int) -> None:
-    """Preconditions shared by verify_main1 and verify_cor1."""
-    _terminating_split(q, k)
+def _require_main1_args(q: Rational, r: int, k: int) -> tuple[int, int, int]:
+    """Preconditions shared by verify_main1 and verify_cor1; returns the
+    split of q's denominator."""
+    split = _terminating_split(q, k)
     if not isinstance(r, int) or r < 2 or r >= k or k % r != 0:
         raise PreconditionError(f"r must be a divisor of {k} with 2 <= r < {k}, got {r!r}")
     if q.is_zero:
         raise PreconditionError("q must be positive")
+    return split
 
 
-def _main1(num: int, den: int, r: int, k: int, terms_max: int) -> tuple[list[int], bool, int | None]:
-    """The main1 kernel for q = num/den: the roots R_j of q/r^j for
-    j = 0..terms_max, whether every r^j * R_j = R_0 mod k-1, and the first
-    j whose root leaves the orbit of R_0 or breaks that congruence."""
+def _main1(num: int, split: tuple[int, int, int], r: int, k: int,
+           terms_max: int) -> tuple[list[int], bool, int | None]:
+    """The main1 kernel for q = num/den, given the split (den, 1, rho0):
+    the roots R_j of q/r^j for j = 0..terms_max, whether every
+    r^j * R_j = R_0 mod k-1, and the first j whose root leaves the orbit
+    of R_0 or breaks that congruence.
+
+    Terms are stepped by k/r: n_j = n_0 * (k/r)^j = k^(rho0+j) * q/r^j is
+    an integer, and it is the minimal-exponent value of q/r^j times some
+    k^m, which only appends m zero digits, so its root is that of q/r^j.
+    """
     modulus = k - 1
-    roots = []
+    step = k // r
+    n = _scaled(num, k, split)
+    root0 = _trajectory(n, k)[-1]
+    label0 = _orbit_label(modulus, root0)
+    roots = [root0]
     congruence_ok, witness = True, None
-    for j in range(terms_max + 1):
-        d = den * r**j
-        g = math.gcd(num, d)
-        root = _trajectory(_scaled(num // g, k, _smooth_split(d // g, k)), k)[-1]
+    for j in range(1, terms_max + 1):
+        n *= step
+        root = _trajectory(n, k)[-1]
         roots.append(root)
-        in_orbit = _orbit_label(modulus, root) == _orbit_label(modulus, roots[0])
-        congruent = (r**j * root - roots[0]) % modulus == 0
+        congruent = (r**j * root - root0) % modulus == 0
         congruence_ok = congruence_ok and congruent
-        if witness is None and not (in_orbit and congruent):
+        if witness is None and not (congruent and _orbit_label(modulus, root) == label0):
             witness = j
     return roots, congruence_ok, witness
 
@@ -98,9 +109,9 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
     Every root R_j (reduced mod k-1) must lie in the orbit of R_0, and
     r^j * R_j must stay congruent to R_0 mod k-1.
     """
-    _require_main1_args(q, r, k)
+    split = _require_main1_args(q, r, k)
     _require_at_least(terms_max, 1, "terms")
-    roots, congruence_ok, witness = _main1(q.num, q.den, r, k, terms_max)
+    roots, congruence_ok, witness = _main1(q.num, split, r, k, terms_max)
     terms = tuple(
         Main1Term(j, Rational(q.num, q.den * r**j), root, _orbit_label(k - 1, root))
         for j, root in enumerate(roots)
@@ -119,8 +130,7 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
 
 def verify_cor1(q: Rational, r: int, k: int) -> bool:
     """If the root of q is divisible by k-1, so is the root of q/r."""
-    _require_main1_args(q, r, k)
-    root0, root1 = _main1(q.num, q.den, r, k, 1)[0]
+    root0, root1 = _main1(q.num, _require_main1_args(q, r, k), r, k, 1)[0]
     if root0 % (k - 1) != 0:
         raise PreconditionError(f"digital root of {q} is not divisible by {k - 1}")
     return root1 % (k - 1) == 0
@@ -232,7 +242,7 @@ def _run_main1_chunk(chunk, terms_max: int):
     tested = failed = degenerate = 0
     failures = []
     for k, r, a, b in chunk:
-        witness = _main1(a, b, r, k, terms_max)[2]
+        witness = _main1(a, _smooth_split(b, k), r, k, terms_max)[2]
         tested += 1
         if k == 2:
             degenerate += 1

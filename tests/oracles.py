@@ -12,7 +12,9 @@ def gcd_brute(a: int, b: int) -> int:
     def divides(d, x):
         return x == 0 or x % d == 0
 
-    return max(d for d in range(1, max(a, b) + 1) if divides(d, a) and divides(d, b))
+    # A common divisor is at most the smaller operand, unless that one is 0.
+    top = min(a, b) or max(a, b)
+    return max(d for d in range(1, top + 1) if divides(d, a) and divides(d, b))
 
 
 def divisors_brute(n: int) -> list[int]:
@@ -130,3 +132,22 @@ def smooth_split_brute(den: int, base: int) -> tuple[int, int, int]:
         power *= base
         rho0 += 1
     return smooth, p, rho0
+
+
+def main1_roots_brute(num: int, den: int, r: int, k: int, terms: int) -> list[int]:
+    """Digital roots of num/(den * r^j) in base k for j = 0..terms: reduce
+    the fraction, step rho up until k^rho times it is an integer, then sum
+    that integer's digits until one digit is left."""
+    roots = []
+    for j in range(terms + 1):
+        d = den * r**j
+        g = gcd_brute(num, d)
+        n, d = num // g, d // g
+        rho = 0
+        while k**rho * n % d:
+            rho += 1
+        x = k**rho * n // d
+        while x >= k:
+            x = sum(digits_brute(x, k))
+        roots.append(x)
+    return roots

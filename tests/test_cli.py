@@ -305,6 +305,18 @@ def test_argparse_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_closed_reader_exits_141_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "radixroot", "classify", "1/7", "--base", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    # The child is still starting up, so its first write meets a closed pipe.
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
+
+
 def test_installed_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "radixroot", "repr", "9/7", "--base", "10"],

@@ -40,7 +40,12 @@ def test_run_exhaustive_checks():
     main2 = fuzz_main2(range(2, 6), 20, 20)
     assert main1.failed == main2.failed == 0
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith(f"main1  tested={main1.tested} failed=0 degenerate={main1.degenerate} (")
-    assert lines[1].startswith(
-        f"main2  tested={main2.tested} skipped={main2.skipped} failed=0 degenerate={main2.degenerate} ("
+    timing = r" \(\d+\.\d\ds, \d+/s\)$"
+    assert re.fullmatch(
+        rf"main1  tested={main1.tested} failed=0 degenerate={main1.degenerate}{timing}", lines[0]
+    )
+    assert re.fullmatch(
+        rf"main2  tested={main2.tested} skipped={main2.skipped} failed=0"
+        rf" degenerate={main2.degenerate}{timing}",
+        lines[1],
     )

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radixroot import (
@@ -21,7 +21,11 @@ from radixroot import (
     verify_main2,
 )
 
-from oracles import long_division_digits
+from radixroot import radix, theorems
+from radixroot.arith import factorize
+from oracles import long_division_digits, main1_roots_brute
+
+COMPOSITE_BASES = [k for k in range(3, 61) if any(k % d == 0 for d in range(2, k))]
 
 
 def recomputed_main1_pass(report):
@@ -68,6 +72,54 @@ def test_main1_terms_track_divided_values():
     assert [t.root for t in report.terms] == [
         tf_digital_root(Rational(9) / 2**j, 10).root for j in range(3)
     ]
+
+
+@st.composite
+def main1_cases(draw):
+    """(num, den, r, k, terms) with r a proper divisor of k, den k-smooth,
+    and num often carrying primes of r, so num/(den * r^j) reduces."""
+    k = draw(st.sampled_from(COMPOSITE_BASES))
+    r = draw(st.sampled_from([d for d in range(2, k) if k % d == 0]))
+    primes = [p for p, _ in factorize(k).factors]
+    den = 1
+    for p in draw(st.lists(st.sampled_from(primes), max_size=4)):
+        den *= p
+    num = draw(st.integers(1, 200)) * r ** draw(st.integers(0, 3))
+    return num, den, r, k, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300)
+@given(main1_cases())
+@example((4, 1, 2, 12, 6))
+@example((8 * 7, 9, 4, 12, 6))
+@example((3, 2, 8, 16, 6))
+@example((9 * 5, 4, 3, 18, 6))
+@example((16 * 11, 3, 16, 48, 6))
+def test_main1_roots_match_the_brute_force_oracle(case):
+    num, den, r, k, terms = case
+    report = verify_main1(Rational(num, den), r, k, terms)
+    assert [t.root for t in report.terms] == main1_roots_brute(num, den, r, k, terms)
+
+
+def test_main1_splits_the_denominator_once(monkeypatch):
+    calls = []
+    smooth_split = radix._smooth_split
+
+    def counting(den, k):
+        calls.append((den, k))
+        return smooth_split(den, k)
+
+    monkeypatch.setattr(radix, "_smooth_split", counting)
+    monkeypatch.setattr(theorems, "_smooth_split", counting)
+    verify_main1(Rational(21, 4), 2, 8, 5)
+    assert len(calls) == 1
+    calls.clear()
+    verify_cor1(Rational(9), 5, 10)
+    assert len(calls) == 1
+    calls.clear()
+    chunk = theorems._main1_tuples(range(4, 13), 12)
+    assert theorems._run_main1_chunk(chunk, 5)[:2] == (len(chunk), 0)
+    assert len(calls) == len(chunk)
 
 
 def test_main1_preconditions():
