@@ -59,14 +59,24 @@ def parse_base_range(text: str) -> range:
     return range(low, high + 1)
 
 
+def _integer(text: str) -> int:
+    """An ASCII decimal numeral with an optional leading '-': the argparse
+    type of every integer flag, and how RADIXROOT_WORKERS is read.  Sign
+    checks are left to the library, which names the bound it needs."""
+    value = radix._decimal(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return -value if text.startswith("-") else value
+
+
 def _resolve_workers(flag_value: int | None) -> int:
     if flag_value is None:
         env = os.environ.get("RADIXROOT_WORKERS")
         if not env:
             return 1
         try:
-            flag_value = int(env)
-        except ValueError:
+            flag_value = _integer(env)
+        except argparse.ArgumentTypeError:
             raise PreconditionError(f"RADIXROOT_WORKERS must be an integer, got {env!r}") from None
     return flag_value
 
@@ -318,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="terminating/repeating classification of a value")
     p.add_argument("value")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_integer, required=True)
     add_json(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("repr", help="canonical digit representation of a value")
     p.add_argument("value")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_integer, required=True)
     p.add_argument("--infinite", action="store_true",
                    help="force the repeating form with a trailing repetend")
     add_json(p)
@@ -332,19 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="re-encode a value in another base")
     p.add_argument("value")
-    p.add_argument("--to", type=int, required=True)
+    p.add_argument("--to", type=_integer, required=True)
     p.add_argument("--infinite", action="store_true")
     add_json(p)
     p.set_defaults(func=cmd_repr)
 
     p = sub.add_parser("digroot", help="digital root, persistence and trajectory")
     p.add_argument("value")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_integer, required=True)
     add_json(p)
     p.set_defaults(func=cmd_digroot)
 
     p = sub.add_parser("orbits", help="orbit partition of the residues mod n")
-    p.add_argument("--modulus", type=int, required=True)
+    p.add_argument("--modulus", type=_integer, required=True)
     add_json(p)
     p.set_defaults(func=cmd_orbits)
 
@@ -352,26 +362,26 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="check", required=True)
     v = vsub.add_parser("main1", help="orbit invariance under division by r^j")
     v.add_argument("--q", required=True)
-    v.add_argument("--r", type=int, required=True)
-    v.add_argument("--base", type=int, required=True)
-    v.add_argument("--terms", type=int, default=5, help="largest exponent j")
+    v.add_argument("--r", type=_integer, required=True)
+    v.add_argument("--base", type=_integer, required=True)
+    v.add_argument("--terms", type=_integer, default=5, help="largest exponent j")
     add_json(v)
     v.set_defaults(func=cmd_verify)
     v = vsub.add_parser("main2", help="repetend digit-sum divisibility by base-1")
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--s", type=int, required=True)
-    v.add_argument("--base", type=int, required=True)
+    v.add_argument("--n", type=_integer, required=True)
+    v.add_argument("--s", type=_integer, required=True)
+    v.add_argument("--base", type=_integer, required=True)
     add_json(v)
     v.set_defaults(func=cmd_verify)
     v = vsub.add_parser("cor1", help="roots divisible by base-1 stay divisible under /r")
     v.add_argument("--q", required=True)
-    v.add_argument("--r", type=int, required=True)
-    v.add_argument("--base", type=int, required=True)
+    v.add_argument("--r", type=_integer, required=True)
+    v.add_argument("--base", type=_integer, required=True)
     add_json(v)
     v.set_defaults(func=cmd_verify)
     v = vsub.add_parser("lemma31", help="digit sum and digital root agree mod base-1")
     v.add_argument("--q", required=True)
-    v.add_argument("--base", type=int, required=True)
+    v.add_argument("--base", type=_integer, required=True)
     add_json(v)
     v.set_defaults(func=cmd_verify)
 
@@ -379,23 +389,23 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = p.add_subparsers(dest="check", required=True)
     f = fsub.add_parser("main1")
     f.add_argument("--bases", required=True, help="base range, e.g. 2..16")
-    f.add_argument("--bound", type=int, required=True,
+    f.add_argument("--bound", type=_integer, required=True,
                    help="cap on numerators and smooth denominators")
-    f.add_argument("--terms", type=int, default=5)
-    f.add_argument("--workers", type=int, default=None)
+    f.add_argument("--terms", type=_integer, default=5)
+    f.add_argument("--workers", type=_integer, default=None)
     add_json(f)
     f.set_defaults(func=cmd_fuzz)
     f = fsub.add_parser("main2")
     f.add_argument("--bases", required=True)
-    f.add_argument("--n-bound", dest="n_bound", type=int, required=True)
-    f.add_argument("--s-bound", dest="s_bound", type=int, required=True)
-    f.add_argument("--workers", type=int, default=None)
+    f.add_argument("--n-bound", dest="n_bound", type=_integer, required=True)
+    f.add_argument("--s-bound", dest="s_bound", type=_integer, required=True)
+    f.add_argument("--workers", type=_integer, default=None)
     add_json(f)
     f.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("magic", help="recover the hidden digit of a multiple of base-1")
     p.add_argument("pattern", help="digit string with one '?' placeholder")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_integer, required=True)
     add_json(p)
     p.set_defaults(func=cmd_magic)
 

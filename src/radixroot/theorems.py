@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .arith import Rational, divisors, factorize
 from .digroot import _digit_sum, _scaled, _trajectory
 from .errors import DomainError, PreconditionError
-from .radix import _repetend, _require_base, _smooth_split, _terminating_split, _tokenize
+from .radix import (
+    _repetend, _require_base, _smooth_split, _terminating_split, _tokenize, multiplicative_order,
+)
 
 
 def _require_at_least(value: int, low: int, name: str) -> None:
@@ -151,6 +153,16 @@ class Main2Report:
     reason: str | None = None
 
 
+def _t_doubleprime_residue(s: int, k: int, rho0: int, period: int) -> int:
+    """k^rho0 * (k^period - 1) mod s*(k-1), without the k^period bignum.
+
+    n * k^rho0 * (k^period - 1) / s is a natural number divisible by k-1
+    exactly when n times this residue is 0 mod s*(k-1).
+    """
+    modulus = s * (k - 1)
+    return pow(k, rho0, modulus) * (pow(k, period, modulus) - 1) % modulus
+
+
 def _main2(n: int, s: int, k: int) -> Main2Report:
     """The main2 kernel for an irreducible n/s, preconditions included."""
     smooth, p, rho0 = _smooth_split(s, k)
@@ -162,8 +174,8 @@ def _main2(n: int, s: int, k: int) -> Main2Report:
     else:
         repetend = _repetend(n * (k**rho0 // smooth) % p, p, k)
         root = _trajectory(sum(repetend), k)[-1]
-        scaled = n * k**rho0 * (k ** len(repetend) - 1)
-        divisible = scaled % s == 0 and (scaled // s) % (k - 1) == 0
+        residue = _t_doubleprime_residue(s, k, rho0, len(repetend))
+        divisible = n * residue % (s * (k - 1)) == 0
     return Main2Report(
         base=k, n=n, s=s, smooth_part=smooth, p_part=p,
         preconditions_ok=reason is None, repetend=repetend, repetend_root=root,
@@ -254,20 +266,60 @@ def _run_main1_chunk(chunk, terms_max: int):
     return tested, failed, 0, degenerate, failures
 
 
-def _run_main2_chunk(chunk):
+def _main2_sums(k: int, s: int, numerators: list[int]) -> list[tuple[int, int, bool]] | None:
+    """For each n in ``numerators`` (all coprime to s), (n, the digit sum of
+    the repetend of n/s in base k, the T'' verdict); None when (k, s) fails
+    main2's preconditions.
+
+    The repetend of n/s is that of rem/p with rem = n * (k^rho0 // smooth)
+    mod p, and the remainders rem * k^i mod p of one long division have
+    repetends that are rotations of each other, so they share a digit sum.
+    Each T-step division therefore settles its whole remainder cycle, and
+    the memo of digit sums by remainder never holds more than p entries.
+    """
+    smooth, p, rho0 = _smooth_split(s, k)
+    if p == 1 or math.gcd(p, k - 1) != 1:
+        return None
+    period = multiplicative_order(k, p)
+    lift = k**rho0 // smooth % p
+    residue = _t_doubleprime_residue(s, k, rho0, period)
+    modulus = s * (k - 1)
+    sums: dict[int, int] = {}
+    out = []
+    for n in numerators:
+        rem = n * lift % p
+        total = sums.get(rem)
+        if total is None:
+            total, cycle = 0, []
+            r = rem
+            for _ in range(period):
+                d, r = divmod(r * k, p)
+                total += d
+                cycle.append(r)
+            sums.update(dict.fromkeys(cycle, total))
+        out.append((n, total, n * residue % modulus == 0))
+    return out
+
+
+def _run_main2_chunk(chunk, n_bound: int):
     tested = failed = skipped = degenerate = 0
     failures = []
-    for k, n, s in chunk:
-        report = _main2(n, s, k)
-        if not report.preconditions_ok:
-            skipped += 1
+    for k, s in chunk:
+        numerators = [n for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
+        sums = _main2_sums(k, s, numerators)
+        if sums is None:
+            skipped += len(numerators)
             continue
-        tested += 1
+        tested += len(numerators)
         if k == 2:
-            degenerate += 1
-        if not report.passed:
-            failed += 1
-            failures.append({"base": k, "n": n, "s": s})
+            degenerate += len(numerators)
+        roots: dict[int, int] = {}  # one trajectory per distinct digit sum
+        for n, total, divisible in sums:
+            if total not in roots:
+                roots[total] = _trajectory(total, k)[-1]
+            if not (divisible and roots[total] % (k - 1) == 0):
+                failed += 1
+                failures.append({"base": k, "n": n, "s": s})
     return tested, failed, skipped, degenerate, failures
 
 
@@ -277,7 +329,9 @@ def _run_chunked(runner, tuples, workers: int) -> FuzzSummary:
     else:
         size = -(-len(tuples) // workers)
         chunks = [tuples[i:i + size] for i in range(0, len(tuples), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # One process per chunk: under fork the pool starts all max_workers
+        # at once, and ceil-sized chunks can number fewer than workers.
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(runner, chunks))
     tested = sum(r[0] for r in results)
     failed = sum(r[1] for r in results)
@@ -303,23 +357,25 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
 
 
 def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSummary:
-    """Run verify_main2 over every reduced n/s in range, for each base.
+    """Check main2 for every reduced n/s with n <= n_bound and
+    2 <= s <= s_bound, in each base k of ``bases``.
 
-    Tuples whose denominator has no part coprime to the base, or whose
-    coprime part shares a factor with k-1, are counted as skipped.
+    The work is enumerated per (k, s): s is split and ord_p(k) found once
+    per pair, and a pair whose denominator has no part coprime to the
+    base, or whose coprime part shares a factor with k-1, has all its
+    numerators counted as skipped at once.  Each tested n/s gets the
+    digit sum of its real repetend, from one long division per remainder
+    cycle (see ``_main2_sums``), and the T'' test mod s*(k-1).  Failures
+    are listed by (base, n, s) whatever the number of workers.
     """
     bases = _require_bases(bases)
     _require_at_least(n_bound, 0, "n_bound")
     _require_at_least(s_bound, 0, "s_bound")
     _require_at_least(workers, 1, "workers")
-    tuples = [
-        (k, n, s)
-        for k in bases
-        for n in range(1, n_bound + 1)
-        for s in range(2, s_bound + 1)
-        if math.gcd(n, s) == 1
-    ]
-    return _run_chunked(_run_main2_chunk, tuples, workers)
+    pairs = [(k, s) for k in bases for s in range(2, s_bound + 1)]
+    summary = _run_chunked(partial(_run_main2_chunk, n_bound=n_bound), pairs, workers)
+    failures = sorted(summary.failures, key=lambda f: (f["base"], f["n"], f["s"]))
+    return replace(summary, failures=tuple(failures))
 
 
 @dataclass(frozen=True, slots=True)

@@ -233,6 +233,31 @@ def test_fuzz_workers_flag_and_env(capsys, monkeypatch):
     assert code == 2 and "RADIXROOT_WORKERS" in err
 
 
+@pytest.mark.parametrize("text", ["\u0661\u0660", "1_0", " 10", "+10", "-"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "1/7", "--base", "{}"),
+        ("fuzz", "main2", "--bases", "2..4", "--n-bound", "{}", "--s-bound", "10"),
+        ("fuzz", "main2", "--bases", "2..4", "--n-bound", "10", "--s-bound", "10",
+         "--workers", "{}"),
+    ],
+)
+def test_integer_flags_take_only_ascii_decimal_numerals(capsys, argv, text):
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(text) for arg in argv])
+    assert excinfo.value.code == 2
+    assert "invalid integer" in capsys.readouterr().err
+
+
+def test_workers_env_takes_only_ascii_decimal_numerals(capsys, monkeypatch):
+    for text in ("\u0662", "1_0", "+2"):
+        monkeypatch.setenv("RADIXROOT_WORKERS", text)
+        code, out, err = run_cli(capsys, "fuzz", "main2", "--bases", "2..4",
+                                 "--n-bound", "10", "--s-bound", "10")
+        assert code == 2 and out == "" and "RADIXROOT_WORKERS" in err
+
+
 def test_magic_outputs(capsys):
     assert run_cli(capsys, "magic", "2?99561", "--base", "10")[1].strip() == "4"
     code, out, _ = run_cli(capsys, "magic", "?", "--base", "10")

@@ -218,6 +218,35 @@ def test_main2_property(n, s, k):
         assert report.repetend_root == k - 1
 
 
+def t_doubleprime_bignum(n, s, k, rho0, period):
+    """T'' as it was first decided: build n * k^rho0 * (k^period - 1)."""
+    scaled = n * k**rho0 * (k**period - 1)
+    return scaled % s == 0 and (scaled // s) % (k - 1) == 0
+
+
+@st.composite
+def t_doubleprime_cases(draw):
+    k = draw(st.integers(2, 60))
+    smooth = math.prod(draw(
+        st.lists(st.sampled_from(factorize(k).primes()), max_size=4)
+        .filter(lambda ps: math.prod(ps) <= 5000)
+    ))
+    s = smooth * draw(st.integers(1 if smooth > 1 else 2, 10**4 // smooth))
+    n = draw(st.integers(1, 10**4))
+    return n, s, k, draw(st.integers(0, 8)), draw(st.integers(1, 80))
+
+
+@given(t_doubleprime_cases())
+@example((1, 7, 10, 0, 6))  # 999999 / 7 = 9 * 15873: divisible
+@example((1, 7, 10, 0, 3))  # 999 / 7 is not a natural number
+@example((1, 2, 3, 1, 1))   # 1 * 3 * 2 / 2 = 3 is not a multiple of 2
+@example((2, 2, 3, 1, 1))   # 2 * 3 * 2 / 2 = 6 is
+def test_t_doubleprime_residue_matches_the_bignum_formula(case):
+    n, s, k, rho0, period = case
+    residue = theorems._t_doubleprime_residue(s, k, rho0, period)
+    assert (n * residue % (s * (k - 1)) == 0) == t_doubleprime_bignum(n, s, k, rho0, period)
+
+
 def test_fuzz_main1_small_sweep_has_no_failures():
     summary = fuzz_main1(range(4, 11), 12, 3)
     assert summary.tested > 0
@@ -253,6 +282,81 @@ def test_fuzz_main2_small_sweep():
 
 def test_fuzz_main2_worker_invariant():
     assert fuzz_main2(range(9, 12), 8, 8) == fuzz_main2(range(9, 12), 8, 8, workers=2)
+    # 5 bases x 8 denominators = 40 (k, s) pairs: chunks of 20 (workers=2)
+    # and 14 (workers=3) both end inside a base, so a fresh chunk starts
+    # mid-base with an empty memo.
+    one = fuzz_main2(range(9, 14), 12, 9)
+    assert one.tested > 0 and one.skipped > 0
+    assert one == fuzz_main2(range(9, 14), 12, 9, workers=2)
+    assert one == fuzz_main2(range(9, 14), 12, 9, workers=3)
+
+
+def test_fuzz_main2_sums_equal_the_single_tuple_kernel():
+    """The sweep's digit sums and T'' verdicts, from one long division per
+    remainder cycle, equal those of the full repetend of each tuple, on
+    every README-scale tuple.  Digit sums are compared, not roots: every
+    root is k-1."""
+    got, want, skipped = [], [], []
+    for k in range(2, 17):
+        for s in range(2, 101):
+            numerators = [n for n in range(1, 101) if math.gcd(n, s) == 1]
+            sums = theorems._main2_sums(k, s, numerators)
+            reports = [theorems._main2(n, s, k) for n in numerators]
+            if sums is None:
+                skipped += [r.preconditions_ok for r in reports]
+                continue
+            got += [(k, s) + verdict for verdict in sums]
+            want += [(k, s, r.n, sum(r.repetend), r.t_doubleprime_divisible) for r in reports]
+    assert got == want
+    assert len(got) == 58147 and len(skipped) == 31658 and not any(skipped)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fuzz_main2_reports_every_failure_in_order(monkeypatch, workers):
+    # Every root is 1, which is 0 mod k-1 only for k = 2.
+    monkeypatch.setattr(theorems, "_trajectory", lambda n, k: [1])
+    bases, bound = range(2, 7), 9
+    reports = [
+        theorems._main2(n, s, k)
+        for k in bases
+        for n in range(1, bound + 1)
+        for s in range(2, bound + 1)
+        if math.gcd(n, s) == 1
+    ]
+    expected = [{"base": r.base, "n": r.n, "s": r.s}
+                for r in reports if r.preconditions_ok and not r.passed]
+    summary = fuzz_main2(bases, bound, bound, workers=workers)
+    assert expected and all(f["base"] >= 3 for f in expected)
+    assert summary.failures == tuple(expected)
+    assert summary.failed == len(expected) == summary.tested - summary.passed
+    assert summary.tested - summary.failed == summary.degenerate  # only k = 2 passes
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    opened = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_run_chunked_opens_one_worker_per_chunk(monkeypatch):
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "opened", [])
+    # 11 (k, s) pairs in chunks of ceil(11 / 5) = 3 make 4 chunks, not 5.
+    summary = fuzz_main2(range(5, 6), 10, 12, workers=5)
+    assert RecordingExecutor.opened == [4]
+    assert summary == fuzz_main2(range(5, 6), 10, 12)
 
 
 def test_fuzz_rejects_bad_worker_count():
