@@ -13,13 +13,14 @@ import math
 import sys
 
 from radixroot import Rational, classify, digital_root, format_repr, to_repeating
+from radixroot.cli import _integer
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--base", type=int, default=10)
-    ap.add_argument("--num", type=int, default=9)
-    ap.add_argument("--max-den", type=int, default=40)
+    ap.add_argument("--base", type=_integer, default=10)
+    ap.add_argument("--num", type=_integer, default=9)
+    ap.add_argument("--max-den", type=_integer, default=40)
     args = ap.parse_args()
 
     k = args.base

@@ -12,20 +12,9 @@ as a regression gate:
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from radixroot import fuzz_main1, fuzz_main2
-from radixroot.cli import parse_base_range
-
-
-@dataclass
-class SweepConfig:
-    bases: range
-    bound: int
-    terms: int
-    n_bound: int
-    s_bound: int
-    workers: int
+from radixroot.cli import _integer, parse_base_range
 
 
 def _timing(tuples: int, elapsed: float) -> str:
@@ -33,10 +22,10 @@ def _timing(tuples: int, elapsed: float) -> str:
     return f"({elapsed:.2f}s, {tuples / elapsed:.0f}/s)"
 
 
-def run(config: SweepConfig) -> int:
+def run(bases: range, bound: int, terms: int, n_bound: int, s_bound: int, workers: int) -> int:
     failed = 0
     started = time.perf_counter()
-    summary = fuzz_main1(config.bases, config.bound, config.terms, workers=config.workers)
+    summary = fuzz_main1(bases, bound, terms, workers=workers)
     elapsed = time.perf_counter() - started
     print(
         f"main1  tested={summary.tested} failed={summary.failed}"
@@ -47,7 +36,7 @@ def run(config: SweepConfig) -> int:
     failed += summary.failed
 
     started = time.perf_counter()
-    summary = fuzz_main2(config.bases, config.n_bound, config.s_bound, workers=config.workers)
+    summary = fuzz_main2(bases, n_bound, s_bound, workers=workers)
     elapsed = time.perf_counter() - started
     print(
         f"main2  tested={summary.tested} skipped={summary.skipped}"
@@ -63,21 +52,14 @@ def run(config: SweepConfig) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bases", default="2..16")
-    ap.add_argument("--bound", type=int, default=120)
-    ap.add_argument("--terms", type=int, default=5)
-    ap.add_argument("--n-bound", type=int, default=100)
-    ap.add_argument("--s-bound", type=int, default=100)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--bound", type=_integer, default=120)
+    ap.add_argument("--terms", type=_integer, default=5)
+    ap.add_argument("--n-bound", type=_integer, default=100)
+    ap.add_argument("--s-bound", type=_integer, default=100)
+    ap.add_argument("--workers", type=_integer, default=1)
     args = ap.parse_args()
-    config = SweepConfig(
-        bases=parse_base_range(args.bases),
-        bound=args.bound,
-        terms=args.terms,
-        n_bound=args.n_bound,
-        s_bound=args.s_bound,
-        workers=args.workers,
-    )
-    return run(config)
+    return run(parse_base_range(args.bases), args.bound, args.terms, args.n_bound,
+               args.s_bound, args.workers)
 
 
 if __name__ == "__main__":

@@ -13,11 +13,16 @@ from functools import lru_cache
 from .errors import DomainError
 
 
-def _require_natural(x: int, name: str) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise DomainError(f"{name} must be an integer, got {x!r}")
-    if x < 0:
-        raise DomainError(f"{name} must be >= 0, got {x}")
+def _require_int(x: int, name: str, low: int | None = 0,
+                 error: type[ValueError] = DomainError) -> int:
+    """The integer rule of every public entry point: x is an int, never a
+    bool, and at least ``low`` unless that is None; else ``error``, with x
+    printed in full however long it is."""
+    # Exact ints pass on the first test; int subclasses other than bool too.
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+        raise error(f"{name} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise error(f"{name} must be >= {low}, got {_decimal_text(x)}")
     return x
 
 
@@ -34,17 +39,17 @@ def _digits_of(n: int, k: int) -> list[int]:
 
 
 def _decimal_text(n: int) -> str:
-    """n >= 0 in decimal, also past the interpreter's int-to-str digit limit."""
+    """n in decimal, also past the interpreter's int-to-str digit limit."""
     try:
         return str(n)
-    except ValueError:
-        return "".join(map(str, _digits_of(n, 10)))
+    except ValueError:  # _digits_of needs n >= 0: divmod(-1, 10) is (-1, 9)
+        return "-" * (n < 0) + "".join(map(str, _digits_of(abs(n), 10)))
 
 
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor of two naturals; gcd(0, 0) is undefined."""
-    _require_natural(a, "a")
-    _require_natural(b, "b")
+    _require_int(a, "a")
+    _require_int(b, "b")
     if a == 0 and b == 0:
         raise DomainError("gcd(0, 0) is undefined")
     return math.gcd(a, b)
@@ -70,12 +75,11 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-@lru_cache(maxsize=4096)
+# typed: else factorize(2.0) or factorize(True) would hit the entry of 2 or 1.
+@lru_cache(maxsize=4096, typed=True)
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division (2, 3, then a 6k+-1 wheel)."""
-    _require_natural(n, "n")
-    if n == 0:
-        raise DomainError("0 has no prime factorization")
+    _require_int(n, "n", 1)
     factors = []
     for p in (2, 3):
         if n % p == 0:
@@ -101,9 +105,7 @@ def factorize(n: int) -> Factorization:
 
 def divisors(n: int) -> tuple[int, ...]:
     """All divisors of n >= 1, ascending."""
-    _require_natural(n, "n")
-    if n == 0:
-        raise DomainError("0 has infinitely many divisors")
+    _require_int(n, "n", 1)
     divs = [1]
     for p, e in factorize(n).factors:
         divs = [d * p**i for d in divs for i in range(e + 1)]
@@ -112,9 +114,7 @@ def divisors(n: int) -> tuple[int, ...]:
 
 def totient(n: int) -> int:
     """Euler's totient, via the factorization formula."""
-    _require_natural(n, "n")
-    if n == 0:
-        raise DomainError("totient(0) is undefined")
+    _require_int(n, "n", 1)
     phi = n
     for p, _ in factorize(n).factors:
         phi = phi // p * (p - 1)
@@ -134,9 +134,8 @@ class Rational:
     den: int = 1
 
     def __post_init__(self):
-        _require_natural(self.num, "num")
-        if not isinstance(self.den, int) or isinstance(self.den, bool) or self.den <= 0:
-            raise DomainError(f"denominator must be a positive integer, got {self.den!r}")
+        _require_int(self.num, "num")
+        _require_int(self.den, "den", 1)
         g = math.gcd(self.num, self.den)
         if g > 1:
             object.__setattr__(self, "num", self.num // g)
@@ -183,8 +182,8 @@ class Rational:
 
 def pow_rational(base: int, exponent: int) -> Rational:
     """base**exponent as an exact Rational, for any integer exponent."""
-    if base < 1:
-        raise DomainError(f"base must be >= 1, got {base}")
+    _require_int(base, "base", 1)
+    _require_int(exponent, "exponent", None)
     if exponent >= 0:
         return Rational(base**exponent)
     return Rational(1, base**-exponent)

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Rational, _require_natural
+from .arith import Rational, _decimal_text, _require_int
 from .errors import DomainError
-from .radix import _require_base, _terminating_split
+from .radix import _terminating_split
 
 
 def _digit_sum(n: int, k: int) -> int:
@@ -37,15 +37,15 @@ def _scaled(num: int, k: int, split: tuple[int, int, int]) -> int:
 
 def digit_sum(n: int, k: int) -> int:
     """Sum of the base-k digits of n."""
-    _require_base(k)
-    _require_natural(n, "n")
+    _require_int(k, "base", 2)
+    _require_int(n, "n")
     return _digit_sum(n, k)
 
 
 def digit_sum_iter(n: int, k: int, times: int) -> int:
-    _require_base(k)
-    _require_natural(n, "n")
-    _require_natural(times, "times")
+    _require_int(k, "base", 2)
+    _require_int(n, "n")
+    _require_int(times, "times")
     for _ in range(times):
         n = _digit_sum(n, k)
     return n
@@ -53,8 +53,8 @@ def digit_sum_iter(n: int, k: int, times: int) -> int:
 
 def additive_persistence(n: int, k: int) -> int:
     """Number of digit-sum iterations needed to reach a single digit."""
-    _require_base(k)
-    _require_natural(n, "n")
+    _require_int(k, "base", 2)
+    _require_int(n, "n")
     return len(_trajectory(n, k)) - 1
 
 
@@ -79,8 +79,8 @@ def _root_result(n: int, k: int) -> DigitRootResult:
 
 def digital_root(n: int, k: int) -> DigitRootResult:
     """Iterate the digit sum until a single base-k digit remains."""
-    _require_base(k)
-    _require_natural(n, "n")
+    _require_int(k, "base", 2)
+    _require_int(n, "n")
     return _root_result(n, k)
 
 
@@ -96,10 +96,11 @@ def tf_digital_root(q: Rational, k: int) -> DigitRootResult:
 
 def digit_sum_of_digits(digits, k: int) -> int:
     """Plain sum of an explicit digit list, validating each digit < k."""
-    _require_base(k)
+    _require_int(k, "base", 2)
     total = 0
     for d in digits:
-        if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < k:
-            raise DomainError(f"digit {d!r} out of range for base {k}")
+        if _require_int(d, "digit") >= k:
+            raise DomainError(
+                f"digit {_decimal_text(d)} out of range for base {_decimal_text(k)}")
         total += d
     return total

@@ -12,14 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize
+from .arith import _decimal_text, _require_int, factorize
 from .errors import DomainError
-
-
-def _require_modulus(n: int) -> int:
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"modulus must be an integer >= 2, got {n!r}")
-    return n
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,10 +24,10 @@ class ResidueClass:
     modulus: int
 
     def __post_init__(self):
-        _require_modulus(self.modulus)
-        if not 0 <= self.value < self.modulus:
+        n = _require_int(self.modulus, "modulus", 2)
+        if _require_int(self.value, "residue value") >= n:
             raise DomainError(
-                f"residue value {self.value} not in [0, {self.modulus - 1}]"
+                f"residue value {_decimal_text(self.value)} not in [0, {_decimal_text(n - 1)}]"
             )
 
     def __add__(self, other: "ResidueClass") -> "ResidueClass":
@@ -45,13 +39,15 @@ class ResidueClass:
 
 def residue(x: int, n: int) -> ResidueClass:
     """Canonical residue of any integer x mod n (n >= 2)."""
-    _require_modulus(n)
+    _require_int(n, "modulus", 2)
+    _require_int(x, "x", None)
     return ResidueClass(x % n, n)
 
 
 def _require_same_modulus(a: ResidueClass, b: ResidueClass) -> int:
     if a.modulus != b.modulus:
-        raise DomainError(f"modulus mismatch: {a.modulus} != {b.modulus}")
+        raise DomainError(
+            f"modulus mismatch: {_decimal_text(a.modulus)} != {_decimal_text(b.modulus)}")
     return a.modulus
 
 
@@ -76,29 +72,27 @@ def _units(n: int) -> tuple[int, ...]:
 
 def units(n: int) -> tuple[int, ...]:
     """Residues coprime to n, ascending; the multiplicative group mod n."""
-    return _units(_require_modulus(n))
+    return _units(_require_int(n, "modulus", 2))
 
 
 def gcd_class(n: int, d: int) -> tuple[int, ...]:
     """Residues x mod n with gcd(x, n) = d; empty when d does not divide n."""
-    _require_modulus(n)
+    _require_int(n, "modulus", 2)
+    _require_int(d, "d", None)
     return tuple(x for x in range(n) if math.gcd(x, n) == d)
 
 
 def orbit(n: int, x: ResidueClass) -> tuple[int, ...]:
     """The orbit of x under multiplication by every unit mod n."""
-    _require_modulus(n)
+    _require_int(n, "modulus", 2)
     if x.modulus != n:
-        raise DomainError(f"modulus mismatch: {x.modulus} != {n}")
+        raise DomainError(f"modulus mismatch: {_decimal_text(x.modulus)} != {_decimal_text(n)}")
     return tuple(sorted({g * x.value % n for g in _units(n)}))
 
 
 def orbit_of(n: int, x: int) -> int:
     """The divisor label of the orbit containing x, i.e. gcd(x, n)."""
-    _require_modulus(n)
-    if not 0 <= x < n:
-        raise DomainError(f"residue value {x} not in [0, {n - 1}]")
-    return math.gcd(x, n)
+    return math.gcd(ResidueClass(x, n).value, n)
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ class OrbitPartition:
 
 def orbit_partition(n: int) -> OrbitPartition:
     """Partition of all residues mod n, one class per divisor of n."""
-    _require_modulus(n)
+    _require_int(n, "modulus", 2)
     classes = {}
     for x in range(n):
         classes.setdefault(math.gcd(x, n), []).append(x)
@@ -120,7 +114,7 @@ def orbit_partition(n: int) -> OrbitPartition:
 
 def unit_group_is_cyclic(n: int) -> bool:
     """True iff the unit group mod n is cyclic (n = 2, 4, p^j or 2*p^j, p odd)."""
-    _require_modulus(n)
+    _require_int(n, "modulus", 2)
     if n in (2, 4):
         return True
     factors = factorize(n).factors

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import Rational, _decimal_text, _digits_of, divisors, factorize, totient
+from .arith import Rational, _decimal_text, _digits_of, _require_int, divisors, factorize, totient
 from .errors import DomainError, ParseError
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -38,12 +38,6 @@ def _decimal(text: str) -> int | None:
         return int(text)
     except ValueError:  # longer than the interpreter's int-string limit
         return None
-
-
-def _require_base(k: int) -> int:
-    if not isinstance(k, int) or k < 2:
-        raise DomainError(f"base must be an integer >= 2, got {k!r}")
-    return k
 
 
 class Kind(str, enum.Enum):
@@ -94,18 +88,18 @@ def _smooth_split(den: int, k: int) -> tuple[int, int, int]:
     return den // p, p, rho0
 
 
-@lru_cache(maxsize=4096)
+# typed, as for factorize: (10, 7.0) must not hit the entry of (10, 7).
+@lru_cache(maxsize=4096, typed=True)
 def multiplicative_order(k: int, p: int) -> int:
     """Smallest T >= 1 with k^T = 1 mod p; requires gcd(k, p) = 1, p >= 2.
 
     Starts from totient(p) and strips prime factors while the power still
     fixes 1, which visits only divisors of the totient.
     """
-    _require_base(k)
-    if p < 2:
-        raise DomainError(f"modulus must be >= 2, got {p}")
+    _require_int(k, "base", 2)
+    _require_int(p, "modulus", 2)
     if math.gcd(k, p) != 1:
-        raise DomainError(f"{k} and {p} are not coprime")
+        raise DomainError(f"{_decimal_text(k)} and {_decimal_text(p)} are not coprime")
     t = totient(p)
     for prime, _ in factorize(t).factors:
         while t % prime == 0 and pow(k, t // prime, p) == 1:
@@ -115,7 +109,7 @@ def multiplicative_order(k: int, p: int) -> int:
 
 def classify(q: Rational, k: int) -> RadixClassification:
     """Classify q as terminating or repeating in base k."""
-    _require_base(k)
+    _require_int(k, "base", 2)
     smooth, p, rho0 = _smooth_split(q.den, k)
     if p == 1:
         return RadixClassification(Kind.TERMINATING, rho0, 0)
@@ -125,11 +119,11 @@ def classify(q: Rational, k: int) -> RadixClassification:
 def _terminating_split(q: Rational, k: int) -> tuple[int, int, int]:
     """The split (den, 1, rho0) of q's denominator when q terminates in
     base k; else a DomainError that names the coprime part, unfactored."""
-    _require_base(k)
+    _require_int(k, "base", 2)
     smooth, p, rho0 = _smooth_split(q.den, k)
     if p != 1:
-        raise DomainError(f"{q} has no finite base-{k} expansion: denominator prime(s) "
-                          f"dividing {_decimal_text(p)} do not divide {k}")
+        raise DomainError(f"{q} has no finite base-{_decimal_text(k)} expansion: denominator "
+                          f"prime(s) dividing {_decimal_text(p)} do not divide {_decimal_text(k)}")
     return smooth, p, rho0
 
 
@@ -154,13 +148,14 @@ class PositionalRepr:
     repetend: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _require_base(self.base)
+        k = _require_int(self.base, "base", 2)
         object.__setattr__(self, "int_digits", tuple(self.int_digits))
         object.__setattr__(self, "frac_digits", tuple(self.frac_digits))
         object.__setattr__(self, "repetend", tuple(self.repetend))
         for d in self.int_digits + self.frac_digits + self.repetend:
-            if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < self.base:
-                raise DomainError(f"digit {d!r} out of range for base {self.base}")
+            if _require_int(d, "digit") >= k:
+                raise DomainError(
+                    f"digit {_decimal_text(d)} out of range for base {_decimal_text(k)}")
         broken = _noncanonical(self.int_digits, self.frac_digits, self.repetend)
         if broken:
             raise DomainError(broken[0])
@@ -284,7 +279,7 @@ def to_repeating(q: Rational, k: int) -> PositionalRepr:
 def _encode(q: Rational, k: int, infinite: bool) -> PositionalRepr:
     """Canonical base-k representation of q: finite when it terminates,
     unless ``infinite`` forces the repeating form."""
-    _require_base(k)
+    _require_int(k, "base", 2)
     if infinite and q.is_zero:
         raise DomainError("0 has no representation with infinitely many nonzero digits")
     return _expand(q.num, k, _smooth_split(q.den, k), infinite)
@@ -294,7 +289,7 @@ def period(q: Rational, k: int) -> int:
     """Repetend length of q in base k; q must be repeating in that base."""
     c = classify(q, k)
     if c.is_terminating:
-        raise DomainError(f"{q} terminates in base {k}; it has no repetend")
+        raise DomainError(f"{q} terminates in base {_decimal_text(k)}; it has no repetend")
     return c.period
 
 
@@ -322,7 +317,7 @@ def _join_digits(digits, base: int) -> str:
     numbers joined by commas above."""
     if base <= 36:
         return "".join(ALPHABET[d] for d in digits)
-    return ",".join(str(d) for d in digits)
+    return ",".join(map(_decimal_text, digits))
 
 
 def format_repr(r: PositionalRepr) -> str:
@@ -332,7 +327,7 @@ def format_repr(r: PositionalRepr) -> str:
         body += "." + _join_digits(r.frac_digits, r.base)
     if r.repetend:
         body += f"({_join_digits(r.repetend, r.base)})"
-    return f"[{body}]_{r.base}"
+    return f"[{body}]_{_decimal_text(r.base)}"
 
 
 def _tokenize(section: str, start: int, base: int, placeholder: bool = False) -> tuple[int | None, ...]:

@@ -20,17 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .arith import Rational, divisors, factorize
+from .arith import Rational, _decimal_text, _require_int, divisors, factorize
 from .digroot import _digit_sum, _scaled, _trajectory
 from .errors import DomainError, PreconditionError
-from .radix import (
-    _repetend, _require_base, _smooth_split, _terminating_split, _tokenize, multiplicative_order,
-)
-
-
-def _require_at_least(value: int, low: int, name: str) -> None:
-    if value < low:
-        raise PreconditionError(f"{name} must be >= {low}, got {value}")
+from .radix import _repetend, _smooth_split, _terminating_split, _tokenize, multiplicative_order
 
 
 def _orbit_label(modulus: int, value: int) -> int:
@@ -49,8 +42,9 @@ def _require_main1_args(q: Rational, r: int, k: int) -> tuple[int, int, int]:
     """Preconditions shared by verify_main1 and verify_cor1; returns the
     split of q's denominator."""
     split = _terminating_split(q, k)
-    if not isinstance(r, int) or r < 2 or r >= k or k % r != 0:
-        raise PreconditionError(f"r must be a divisor of {k} with 2 <= r < {k}, got {r!r}")
+    if _require_int(r, "r", 2, PreconditionError) >= k or k % r != 0:
+        raise PreconditionError(f"r must be a divisor of {_decimal_text(k)} with 2 <= r < "
+                                f"{_decimal_text(k)}, got {_decimal_text(r)}")
     if q.is_zero:
         raise PreconditionError("q must be positive")
     return split
@@ -112,7 +106,7 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
     r^j * R_j must stay congruent to R_0 mod k-1.
     """
     split = _require_main1_args(q, r, k)
-    _require_at_least(terms_max, 1, "terms")
+    _require_int(terms_max, "terms", 1, PreconditionError)
     roots, congruence_ok, witness = _main1(q.num, split, r, k, terms_max)
     terms = tuple(
         Main1Term(j, Rational(q.num, q.den * r**j), root, _orbit_label(k - 1, root))
@@ -134,7 +128,8 @@ def verify_cor1(q: Rational, r: int, k: int) -> bool:
     """If the root of q is divisible by k-1, so is the root of q/r."""
     root0, root1 = _main1(q.num, _require_main1_args(q, r, k), r, k, 1)[0]
     if root0 % (k - 1) != 0:
-        raise PreconditionError(f"digital root of {q} is not divisible by {k - 1}")
+        raise PreconditionError(
+            f"digital root of {q} is not divisible by {_decimal_text(k - 1)}")
     return root1 % (k - 1) == 0
 
 
@@ -168,9 +163,11 @@ def _main2(n: int, s: int, k: int) -> Main2Report:
     smooth, p, rho0 = _smooth_split(s, k)
     repetend, root, divisible, reason = (), None, False, None
     if p == 1:
-        reason = f"{n}/{s} terminates in base {k}: no repetend"
+        reason = (f"{_decimal_text(n)}/{_decimal_text(s)} terminates in base "
+                  f"{_decimal_text(k)}: no repetend")
     elif math.gcd(p, k - 1) != 1:
-        reason = f"gcd({p}, {k - 1}) = {math.gcd(p, k - 1)} != 1"
+        reason = (f"gcd({_decimal_text(p)}, {_decimal_text(k - 1)}) = "
+                  f"{_decimal_text(math.gcd(p, k - 1))} != 1")
     else:
         repetend = _repetend(n * (k**rho0 // smooth) % p, p, k)
         root = _trajectory(sum(repetend), k)[-1]
@@ -193,13 +190,11 @@ def verify_main2(n: int, s: int, k: int) -> Main2Report:
     than an error.  Also checks that (k^T - 1) * k^rho0 * n / s is a
     natural number divisible by k-1.
     """
-    _require_base(k)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise PreconditionError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(s, int) or s < 2:
-        raise PreconditionError(f"s must be an integer >= 2, got {s!r}")
+    _require_int(k, "base", 2)
+    _require_int(n, "n", 1, PreconditionError)
+    _require_int(s, "s", 2, PreconditionError)
     if math.gcd(n, s) != 1:
-        raise DomainError(f"{n}/{s} is not an irreducible fraction")
+        raise DomainError(f"{_decimal_text(n)}/{_decimal_text(s)} is not an irreducible fraction")
     return _main2(n, s, k)
 
 
@@ -241,13 +236,6 @@ def _main1_tuples(bases, bound: int) -> list[tuple[int, int, int, int]]:
                     if math.gcd(a, b) == 1:
                         tuples.append((k, r, a, b))
     return tuples
-
-
-def _require_bases(bases) -> list[int]:
-    bases = list(bases)
-    for k in bases:
-        _require_base(k)
-    return bases
 
 
 def _run_main1_chunk(chunk, terms_max: int):
@@ -342,16 +330,18 @@ def _run_chunked(runner, tuples, workers: int) -> FuzzSummary:
 
 
 def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzSummary:
-    """Run verify_main1 over every (k, r, a/b) tuple in range.
+    """Check main1 for every (k, r, a/b) tuple in range.
 
     Enumerates k in ``bases``, every divisor r of k with 2 <= r < k, and
     every reduced a/b with a <= bound and k-smooth b <= bound, in
-    lexicographic order.
+    lexicographic order.  Each tuple runs the main1 kernel that
+    ``verify_main1`` uses, for j = 0..terms_max, and builds no report; a
+    failure is listed by (base, r, num, den, witness).
     """
-    bases = _require_bases(bases)
-    _require_at_least(bound, 0, "bound")
-    _require_at_least(terms_max, 1, "terms")
-    _require_at_least(workers, 1, "workers")
+    bases = [_require_int(k, "base", 2) for k in bases]
+    _require_int(bound, "bound", 0, PreconditionError)
+    _require_int(terms_max, "terms", 1, PreconditionError)
+    _require_int(workers, "workers", 1, PreconditionError)
     tuples = _main1_tuples(bases, bound)
     return _run_chunked(partial(_run_main1_chunk, terms_max=terms_max), tuples, workers)
 
@@ -368,10 +358,10 @@ def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSumma
     cycle (see ``_main2_sums``), and the T'' test mod s*(k-1).  Failures
     are listed by (base, n, s) whatever the number of workers.
     """
-    bases = _require_bases(bases)
-    _require_at_least(n_bound, 0, "n_bound")
-    _require_at_least(s_bound, 0, "s_bound")
-    _require_at_least(workers, 1, "workers")
+    bases = [_require_int(k, "base", 2) for k in bases]
+    _require_int(n_bound, "n_bound", 0, PreconditionError)
+    _require_int(s_bound, "s_bound", 0, PreconditionError)
+    _require_int(workers, "workers", 1, PreconditionError)
     pairs = [(k, s) for k in bases for s in range(2, s_bound + 1)]
     summary = _run_chunked(partial(_run_main2_chunk, n_bound=n_bound), pairs, workers)
     failures = sorted(summary.failures, key=lambda f: (f["base"], f["n"], f["s"]))
@@ -398,7 +388,7 @@ def solve_missing_digit(pattern: str, k: int) -> MagicDigitResult:
     placeholder down to one digit, except that 0 and k-1 are
     indistinguishable; that case is reported as ambiguous.
     """
-    _require_base(k)
+    _require_int(k, "base", 2)
     digits = _tokenize(pattern, 0, k, placeholder=True)
     placeholders = digits.count(None)
     if placeholders != 1:

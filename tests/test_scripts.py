@@ -30,6 +30,19 @@ def test_repetend_root_survey():
     assert re.search(r"den=7 +T=6 +sum=27 +root=9 \* \[1\.\(285714\)\]_10$", proc.stdout, re.M)
 
 
+def test_repetend_root_survey_takes_only_ascii_decimal_numerals():
+    proc = run_script("repetend_root_survey.py", "--base", "١٠")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "invalid integer" in proc.stderr
+
+
+def test_run_exhaustive_checks_takes_only_ascii_decimal_numerals():
+    proc = run_script("run_exhaustive_checks.py", "--bases", "2..3", "--bound", "١٠",
+                      "--n-bound", "1_0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "invalid integer" in proc.stderr
+
+
 def test_run_exhaustive_checks():
     proc = run_script(
         "run_exhaustive_checks.py",
