@@ -351,3 +351,154 @@ def test_installed_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[1.(285714)]_10"
+
+
+def q_json(num, den=1):
+    return {"num": str(num), "den": str(den)}
+
+
+# One row per invocation: argv, exit code, text-mode stdout, and the
+# document that --json prints.  A None document marks a usage error: both
+# modes print nothing on stdout and the same one-line error on stderr.
+GOLDEN = [
+    (["classify", "161/36", "--base", "6"], 0, "terminating rho0=2 period=0",
+     {"command": "classify",
+      "inputs": {"value": q_json(161, 36), "base": 6},
+      "result": {"kind": "terminating", "rho0": 2, "period": 0}}),
+    (["classify", "9/7", "--base", "10"], 0, "repeating rho0=0 period=6",
+     {"command": "classify",
+      "inputs": {"value": q_json(9, 7), "base": 10},
+      "result": {"kind": "repeating", "rho0": 0, "period": 6}}),
+    (["repr", "9/7", "--base", "10"], 0, "[1.(285714)]_10",
+     {"command": "repr",
+      "inputs": {"value": q_json(9, 7), "base": 10, "infinite": False},
+      "result": {"text": "[1.(285714)]_10", "base": 10, "int_digits": [1],
+                 "frac_digits": [], "repetend": [2, 8, 5, 7, 1, 4]}}),
+    (["repr", "161/36", "--base", "6", "--infinite"], 0, "[4.24(5)]_6",
+     {"command": "repr",
+      "inputs": {"value": q_json(161, 36), "base": 6, "infinite": True},
+      "result": {"text": "[4.24(5)]_6", "base": 6, "int_digits": [4],
+                 "frac_digits": [2, 4], "repetend": [5]}}),
+    (["convert", "[101011]_2", "--to", "3"], 0, "[1121]_3",
+     {"command": "convert",
+      "inputs": {"value": q_json(43), "to": 3, "infinite": False},
+      "result": {"text": "[1121]_3", "base": 3, "int_digits": [1, 1, 2, 1],
+                 "frac_digits": [], "repetend": []}}),
+    (["convert", "[1,30.0,39(7)]_40", "--to", "40"], 0, "[1,30.0,39(7)]_40",
+     {"command": "convert",
+      "inputs": {"value": q_json(546191, 7800), "to": 40, "infinite": False},
+      "result": {"text": "[1,30.0,39(7)]_40", "base": 40, "int_digits": [1, 30],
+                 "frac_digits": [0, 39], "repetend": [7]}}),
+    (["digroot", "[2A7E]_16", "--base", "16"], 0, "root=3 persistence=2 trajectory=[33, 3]",
+     {"command": "digroot",
+      "inputs": {"value": q_json(10878), "base": 16},
+      "result": {"root": 3, "persistence": 2, "trajectory": [33, 3]}}),
+    (["orbits", "--modulus", "9"], 0,
+     "Γ_1^9 = {1, 2, 4, 5, 7, 8}\nΓ_3^9 = {3, 6}\nΓ_9^9 = {0}",
+     {"command": "orbits",
+      "inputs": {"modulus": 9},
+      "result": {"modulus": 9,
+                 "classes": {"1": [1, 2, 4, 5, 7, 8], "3": [3, 6], "9": [0]}}}),
+    (["magic", "2?99561", "--base", "10"], 0, "4",
+     {"command": "magic",
+      "inputs": {"pattern": "2?99561", "base": 10},
+      "result": {"digits": [4], "ambiguous": False}}),
+    (["magic", "?", "--base", "10"], 0, "ambiguous: 0 or 9",
+     {"command": "magic",
+      "inputs": {"pattern": "?", "base": 10},
+      "result": {"digits": [0, 9], "ambiguous": True}}),
+    (["verify", "main1", "--q", "21", "--r", "2", "--base", "8", "--terms", "2"], 0,
+     "main1: PASS\n"
+     "  base=8 q=21 r=2 orbit_delta=7 congruence_ok=True\n"
+     "  j=0 value=21 root=7 orbit=7\n"
+     "  j=1 value=21/2 root=7 orbit=7\n"
+     "  j=2 value=21/4 root=7 orbit=7",
+     {"command": "verify",
+      "inputs": {"check": "main1", "q": q_json(21), "r": 2, "base": 8, "terms": 2},
+      "result": {"base": 8, "q": q_json(21), "r": 2,
+                 "terms": [{"j": 0, "value": q_json(21), "root": 7, "orbit": 7},
+                           {"j": 1, "value": q_json(21, 2), "root": 7, "orbit": 7},
+                           {"j": 2, "value": q_json(21, 4), "root": 7, "orbit": 7}],
+                 "orbit_delta": 7, "congruence_ok": True, "witness": None},
+      "pass": True}),
+    (["verify", "main2", "--n", "9", "--s", "7", "--base", "10"], 0,
+     "main2: PASS\n"
+     "  base=10 n=9 s=7 smooth_part=1 p_part=7\n"
+     "  repetend=285714 root=9 t''_divisible=True",
+     {"command": "verify",
+      "inputs": {"check": "main2", "n": 9, "s": 7, "base": 10},
+      "result": {"base": 10, "n": 9, "s": 7, "smooth_part": 1, "p_part": 7,
+                 "preconditions_ok": True, "repetend": [2, 8, 5, 7, 1, 4],
+                 "repetend_root": 9, "t_doubleprime_divisible": True, "reason": None},
+      "pass": True}),
+    (["verify", "main2", "--n", "1", "--s", "3", "--base", "10"], 1,
+     "main2: FAIL\n"
+     "  base=10 n=1 s=3 smooth_part=1 p_part=3\n"
+     "  reason: gcd(3, 9) = 3 != 1",
+     {"command": "verify",
+      "inputs": {"check": "main2", "n": 1, "s": 3, "base": 10},
+      "result": {"base": 10, "n": 1, "s": 3, "smooth_part": 1, "p_part": 3,
+                 "preconditions_ok": False, "repetend": [], "repetend_root": None,
+                 "t_doubleprime_divisible": False, "reason": "gcd(3, 9) = 3 != 1"},
+      "pass": False}),
+    (["verify", "cor1", "--q", "21", "--r", "2", "--base", "8"], 0, "cor1: PASS",
+     {"command": "verify",
+      "inputs": {"check": "cor1", "q": q_json(21), "r": 2, "base": 8},
+      "result": {"holds": True},
+      "pass": True}),
+    (["verify", "lemma31", "--q", "1441/20", "--base", "10"], 0, "lemma31: PASS",
+     {"command": "verify",
+      "inputs": {"check": "lemma31", "q": q_json(1441, 20), "base": 10},
+      "result": {"holds": True},
+      "pass": True}),
+    (["fuzz", "main1", "--bases", "8..9", "--bound", "4", "--terms", "2"], 0,
+     "tested=23 skipped=0 degenerate=0 failed=0",
+     {"command": "fuzz",
+      "inputs": {"check": "main1", "bases": "8..9", "bound": 4, "terms": 2, "workers": 1},
+      "result": {"tested": 23, "passed": 23, "failed": 0, "skipped": 0, "degenerate": 0,
+                 "failures": []},
+      "pass": True}),
+    (["fuzz", "main2", "--bases", "2..4", "--n-bound", "4", "--s-bound", "4"], 0,
+     "tested=3 skipped=18 degenerate=3 failed=0",
+     {"command": "fuzz",
+      "inputs": {"check": "main2", "bases": "2..4", "n_bound": 4, "s_bound": 4,
+                 "workers": 1},
+      "result": {"tested": 3, "passed": 3, "failed": 0, "skipped": 18, "degenerate": 3,
+                 "failures": []},
+      "pass": True}),
+    (["classify", "1/0", "--base", "10"], 2,
+     "error: zero denominator in '1/0' (at position 2)", None),
+    (["verify", "main2", "--n", "1", "--s", "1", "--base", "10"], 2,
+     "error: s must be >= 2, got 1", None),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, doc", GOLDEN,
+                         ids=[" ".join(row[0]) for row in GOLDEN])
+def test_cli_output_is_pinned_in_both_modes(capsys, argv, code, text, doc):
+    """Whole stdout and exit code, in text mode and with --json: key order,
+    every value, and "pass" only on the commands that check something."""
+    if doc is None:
+        assert run_cli(capsys, *argv) == (code, "", text + "\n")
+        assert run_cli(capsys, *argv, "--json") == (code, "", text + "\n")
+        return
+    assert run_cli(capsys, *argv) == (code, text + "\n", "")
+    assert run_cli(capsys, *argv, "--json") == (code, json.dumps(doc, indent=2) + "\n", "")
+
+
+def test_fuzz_failures_are_pinned_in_both_modes(capsys, monkeypatch):
+    # A trajectory that always ends on 1 fails every tested (n, s) in base 5;
+    # s = 2 shares a factor with 5 - 1 and is skipped.
+    monkeypatch.setattr(radixroot.theorems, "_trajectory", lambda total, k: [1])
+    argv = ["fuzz", "main2", "--bases", "5", "--n-bound", "2", "--s-bound", "3"]
+    assert run_cli(capsys, *argv) == (
+        1, "tested=2 skipped=1 degenerate=0 failed=2\n"
+           "  FAIL {'base': 5, 'n': 1, 's': 3}\n"
+           "  FAIL {'base': 5, 'n': 2, 's': 3}\n", "")
+    doc = {"command": "fuzz",
+           "inputs": {"check": "main2", "bases": "5", "n_bound": 2, "s_bound": 3,
+                      "workers": 1},
+           "result": {"tested": 2, "passed": 0, "failed": 2, "skipped": 1, "degenerate": 0,
+                      "failures": [{"base": 5, "n": 1, "s": 3}, {"base": 5, "n": 2, "s": 3}]},
+           "pass": False}
+    assert run_cli(capsys, *argv, "--json") == (1, json.dumps(doc, indent=2) + "\n", "")
