@@ -12,23 +12,17 @@ import argparse
 import math
 import sys
 
-from radixroot import Rational, classify, digital_root, format_repr, to_repeating
-from radixroot.cli import _integer
+from radixroot import (DomainError, ParseError, PreconditionError, Rational, classify,
+                       digital_root, format_repr, to_repeating)
+from radixroot.cli import EXIT_USAGE, _integer
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--base", type=_integer, default=10)
-    ap.add_argument("--num", type=_integer, default=9)
-    ap.add_argument("--max-den", type=_integer, default=40)
-    args = ap.parse_args()
-
-    k = args.base
-    print(f"base {k}: repetend digit sums and roots for {args.num}/den")
-    for den in range(2, args.max_den + 1):
-        if math.gcd(args.num, den) != 1:
+def survey(k: int, num: int, max_den: int) -> None:
+    print(f"base {k}: repetend digit sums and roots for {num}/den")
+    for den in range(2, max_den + 1):
+        if math.gcd(num, den) != 1:
             continue
-        q = Rational(args.num, den)
+        q = Rational(num, den)
         if classify(q, k).is_terminating:
             continue
         r = to_repeating(q, k)
@@ -40,6 +34,19 @@ def main() -> int:
             f"{format_repr(r)}"
         )
     print("rows marked * have repetend digit sum divisible by base-1")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--base", type=_integer, default=10)
+    ap.add_argument("--num", type=_integer, default=9)
+    ap.add_argument("--max-den", type=_integer, default=40)
+    args = ap.parse_args()
+    try:
+        survey(args.base, args.num, args.max_den)
+    except (ParseError, DomainError, PreconditionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return 0
 
 

@@ -3,8 +3,9 @@
 
 Each summary line ends with the sweep's elapsed time and its rate in
 tuples per second (main2 counts skipped tuples, which it also decides).
-Exit status is nonzero if either sweep finds a violation, so this doubles
-as a regression gate:
+Exit status is 0 when both sweeps pass, 1 when either finds a violation
+and 2 for bad input (one ``error:`` line on stderr), so this doubles as a
+regression gate:
 
     python scripts/run_exhaustive_checks.py --bases 2..16 --workers 4
 """
@@ -13,8 +14,8 @@ import argparse
 import sys
 import time
 
-from radixroot import fuzz_main1, fuzz_main2
-from radixroot.cli import _integer, parse_base_range
+from radixroot import DomainError, ParseError, PreconditionError, fuzz_main1, fuzz_main2
+from radixroot.cli import EXIT_USAGE, _integer, parse_base_range
 
 
 def _timing(tuples: int, elapsed: float) -> str:
@@ -58,8 +59,12 @@ def main() -> int:
     ap.add_argument("--s-bound", type=_integer, default=100)
     ap.add_argument("--workers", type=_integer, default=1)
     args = ap.parse_args()
-    return run(parse_base_range(args.bases), args.bound, args.terms, args.n_bound,
-               args.s_bound, args.workers)
+    try:
+        return run(parse_base_range(args.bases), args.bound, args.terms, args.n_bound,
+                   args.s_bound, args.workers)
+    except (ParseError, DomainError, PreconditionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

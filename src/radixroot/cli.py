@@ -1,5 +1,11 @@
 """Command-line interface.
 
+Each ``cmd_*`` parses its arguments, calls the library and returns
+``(inputs, result, text, passed)``, with ``passed`` None for commands that
+check nothing.  ``main`` alone turns that into output and an exit code:
+the text, or with ``--json`` the document {"command", "inputs", "result",
+"pass"}, where "pass" is present only when ``passed`` is not None.
+
 Exit codes: 0 = success / check verified, 1 = check violation found,
 2 = usage, parse, or precondition error, 141 (128 + SIGPIPE) = the reader
 closed stdout before all output was written.  ``--json`` switches every
@@ -14,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import digroot, modring, radix, theorems
 from .arith import Rational, _decimal_text
@@ -85,83 +92,73 @@ def _rational_json(q: Rational) -> dict:
     return {"num": _decimal_text(q.num), "den": _decimal_text(q.den)}
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(text)
+def _field_dict(report, *skip: str) -> dict:
+    """A result dataclass's fields in declaration order, the JSON key order.
+    Shallow, unlike ``dataclasses.asdict``: json writes tuples as arrays,
+    and a deep copy of a long repetend costs more than computing it."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in skip}
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     q = parse_value_literal(args.value)
     c = radix.classify(q, args.base)
-    doc = {
-        "command": "classify",
-        "inputs": {"value": _rational_json(q), "base": args.base},
-        "result": {"kind": c.kind.value, "rho0": c.rho0, "period": c.period},
-    }
-    _emit(args, doc, f"{c.kind.value} rho0={c.rho0} period={c.period}")
-    return EXIT_OK
+    inputs = {"value": _rational_json(q), "base": args.base}
+    result = {"kind": c.kind.value, "rho0": c.rho0, "period": c.period}
+    return inputs, result, f"{c.kind.value} rho0={c.rho0} period={c.period}", None
 
 
-def cmd_repr(args) -> int:
+def cmd_repr(args):
     """``repr --base`` and ``convert --to``: one value in one base."""
     key = "base" if args.command == "repr" else "to"
     base = getattr(args, key)
     q = parse_value_literal(args.value)
     r = radix._encode(q, base, args.infinite)
-    doc = {
-        "command": args.command,
-        "inputs": {"value": _rational_json(q), key: base, "infinite": args.infinite},
-        "result": {
-            "text": radix.format_repr(r),
-            "base": r.base,
-            "int_digits": list(r.int_digits),
-            "frac_digits": list(r.frac_digits),
-            "repetend": list(r.repetend),
-        },
-    }
-    _emit(args, doc, radix.format_repr(r))
-    return EXIT_OK
+    text = radix.format_repr(r)
+    inputs = {"value": _rational_json(q), key: base, "infinite": args.infinite}
+    result = {"text": text, **_field_dict(r)}
+    return inputs, result, text, None
 
 
-def cmd_digroot(args) -> int:
+def cmd_digroot(args):
     q = parse_value_literal(args.value)
     res = digroot.tf_digital_root(q, args.base)
-    doc = {
-        "command": "digroot",
-        "inputs": {"value": _rational_json(q), "base": args.base},
-        "result": {
-            "root": res.root,
-            "persistence": res.persistence,
-            "trajectory": list(res.trajectory),
-        },
-    }
+    inputs = {"value": _rational_json(q), "base": args.base}
     trajectory = ", ".join(str(t) for t in res.trajectory)
-    _emit(args, doc, f"root={res.root} persistence={res.persistence} trajectory=[{trajectory}]")
-    return EXIT_OK
+    text = f"root={res.root} persistence={res.persistence} trajectory=[{trajectory}]"
+    return inputs, _field_dict(res), text, None
 
 
-def cmd_orbits(args) -> int:
+def cmd_orbits(args):
     part = modring.orbit_partition(args.modulus)
+    classes = sorted(part.classes.items())
     lines = []
-    for d, members in sorted(part.classes.items()):
+    for d, members in classes:
         inner = ", ".join(str(m) for m in members)
         lines.append(f"Γ_{d}^{part.modulus} = {{{inner}}}")
-    doc = {
-        "command": "orbits",
-        "inputs": {"modulus": args.modulus},
-        "result": {
-            "modulus": part.modulus,
-            "classes": {str(d): list(m) for d, m in sorted(part.classes.items())},
-        },
+    result = {
+        "modulus": part.modulus,
+        "classes": {str(d): list(m) for d, m in classes},
     }
-    _emit(args, doc, "\n".join(lines))
-    return EXIT_OK
+    return {"modulus": args.modulus}, result, "\n".join(lines), None
 
 
-def _main1_json(rep: theorems.Main1Report) -> dict:
-    return {
+def cmd_main1(args):
+    q = parse_value_literal(args.q)
+    rep = theorems.verify_main1(q, args.r, args.base, args.terms)
+    lines = [
+        f"main1: {'PASS' if rep.passed else 'FAIL'}",
+        f"  base={rep.base} q={rep.q} r={rep.r} orbit_delta={rep.orbit_delta}"
+        f" congruence_ok={rep.congruence_ok}",
+    ]
+    lines += [
+        f"  j={t.j} value={t.value} root={t.root} orbit={t.orbit_label}"
+        for t in rep.terms
+    ]
+    if rep.witness is not None:
+        lines.append(f"  witness: j={rep.witness}")
+    inputs = {"check": "main1", "q": _rational_json(q), "r": args.r,
+              "base": args.base, "terms": args.terms}
+    result = {
         "base": rep.base,
         "q": _rational_json(rep.q),
         "r": rep.r,
@@ -173,110 +170,43 @@ def _main1_json(rep: theorems.Main1Report) -> dict:
         "congruence_ok": rep.congruence_ok,
         "witness": rep.witness,
     }
+    return inputs, result, "\n".join(lines), rep.passed
 
 
-def _main2_json(rep: theorems.Main2Report) -> dict:
-    return {
-        "base": rep.base,
-        "n": rep.n,
-        "s": rep.s,
-        "smooth_part": rep.smooth_part,
-        "p_part": rep.p_part,
-        "preconditions_ok": rep.preconditions_ok,
-        "repetend": list(rep.repetend),
-        "repetend_root": rep.repetend_root,
-        "t_doubleprime_divisible": rep.t_doubleprime_divisible,
-        "reason": rep.reason,
-    }
+def cmd_main2(args):
+    rep = theorems.verify_main2(args.n, args.s, args.base)
+    lines = [
+        f"main2: {'PASS' if rep.passed else 'FAIL'}",
+        f"  base={rep.base} n={rep.n} s={rep.s}"
+        f" smooth_part={rep.smooth_part} p_part={rep.p_part}",
+    ]
+    if rep.preconditions_ok:
+        lines.append(
+            f"  repetend={radix._join_digits(rep.repetend, rep.base)}"
+            f" root={rep.repetend_root}"
+            f" t''_divisible={rep.t_doubleprime_divisible}"
+        )
+    else:
+        lines.append(f"  reason: {rep.reason}")
+    inputs = {"check": "main2", "n": args.n, "s": args.s, "base": args.base}
+    return inputs, _field_dict(rep, "passed"), "\n".join(lines), rep.passed
 
 
-def cmd_verify(args) -> int:
-    if args.check == "main1":
-        q = parse_value_literal(args.q)
-        rep = theorems.verify_main1(q, args.r, args.base, args.terms)
-        verdict = "PASS" if rep.passed else "FAIL"
-        lines = [
-            f"main1: {verdict}",
-            f"  base={rep.base} q={rep.q} r={rep.r} orbit_delta={rep.orbit_delta}"
-            f" congruence_ok={rep.congruence_ok}",
-        ]
-        lines += [
-            f"  j={t.j} value={t.value} root={t.root} orbit={t.orbit_label}"
-            for t in rep.terms
-        ]
-        if rep.witness is not None:
-            lines.append(f"  witness: j={rep.witness}")
-        doc = {
-            "command": "verify",
-            "inputs": {"check": "main1", "q": _rational_json(q), "r": args.r,
-                       "base": args.base, "terms": args.terms},
-            "result": _main1_json(rep),
-            "pass": rep.passed,
-        }
-        _emit(args, doc, "\n".join(lines))
-        return EXIT_OK if rep.passed else EXIT_VIOLATION
+def cmd_cor1(args):
+    q = parse_value_literal(args.q)
+    holds = theorems.verify_cor1(q, args.r, args.base)
+    inputs = {"check": "cor1", "q": _rational_json(q), "r": args.r, "base": args.base}
+    return inputs, {"holds": holds}, f"cor1: {'PASS' if holds else 'FAIL'}", holds
 
-    if args.check == "main2":
-        rep = theorems.verify_main2(args.n, args.s, args.base)
-        verdict = "PASS" if rep.passed else "FAIL"
-        lines = [
-            f"main2: {verdict}",
-            f"  base={rep.base} n={rep.n} s={rep.s}"
-            f" smooth_part={rep.smooth_part} p_part={rep.p_part}",
-        ]
-        if rep.preconditions_ok:
-            lines.append(
-                f"  repetend={radix._join_digits(rep.repetend, rep.base)}"
-                f" root={rep.repetend_root}"
-                f" t''_divisible={rep.t_doubleprime_divisible}"
-            )
-        else:
-            lines.append(f"  reason: {rep.reason}")
-        doc = {
-            "command": "verify",
-            "inputs": {"check": "main2", "n": args.n, "s": args.s, "base": args.base},
-            "result": _main2_json(rep),
-            "pass": rep.passed,
-        }
-        _emit(args, doc, "\n".join(lines))
-        return EXIT_OK if rep.passed else EXIT_VIOLATION
 
-    if args.check == "cor1":
-        q = parse_value_literal(args.q)
-        holds = theorems.verify_cor1(q, args.r, args.base)
-        doc = {
-            "command": "verify",
-            "inputs": {"check": "cor1", "q": _rational_json(q), "r": args.r, "base": args.base},
-            "result": {"holds": holds},
-            "pass": holds,
-        }
-        _emit(args, doc, f"cor1: {'PASS' if holds else 'FAIL'}")
-        return EXIT_OK if holds else EXIT_VIOLATION
-
+def cmd_lemma31(args):
     q = parse_value_literal(args.q)
     holds = theorems.verify_lemma_dr(q, args.base)
-    doc = {
-        "command": "verify",
-        "inputs": {"check": "lemma31", "q": _rational_json(q), "base": args.base},
-        "result": {"holds": holds},
-        "pass": holds,
-    }
-    _emit(args, doc, f"lemma31: {'PASS' if holds else 'FAIL'}")
-    return EXIT_OK if holds else EXIT_VIOLATION
+    inputs = {"check": "lemma31", "q": _rational_json(q), "base": args.base}
+    return inputs, {"holds": holds}, f"lemma31: {'PASS' if holds else 'FAIL'}", holds
 
 
-def _summary_json(summary: theorems.FuzzSummary) -> dict:
-    return {
-        "tested": summary.tested,
-        "passed": summary.passed,
-        "failed": summary.failed,
-        "skipped": summary.skipped,
-        "degenerate": summary.degenerate,
-        "failures": list(summary.failures),
-    }
-
-
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args):
     bases = parse_base_range(args.bases)
     workers = _resolve_workers(args.workers)
     if args.check == "main1":
@@ -292,27 +222,16 @@ def cmd_fuzz(args) -> int:
         f" degenerate={summary.degenerate} failed={summary.failed}"
     ]
     lines += [f"  FAIL {failure}" for failure in summary.failures]
-    doc = {
-        "command": "fuzz",
-        "inputs": inputs,
-        "result": _summary_json(summary),
-        "pass": summary.failed == 0,
-    }
-    _emit(args, doc, "\n".join(lines))
-    return EXIT_OK if summary.failed == 0 else EXIT_VIOLATION
+    return inputs, _field_dict(summary), "\n".join(lines), summary.failed == 0
 
 
-def cmd_magic(args) -> int:
+def cmd_magic(args):
     res = theorems.solve_missing_digit(args.pattern, args.base)
     rendered = [radix._join_digits([d], args.base) for d in res.candidates]
     text = f"ambiguous: {rendered[0]} or {rendered[1]}" if res.ambiguous else rendered[0]
-    doc = {
-        "command": "magic",
-        "inputs": {"pattern": args.pattern, "base": args.base},
-        "result": {"digits": list(res.candidates), "ambiguous": res.ambiguous},
-    }
-    _emit(args, doc, text)
-    return EXIT_OK
+    inputs = {"pattern": args.pattern, "base": args.base}
+    result = {"digits": list(res.candidates), "ambiguous": res.ambiguous}
+    return inputs, result, text, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,24 +285,24 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--base", type=_integer, required=True)
     v.add_argument("--terms", type=_integer, default=5, help="largest exponent j")
     add_json(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_main1)
     v = vsub.add_parser("main2", help="repetend digit-sum divisibility by base-1")
     v.add_argument("--n", type=_integer, required=True)
     v.add_argument("--s", type=_integer, required=True)
     v.add_argument("--base", type=_integer, required=True)
     add_json(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_main2)
     v = vsub.add_parser("cor1", help="roots divisible by base-1 stay divisible under /r")
     v.add_argument("--q", required=True)
     v.add_argument("--r", type=_integer, required=True)
     v.add_argument("--base", type=_integer, required=True)
     add_json(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_cor1)
     v = vsub.add_parser("lemma31", help="digit sum and digital root agree mod base-1")
     v.add_argument("--q", required=True)
     v.add_argument("--base", type=_integer, required=True)
     add_json(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_lemma31)
 
     p = sub.add_parser("fuzz", help="enumerate a check over whole input ranges")
     fsub = p.add_subparsers(dest="check", required=True)
@@ -415,10 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        inputs, result, text, passed = args.func(args)
+        if args.json:
+            doc = {"command": args.command, "inputs": inputs, "result": result}
+            if passed is not None:
+                doc["pass"] = passed
+            print(json.dumps(doc, indent=2))
+        else:
+            print(text)
         # Flush here so a closed reader surfaces inside this try block.
         sys.stdout.flush()
-        return code
     except (ParseError, DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -427,6 +352,7 @@ def main(argv=None) -> int:
         # unwritten output does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    return EXIT_VIOLATION if passed is False else EXIT_OK
 
 
 if __name__ == "__main__":

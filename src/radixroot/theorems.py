@@ -16,6 +16,7 @@ counted as degenerate in fuzz summaries.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -312,6 +313,7 @@ def _run_main2_chunk(chunk, n_bound: int):
 
 
 def _run_chunked(runner, tuples, workers: int) -> FuzzSummary:
+    workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or len(tuples) < 2 * workers:
         results = [runner(tuples)]
     else:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from radixroot import fuzz_main1, fuzz_main2
 
 REPO = Path(__file__).resolve().parents[1]
@@ -41,6 +43,17 @@ def test_run_exhaustive_checks_takes_only_ascii_decimal_numerals():
                       "--n-bound", "1_0")
     assert proc.returncode == 2 and proc.stdout == ""
     assert "invalid integer" in proc.stderr
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("repetend_root_survey.py", ["--base", "1"], "base must be >= 2, got 1"),
+    ("run_exhaustive_checks.py", ["--bases", "2..3", "--bound", "-1"], "bound must be >= 0, got -1"),
+    ("run_exhaustive_checks.py", ["--bases", "1..3"], "bases must be >= 2, got 1"),
+])
+def test_library_errors_exit_2_with_one_error_line(name, argv, message):
+    proc = run_script(name, *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
 
 
 def test_run_exhaustive_checks():

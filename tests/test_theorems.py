@@ -280,7 +280,8 @@ def test_fuzz_main2_small_sweep():
     assert summary.tested + summary.skipped == 5 * coprime_pairs
 
 
-def test_fuzz_main2_worker_invariant():
+def test_fuzz_main2_worker_invariant(monkeypatch):
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
     assert fuzz_main2(range(9, 12), 8, 8) == fuzz_main2(range(9, 12), 8, 8, workers=2)
     # 5 bases x 8 denominators = 40 (k, s) pairs: chunks of 20 (workers=2)
     # and 14 (workers=3) both end inside a base, so a fresh chunk starts
@@ -353,9 +354,19 @@ class RecordingExecutor:
 def test_run_chunked_opens_one_worker_per_chunk(monkeypatch):
     monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "opened", [])
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 8)
     # 11 (k, s) pairs in chunks of ceil(11 / 5) = 3 make 4 chunks, not 5.
     summary = fuzz_main2(range(5, 6), 10, 12, workers=5)
     assert RecordingExecutor.opened == [4]
+    assert summary == fuzz_main2(range(5, 6), 10, 12)
+
+
+def test_run_chunked_opens_at_most_one_worker_per_cpu(monkeypatch):
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "opened", [])
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    summary = fuzz_main2(range(5, 6), 10, 12, workers=5000)
+    assert RecordingExecutor.opened == [2]
     assert summary == fuzz_main2(range(5, 6), 10, 12)
 
 
