@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 from .arith import Rational, _decimal_text, _require_int, divisors, factorize
 from .digroot import _digit_sum, _scaled, _trajectory
@@ -51,8 +53,8 @@ def _require_main1_args(q: Rational, r: int, k: int) -> tuple[int, int, int]:
     return split
 
 
-def _main1(num: int, split: tuple[int, int, int], r: int, k: int,
-           terms_max: int) -> tuple[list[int], bool, int | None]:
+def _main1(num: int, split: tuple[int, int, int], r: int, k: int, terms_max: int,
+           memo: dict[int, int]) -> tuple[list[int], bool, int | None]:
     """The main1 kernel for q = num/den, given the split (den, 1, rho0):
     the roots R_j of q/r^j for j = 0..terms_max, whether every
     r^j * R_j = R_0 mod k-1, and the first j whose root leaves the orbit
@@ -61,18 +63,25 @@ def _main1(num: int, split: tuple[int, int, int], r: int, k: int,
     Terms are stepped by k/r: n_j = n_0 * (k/r)^j = k^(rho0+j) * q/r^j is
     an integer, and it is the minimal-exponent value of q/r^j times some
     k^m, which only appends m zero digits, so its root is that of q/r^j.
+    ``memo`` maps n to its base-k root; an n missing from it is reduced by
+    iterated digit sums and added.  The caller decides its scope: one call
+    in the verifiers, one (k, a) in the sweep.
     """
     modulus = k - 1
     step = k // r
     n = _scaled(num, k, split)
-    root0 = _trajectory(n, k)[-1]
+    roots = []
+    for _ in range(terms_max + 1):
+        root = memo.get(n)
+        if root is None:
+            root = memo[n] = _trajectory(n, k)[-1]
+        roots.append(root)
+        n *= step
+    root0 = roots[0]
     label0 = _orbit_label(modulus, root0)
-    roots = [root0]
     congruence_ok, witness = True, None
     for j in range(1, terms_max + 1):
-        n *= step
-        root = _trajectory(n, k)[-1]
-        roots.append(root)
+        root = roots[j]
         congruent = (r**j * root - root0) % modulus == 0
         congruence_ok = congruence_ok and congruent
         if witness is None and not (congruent and _orbit_label(modulus, root) == label0):
@@ -108,7 +117,7 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
     """
     split = _require_main1_args(q, r, k)
     _require_int(terms_max, "terms", 1, PreconditionError)
-    roots, congruence_ok, witness = _main1(q.num, split, r, k, terms_max)
+    roots, congruence_ok, witness = _main1(q.num, split, r, k, terms_max, {})
     terms = tuple(
         Main1Term(j, Rational(q.num, q.den * r**j), root, _orbit_label(k - 1, root))
         for j, root in enumerate(roots)
@@ -127,7 +136,7 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
 
 def verify_cor1(q: Rational, r: int, k: int) -> bool:
     """If the root of q is divisible by k-1, so is the root of q/r."""
-    root0, root1 = _main1(q.num, _require_main1_args(q, r, k), r, k, 1)[0]
+    root0, root1 = _main1(q.num, _require_main1_args(q, r, k), r, k, 1, {})[0]
     if root0 % (k - 1) != 0:
         raise PreconditionError(
             f"digital root of {q} is not divisible by {_decimal_text(k - 1)}")
@@ -224,35 +233,39 @@ def _smooth_values(k: int, bound: int) -> list[int]:
     return sorted(values)
 
 
-def _main1_tuples(bases, bound: int) -> list[tuple[int, int, int, int]]:
-    tuples = []
-    for k in bases:
-        proper = [d for d in divisors(k) if 2 <= d < k]
-        if not proper:
-            continue
-        smooth = _smooth_values(k, bound)
-        for r in proper:
-            for a in range(1, bound + 1):
-                for b in smooth:
-                    if math.gcd(a, b) == 1:
-                        tuples.append((k, r, a, b))
-    return tuples
+def _main1_units(bases, bound: int) -> list[tuple[int, int]]:
+    """The main1 sweep's work: (k, a) for each base k with a proper divisor
+    and each numerator 1 <= a <= bound, base by base."""
+    return [(k, a) for k in bases if len(divisors(k)) > 2 for a in range(1, bound + 1)]
 
 
-def _run_main1_chunk(chunk, terms_max: int):
-    tested = failed = degenerate = 0
+def _run_main1_chunk(units, bound: int, terms_max: int):
+    """Run every (k, r, a/b) tuple of each (k, a) unit: r a proper divisor
+    of k, b a k-smooth denominator <= bound coprime to a.
+
+    The proper divisors and the split of each b are found once per base
+    per chunk.  One memo of roots serves all the tuples of a unit, which
+    reach the same n_j again across r and b, and is dropped with the unit:
+    it holds one entry per distinct n_j of the unit, at most 94 at README
+    scale (bases 2..16, bound 120, 5 terms).
+    """
+    failed = tested = 0
     failures = []
-    for k, r, a, b in chunk:
-        witness = _main1(a, _smooth_split(b, k), r, k, terms_max)[2]
-        tested += 1
-        if k == 2:
-            degenerate += 1
-        if witness is not None:
-            failed += 1
-            failures.append(
-                {"base": k, "r": r, "num": a, "den": b, "witness": witness}
-            )
-    return tested, failed, 0, degenerate, failures
+    for k, group in groupby(units, key=itemgetter(0)):
+        proper = divisors(k)[1:-1]
+        smooth = [(b, _smooth_split(b, k)) for b in _smooth_values(k, bound)]
+        for _, a in group:
+            coprime = [(b, split) for b, split in smooth if math.gcd(a, b) == 1]
+            tested += len(proper) * len(coprime)
+            memo: dict[int, int] = {}
+            for r in proper:
+                for b, split in coprime:
+                    witness = _main1(a, split, r, k, terms_max, memo)[2]
+                    if witness is not None:
+                        failed += 1
+                        failures.append(
+                            {"base": k, "r": r, "num": a, "den": b, "witness": witness})
+    return tested, failed, 0, 0, failures
 
 
 def _main2_sums(k: int, s: int, numerators: list[int]) -> list[tuple[int, int, bool]] | None:
@@ -293,81 +306,90 @@ def _main2_sums(k: int, s: int, numerators: list[int]) -> list[tuple[int, int, b
 def _run_main2_chunk(chunk, n_bound: int):
     tested = failed = skipped = degenerate = 0
     failures = []
-    for k, s in chunk:
+    # Pairs come s by s, so each s's numerators are listed once per chunk.
+    for s, group in groupby(chunk, key=itemgetter(1)):
         numerators = [n for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
-        sums = _main2_sums(k, s, numerators)
-        if sums is None:
-            skipped += len(numerators)
-            continue
-        tested += len(numerators)
-        if k == 2:
-            degenerate += len(numerators)
-        roots: dict[int, int] = {}  # one trajectory per distinct digit sum
-        for n, total, divisible in sums:
-            if total not in roots:
-                roots[total] = _trajectory(total, k)[-1]
-            if not (divisible and roots[total] % (k - 1) == 0):
-                failed += 1
-                failures.append({"base": k, "n": n, "s": s})
+        for k, _ in group:
+            sums = _main2_sums(k, s, numerators)
+            if sums is None:
+                skipped += len(numerators)
+                continue
+            tested += len(numerators)
+            if k == 2:
+                degenerate += len(numerators)
+            roots: dict[int, int] = {}  # one trajectory per distinct digit sum
+            for n, total, divisible in sums:
+                if total not in roots:
+                    roots[total] = _trajectory(total, k)[-1]
+                if not (divisible and roots[total] % (k - 1) == 0):
+                    failed += 1
+                    failures.append({"base": k, "n": n, "s": s})
     return tested, failed, skipped, degenerate, failures
 
 
-def _run_chunked(runner, tuples, workers: int) -> FuzzSummary:
+def _run_chunked(runner, items, workers: int) -> FuzzSummary:
+    """Run ``items`` through ``runner`` in at most ``workers`` processes and
+    merge the counts.  Failures are sorted by their fields, in the order
+    each failure dict lists them, so they do not depend on ``workers``."""
     workers = min(workers, os.cpu_count() or 1)
-    if workers == 1 or len(tuples) < 2 * workers:
-        results = [runner(tuples)]
+    if workers == 1 or len(items) < 2 * workers:
+        results = [runner(items)]
     else:
-        size = -(-len(tuples) // workers)
-        chunks = [tuples[i:i + size] for i in range(0, len(tuples), size)]
-        # One process per chunk: under fork the pool starts all max_workers
-        # at once, and ceil-sized chunks can number fewer than workers.
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        # Dealt round-robin, not sliced: an item's cost grows with its base,
+        # so contiguous slices would leave the early-base workers idle.
+        chunks = [items[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(runner, chunks))
     tested = sum(r[0] for r in results)
     failed = sum(r[1] for r in results)
     skipped = sum(r[2] for r in results)
     degenerate = sum(r[3] for r in results)
-    failures = tuple(f for r in results for f in r[4])
-    return FuzzSummary(tested, tested - failed, failed, skipped, degenerate, failures)
+    failures = sorted((f for r in results for f in r[4]), key=lambda f: tuple(f.values()))
+    return FuzzSummary(tested, tested - failed, failed, skipped, degenerate, tuple(failures))
 
 
 def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzSummary:
     """Check main1 for every (k, r, a/b) tuple in range.
 
     Enumerates k in ``bases``, every divisor r of k with 2 <= r < k, and
-    every reduced a/b with a <= bound and k-smooth b <= bound, in
-    lexicographic order.  Each tuple runs the main1 kernel that
-    ``verify_main1`` uses, for j = 0..terms_max, and builds no report; a
-    failure is listed by (base, r, num, den, witness).
+    every reduced a/b with a <= bound and k-smooth b <= bound.  The work
+    is listed as (k, a) units, not as tuples, and dealt round-robin to the
+    workers; each unit runs all its (r, b) through the main1 kernel that
+    ``verify_main1`` uses, for j = 0..terms_max, with one memo of roots
+    for the unit (see ``_run_main1_chunk``), and builds no report.  Every
+    root is still an iterated digit sum.  A failure is listed by (base, r,
+    num, den, witness), sorted by (base, r, num, den) whatever the number
+    of workers.
     """
     bases = [_require_int(k, "base", 2) for k in bases]
     _require_int(bound, "bound", 0, PreconditionError)
     _require_int(terms_max, "terms", 1, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
-    tuples = _main1_tuples(bases, bound)
-    return _run_chunked(partial(_run_main1_chunk, terms_max=terms_max), tuples, workers)
+    units = _main1_units(bases, bound)
+    return _run_chunked(partial(_run_main1_chunk, bound=bound, terms_max=terms_max), units,
+                        workers)
 
 
 def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSummary:
     """Check main2 for every reduced n/s with n <= n_bound and
     2 <= s <= s_bound, in each base k of ``bases``.
 
-    The work is enumerated per (k, s): s is split and ord_p(k) found once
-    per pair, and a pair whose denominator has no part coprime to the
-    base, or whose coprime part shares a factor with k-1, has all its
-    numerators counted as skipped at once.  Each tested n/s gets the
-    digit sum of its real repetend, from one long division per remainder
-    cycle (see ``_main2_sums``), and the T'' test mod s*(k-1).  Failures
-    are listed by (base, n, s) whatever the number of workers.
+    The work is enumerated per (k, s), s by s, and dealt round-robin to
+    the workers; each chunk lists an s's coprime numerators once.  s is
+    split and ord_p(k) found once per pair, and a pair whose denominator
+    has no part coprime to the base, or whose coprime part shares a factor
+    with k-1, has all its numerators counted as skipped at once.  Each
+    tested n/s gets the digit sum of its real repetend, from one long
+    division per remainder cycle (see ``_main2_sums``), and the T'' test
+    mod s*(k-1).  Failures are listed by (base, n, s) whatever the number
+    of workers.
     """
     bases = [_require_int(k, "base", 2) for k in bases]
     _require_int(n_bound, "n_bound", 0, PreconditionError)
     _require_int(s_bound, "s_bound", 0, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
-    pairs = [(k, s) for k in bases for s in range(2, s_bound + 1)]
-    summary = _run_chunked(partial(_run_main2_chunk, n_bound=n_bound), pairs, workers)
-    failures = sorted(summary.failures, key=lambda f: (f["base"], f["n"], f["s"]))
-    return replace(summary, failures=tuple(failures))
+    pairs = [(k, s) for s in range(2, s_bound + 1) for k in bases]
+    return _run_chunked(partial(_run_main2_chunk, n_bound=n_bound), pairs, workers)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,10 +23,20 @@ from radixroot import (
 )
 
 from radixroot import radix, theorems
-from radixroot.arith import factorize
+from radixroot.arith import divisors, factorize
 from oracles import long_division_digits, main1_roots_brute
 
 COMPOSITE_BASES = [k for k in range(3, 61) if any(k % d == 0 for d in range(2, k))]
+
+
+def main1_tuples(bases, bound):
+    """Every (k, r, a, b) the main1 sweep checks, in (k, r, a, b) order."""
+    return [(k, r, a, b)
+            for k in bases
+            for r in divisors(k)[1:-1]
+            for a in range(1, bound + 1)
+            for b in range(1, bound + 1)
+            if math.gcd(a, b) == 1 and all(k % p == 0 for p in factorize(b).primes())]
 
 
 def recomputed_main1_pass(report):
@@ -117,9 +128,18 @@ def test_main1_splits_the_denominator_once(monkeypatch):
     verify_cor1(Rational(9), 5, 10)
     assert len(calls) == 1
     calls.clear()
-    chunk = theorems._main1_tuples(range(4, 13), 12)
-    assert theorems._run_main1_chunk(chunk, 5)[:2] == (len(chunk), 0)
-    assert len(calls) == len(chunk)
+    # The chunk runner splits each k-smooth b once per base per chunk,
+    # however many numerators and divisors share it.
+    bases, bound = range(4, 13), 12
+    per_chunk = [(b, k) for k in bases if len(divisors(k)) > 2
+                 for b in theorems._smooth_values(k, bound)]
+    units = theorems._main1_units(bases, bound)
+    assert theorems._run_main1_chunk(units, bound, 5)[:2] == (len(main1_tuples(bases, bound)), 0)
+    assert calls == per_chunk
+    calls.clear()
+    for chunk in (units[0::2], units[1::2]):
+        theorems._run_main1_chunk(chunk, bound, 5)
+    assert calls == per_chunk + per_chunk
 
 
 def test_main1_preconditions():
@@ -262,6 +282,60 @@ def test_fuzz_main1_is_deterministic_and_worker_invariant():
     assert one == again == parallel
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fuzz_main1_reports_every_failure_in_order(monkeypatch, workers):
+    # A fake root of n % k fails many tuples and differs between bases for
+    # one n, so a memo of roots kept past its (k, a) unit, into the next
+    # base's units of an interleaved chunk, reports wrong failures.
+    monkeypatch.setattr(theorems, "_trajectory", lambda n, k: [n % k])
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    bases, bound, terms = range(4, 13), 12, 3
+    expected = []
+    for k, r, a, b in main1_tuples(bases, bound):
+        report = verify_main1(Rational(a, b), r, k, terms)
+        if not report.passed:
+            expected.append({"base": k, "r": r, "num": a, "den": b, "witness": report.witness})
+    summary = fuzz_main1(bases, bound, terms, workers=workers)
+    assert expected and {f["base"] for f in expected} == {4, 6, 8, 9, 10, 12}
+    assert summary.failures == tuple(expected)
+    assert summary.failed == len(expected) == summary.tested - summary.passed
+    assert summary.tested == len(main1_tuples(bases, bound))
+
+
+def test_fuzz_main1_reduces_each_distinct_n_once(monkeypatch):
+    # README scale: the 15,970 tuples reach 95,820 values
+    # n_j = a * k^rho0 / b * (k/r)^j, of which 29,558 are distinct per
+    # (k, a); each of those is reduced once.
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return trajectory(n, k)
+
+    trajectory = theorems._trajectory
+    monkeypatch.setattr(theorems, "_trajectory", counting)
+    summary = fuzz_main1(range(2, 17), 120, 5)
+    assert summary.tested == 15970 and summary.failed == 0
+    distinct = set()
+    for k, r, a, b in main1_tuples(range(2, 17), 120):
+        rho0 = next(e for e in range(b) if k**e % b == 0)
+        distinct.update((k, a, a * k**rho0 // b * (k // r)**j) for j in range(6))
+    assert len(calls) == len(distinct) == 29558
+
+
+def test_main1_units_stay_small_at_a_large_bound():
+    # At bound 3000 a list of every (k, r, a, b) tuple would hold 833,928
+    # entries, about 65 MiB, before the first verdict.
+    tracemalloc.start()
+    try:
+        units = theorems._main1_units(range(2, 17), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(units) == 9 * 3000  # 4, 6, 8, 9, 10, 12, 14, 15 and 16
+    assert peak < 4 * 2**20
+
+
 def test_fuzz_main1_empty_ranges():
     assert fuzz_main1(range(3, 4), 50, 3).tested == 0  # prime base: no proper divisor
     assert fuzz_main1(range(2, 17), 0, 3).tested == 0
@@ -283,9 +357,9 @@ def test_fuzz_main2_small_sweep():
 def test_fuzz_main2_worker_invariant(monkeypatch):
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
     assert fuzz_main2(range(9, 12), 8, 8) == fuzz_main2(range(9, 12), 8, 8, workers=2)
-    # 5 bases x 8 denominators = 40 (k, s) pairs: chunks of 20 (workers=2)
-    # and 14 (workers=3) both end inside a base, so a fresh chunk starts
-    # mid-base with an empty memo.
+    # 8 denominators x 5 bases = 40 (k, s) pairs, dealt round-robin: with
+    # workers=2 and 3 every chunk mixes bases and denominators, and lists
+    # each s's numerators afresh.
     one = fuzz_main2(range(9, 14), 12, 9)
     assert one.tested > 0 and one.skipped > 0
     assert one == fuzz_main2(range(9, 14), 12, 9, workers=2)
@@ -355,10 +429,25 @@ def test_run_chunked_opens_one_worker_per_chunk(monkeypatch):
     monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "opened", [])
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 8)
-    # 11 (k, s) pairs in chunks of ceil(11 / 5) = 3 make 4 chunks, not 5.
+    # 11 (k, s) pairs dealt round-robin make 5 chunks of 3, 2, 2, 2 and 2.
     summary = fuzz_main2(range(5, 6), 10, 12, workers=5)
-    assert RecordingExecutor.opened == [4]
+    assert RecordingExecutor.opened == [5]
     assert summary == fuzz_main2(range(5, 6), 10, 12)
+
+
+def test_run_chunked_deals_items_round_robin(monkeypatch):
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "opened", [])
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 8)
+    chunks = []
+
+    def runner(chunk):
+        chunks.append(chunk)
+        return len(chunk), 0, 0, 0, []
+
+    summary = theorems._run_chunked(runner, list(range(11)), 5)
+    assert chunks == [[0, 5, 10], [1, 6], [2, 7], [3, 8], [4, 9]]
+    assert summary.tested == 11
 
 
 def test_run_chunked_opens_at_most_one_worker_per_cpu(monkeypatch):
