@@ -9,8 +9,8 @@ to both k and k-1 is repeating in base k, and the digit sum of its
 repetend is divisible by k-1 (so the repetend's digital root is k-1).
 
 For k = 2 the modulus k-1 collapses to 1: every congruence holds and all
-residues share the single orbit labelled 1.  Such cases still run but are
-counted as degenerate in fuzz summaries.
+residues share the single orbit labelled 1.  ``fuzz_main2`` counts such
+cases as degenerate; ``fuzz_main1`` never runs base 2 (no proper divisor).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 
 from .arith import Rational, _decimal_text, _require_int, divisors, factorize
 from .digroot import _digit_sum, _scaled, _trajectory
@@ -210,6 +208,10 @@ def verify_main2(n: int, s: int, k: int) -> Main2Report:
 
 @dataclass(frozen=True)
 class FuzzSummary:
+    """Counts of one sweep: ``tested`` = ``passed`` + ``failed``; ``skipped``
+    tuples fail main2's preconditions; ``degenerate`` tested tuples are in
+    base 2, where k-1 = 1.  main1 always reports skipped = degenerate = 0."""
+
     tested: int
     passed: int
     failed: int
@@ -233,28 +235,21 @@ def _smooth_values(k: int, bound: int) -> list[int]:
     return sorted(values)
 
 
-def _main1_units(bases, bound: int) -> list[tuple[int, int]]:
-    """The main1 sweep's work: (k, a) for each base k with a proper divisor
-    and each numerator 1 <= a <= bound, base by base."""
-    return [(k, a) for k in bases if len(divisors(k)) > 2 for a in range(1, bound + 1)]
-
-
-def _run_main1_chunk(units, bound: int, terms_max: int):
-    """Run every (k, r, a/b) tuple of each (k, a) unit: r a proper divisor
-    of k, b a k-smooth denominator <= bound coprime to a.
+def _run_main1_chunk(numerators, bases, bound: int, terms_max: int):
+    """Run every (k, r, a/b) tuple of each numerator a: k in ``bases``, r a
+    proper divisor of k, b a k-smooth denominator <= bound coprime to a.
 
     The proper divisors and the split of each b are found once per base
-    per chunk.  One memo of roots serves all the tuples of a unit, which
-    reach the same n_j again across r and b, and is dropped with the unit:
-    it holds one entry per distinct n_j of the unit, at most 94 at README
-    scale (bases 2..16, bound 120, 5 terms).
+    per chunk.  The tuples of one (k, a) reach the same n_j again across
+    r and b, so they share one memo of roots, dropped with that (k, a):
+    at most 94 entries at README scale (bases 2..16, bound 120, 5 terms).
     """
+    tables = [(k, divisors(k)[1:-1], [(b, _smooth_split(b, k)) for b in _smooth_values(k, bound)])
+              for k in bases if len(divisors(k)) > 2]
     failed = tested = 0
     failures = []
-    for k, group in groupby(units, key=itemgetter(0)):
-        proper = divisors(k)[1:-1]
-        smooth = [(b, _smooth_split(b, k)) for b in _smooth_values(k, bound)]
-        for _, a in group:
+    for a in numerators:
+        for k, proper, smooth in tables:
             coprime = [(b, split) for b, split in smooth if math.gcd(a, b) == 1]
             tested += len(proper) * len(coprime)
             memo: dict[int, int] = {}
@@ -303,13 +298,12 @@ def _main2_sums(k: int, s: int, numerators: list[int]) -> list[tuple[int, int, b
     return out
 
 
-def _run_main2_chunk(chunk, n_bound: int):
+def _run_main2_chunk(denominators, bases, n_bound: int):
     tested = failed = skipped = degenerate = 0
     failures = []
-    # Pairs come s by s, so each s's numerators are listed once per chunk.
-    for s, group in groupby(chunk, key=itemgetter(1)):
+    for s in denominators:
         numerators = [n for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
-        for k, _ in group:
+        for k in bases:
             sums = _main2_sums(k, s, numerators)
             if sums is None:
                 skipped += len(numerators)
@@ -327,17 +321,23 @@ def _run_main2_chunk(chunk, n_bound: int):
     return tested, failed, skipped, degenerate, failures
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on (its affinity, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunked(runner, items, workers: int) -> FuzzSummary:
-    """Run ``items`` through ``runner`` in at most ``workers`` processes and
-    merge the counts.  Failures are sorted by their fields, in the order
-    each failure dict lists them, so they do not depend on ``workers``."""
-    workers = min(workers, os.cpu_count() or 1)
-    if workers == 1 or len(items) < 2 * workers:
+    """Run contiguous slices of ``items`` through ``runner`` in at most
+    ``workers`` processes, one per usable CPU at most, and merge the counts.
+    Failures are sorted by their values in field order, whatever ``workers``."""
+    workers = min(workers, _cpu_count())
+    n = len(items)
+    if workers == 1 or n < 2 * workers:
         results = [runner(items)]
     else:
-        # Dealt round-robin, not sliced: an item's cost grows with its base,
-        # so contiguous slices would leave the early-base workers idle.
-        chunks = [items[i::workers] for i in range(workers)]
+        chunks = [items[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(runner, chunks))
     tested = sum(r[0] for r in results)
@@ -353,10 +353,10 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
 
     Enumerates k in ``bases``, every divisor r of k with 2 <= r < k, and
     every reduced a/b with a <= bound and k-smooth b <= bound.  The work
-    is listed as (k, a) units, not as tuples, and dealt round-robin to the
-    workers; each unit runs all its (r, b) through the main1 kernel that
+    items are the numerators a, dealt to the workers in contiguous
+    slices; each a runs all its (k, r, b) through the main1 kernel that
     ``verify_main1`` uses, for j = 0..terms_max, with one memo of roots
-    for the unit (see ``_run_main1_chunk``), and builds no report.  Every
+    per (k, a) (see ``_run_main1_chunk``), and builds no report.  Every
     root is still an iterated digit sum.  A failure is listed by (base, r,
     num, den, witness), sorted by (base, r, num, den) whatever the number
     of workers.
@@ -365,31 +365,30 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
     _require_int(bound, "bound", 0, PreconditionError)
     _require_int(terms_max, "terms", 1, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
-    units = _main1_units(bases, bound)
-    return _run_chunked(partial(_run_main1_chunk, bound=bound, terms_max=terms_max), units,
-                        workers)
+    runner = partial(_run_main1_chunk, bases=bases, bound=bound, terms_max=terms_max)
+    return _run_chunked(runner, range(1, bound + 1), workers)
 
 
 def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSummary:
     """Check main2 for every reduced n/s with n <= n_bound and
     2 <= s <= s_bound, in each base k of ``bases``.
 
-    The work is enumerated per (k, s), s by s, and dealt round-robin to
-    the workers; each chunk lists an s's coprime numerators once.  s is
-    split and ord_p(k) found once per pair, and a pair whose denominator
-    has no part coprime to the base, or whose coprime part shares a factor
-    with k-1, has all its numerators counted as skipped at once.  Each
-    tested n/s gets the digit sum of its real repetend, from one long
-    division per remainder cycle (see ``_main2_sums``), and the T'' test
-    mod s*(k-1).  Failures are listed by (base, n, s) whatever the number
-    of workers.
+    The work items are the denominators s, dealt to the workers in
+    contiguous slices; each s lists its coprime numerators once and runs
+    them in every base.  s is split and ord_p(k) found once per (k, s),
+    and a pair whose denominator has no part coprime to the base, or
+    whose coprime part shares a factor with k-1, has all its numerators
+    counted as skipped at once.  Each tested n/s gets the digit sum of
+    its real repetend, from one long division per remainder cycle (see
+    ``_main2_sums``), and the T'' test mod s*(k-1).  Failures are listed
+    by (base, n, s) whatever the number of workers.
     """
     bases = [_require_int(k, "base", 2) for k in bases]
     _require_int(n_bound, "n_bound", 0, PreconditionError)
     _require_int(s_bound, "s_bound", 0, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
-    pairs = [(k, s) for s in range(2, s_bound + 1) for k in bases]
-    return _run_chunked(partial(_run_main2_chunk, n_bound=n_bound), pairs, workers)
+    runner = partial(_run_main2_chunk, bases=bases, n_bound=n_bound)
+    return _run_chunked(runner, range(2, s_bound + 1), workers)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -133,12 +132,13 @@ def test_main1_splits_the_denominator_once(monkeypatch):
     bases, bound = range(4, 13), 12
     per_chunk = [(b, k) for k in bases if len(divisors(k)) > 2
                  for b in theorems._smooth_values(k, bound)]
-    units = theorems._main1_units(bases, bound)
-    assert theorems._run_main1_chunk(units, bound, 5)[:2] == (len(main1_tuples(bases, bound)), 0)
+    numerators = range(1, bound + 1)
+    assert (theorems._run_main1_chunk(numerators, bases, bound, 5)[:2]
+            == (len(main1_tuples(bases, bound)), 0))
     assert calls == per_chunk
     calls.clear()
-    for chunk in (units[0::2], units[1::2]):
-        theorems._run_main1_chunk(chunk, bound, 5)
+    for chunk in (numerators[:5], numerators[5:]):
+        theorems._run_main1_chunk(chunk, bases, bound, 5)
     assert calls == per_chunk + per_chunk
 
 
@@ -285,10 +285,10 @@ def test_fuzz_main1_is_deterministic_and_worker_invariant():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fuzz_main1_reports_every_failure_in_order(monkeypatch, workers):
     # A fake root of n % k fails many tuples and differs between bases for
-    # one n, so a memo of roots kept past its (k, a) unit, into the next
-    # base's units of an interleaved chunk, reports wrong failures.
+    # one n, so a memo of roots kept past its (k, a), into the next base of
+    # the same numerator, reports wrong failures.
     monkeypatch.setattr(theorems, "_trajectory", lambda n, k: [n % k])
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
     bases, bound, terms = range(4, 13), 12, 3
     expected = []
     for k, r, a, b in main1_tuples(bases, bound):
@@ -323,17 +323,21 @@ def test_fuzz_main1_reduces_each_distinct_n_once(monkeypatch):
     assert len(calls) == len(distinct) == 29558
 
 
-def test_main1_units_stay_small_at_a_large_bound():
+def test_sweeps_hand_plain_ranges_at_a_large_bound(monkeypatch):
     # At bound 3000 a list of every (k, r, a, b) tuple would hold 833,928
-    # entries, about 65 MiB, before the first verdict.
-    tracemalloc.start()
-    try:
-        units = theorems._main1_units(range(2, 17), 3000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(units) == 9 * 3000  # 4, 6, 8, 9, 10, 12, 14, 15 and 16
-    assert peak < 4 * 2**20
+    # entries, about 65 MiB, before the first verdict; the sweeps hand
+    # over one range of numerators or denominators instead.
+    handed = []
+
+    def recording(runner, items, workers):
+        handed.append((runner.keywords["bases"], items, workers))
+        return theorems.FuzzSummary(0, 0, 0, 0, 0, ())
+
+    monkeypatch.setattr(theorems, "_run_chunked", recording)
+    fuzz_main1(range(2, 17), 3000, 5, workers=2)
+    fuzz_main2(range(2, 17), 3000, 3000, workers=2)
+    bases = list(range(2, 17))
+    assert handed == [(bases, range(1, 3001), 2), (bases, range(2, 3001), 2)]
 
 
 def test_fuzz_main1_empty_ranges():
@@ -355,11 +359,10 @@ def test_fuzz_main2_small_sweep():
 
 
 def test_fuzz_main2_worker_invariant(monkeypatch):
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
     assert fuzz_main2(range(9, 12), 8, 8) == fuzz_main2(range(9, 12), 8, 8, workers=2)
-    # 8 denominators x 5 bases = 40 (k, s) pairs, dealt round-robin: with
-    # workers=2 and 3 every chunk mixes bases and denominators, and lists
-    # each s's numerators afresh.
+    # 8 denominators in contiguous slices of 4 and 4, or 2, 3 and 3: every
+    # chunk runs its denominators in all 5 bases.
     one = fuzz_main2(range(9, 14), 12, 9)
     assert one.tested > 0 and one.skipped > 0
     assert one == fuzz_main2(range(9, 14), 12, 9, workers=2)
@@ -408,9 +411,11 @@ def test_fuzz_main2_reports_every_failure_in_order(monkeypatch, workers):
 
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each
+    chunk's result, maps serially in this process."""
 
     opened = []
+    results = []
 
     def __init__(self, max_workers):
         self.opened.append(max_workers)
@@ -422,41 +427,75 @@ class RecordingExecutor:
         return False
 
     def map(self, fn, items):
-        return map(fn, items)
+        results = [fn(item) for item in items]
+        self.results.extend(results)
+        return results
 
 
-def test_run_chunked_opens_one_worker_per_chunk(monkeypatch):
+@pytest.fixture
+def recording_executor(monkeypatch):
     monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "opened", [])
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 8)
-    # 11 (k, s) pairs dealt round-robin make 5 chunks of 3, 2, 2, 2 and 2.
+    monkeypatch.setattr(RecordingExecutor, "results", [])
+    return RecordingExecutor
+
+
+def test_run_chunked_opens_one_worker_per_chunk(monkeypatch, recording_executor):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 8)
+    # 11 denominators in contiguous slices make 5 chunks of 2, 2, 2, 2 and 3.
     summary = fuzz_main2(range(5, 6), 10, 12, workers=5)
-    assert RecordingExecutor.opened == [5]
+    assert recording_executor.opened == [5]
     assert summary == fuzz_main2(range(5, 6), 10, 12)
 
 
-def test_run_chunked_deals_items_round_robin(monkeypatch):
-    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "opened", [])
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 8)
+def test_run_chunked_deals_contiguous_slices(monkeypatch, recording_executor):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 8)
     chunks = []
 
     def runner(chunk):
         chunks.append(chunk)
         return len(chunk), 0, 0, 0, []
 
-    summary = theorems._run_chunked(runner, list(range(11)), 5)
-    assert chunks == [[0, 5, 10], [1, 6], [2, 7], [3, 8], [4, 9]]
+    summary = theorems._run_chunked(runner, range(11), 5)
+    assert chunks == [range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 11)]
     assert summary.tested == 11
 
 
-def test_run_chunked_opens_at_most_one_worker_per_cpu(monkeypatch):
-    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "opened", [])
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+def test_run_chunked_opens_at_most_one_worker_per_cpu(monkeypatch, recording_executor):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
     summary = fuzz_main2(range(5, 6), 10, 12, workers=5000)
-    assert RecordingExecutor.opened == [2]
+    assert recording_executor.opened == [2]
     assert summary == fuzz_main2(range(5, 6), 10, 12)
+
+
+def test_run_chunked_counts_only_the_cpus_it_may_use(monkeypatch, recording_executor):
+    # Pinned to CPU 0 of an 8-CPU machine, as under `taskset -c 0`.
+    monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 8)
+    summary = fuzz_main2(range(5, 6), 10, 12, workers=2)
+    assert recording_executor.opened == []
+    assert summary == fuzz_main2(range(5, 6), 10, 12)
+
+
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    monkeypatch.delattr(theorems.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
+    assert theorems._cpu_count() == 3
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
+    assert theorems._cpu_count() == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_main1_chunks_share_the_work_evenly(monkeypatch, recording_executor, workers):
+    # Every numerator runs in every base, so contiguous slices of numerators
+    # cost about the same; round-robin units split by parity (12,606
+    # against 3,364 tuples for two workers).
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
+    summary = fuzz_main1(range(2, 17), 120, 5, workers=workers)
+    tested = [result[0] for result in recording_executor.results]
+    assert recording_executor.opened == [workers] and len(tested) == workers
+    assert sum(tested) == summary.tested == 15970
+    assert max(tested) <= 1.02 * min(tested)
 
 
 def test_fuzz_rejects_bad_worker_count():
