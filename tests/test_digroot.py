@@ -14,6 +14,8 @@ from radixroot import (
     tf_digit_sum,
     tf_digital_root,
 )
+from radixroot.digroot import _digit_sum, _trajectory
+from oracles import digits_brute
 
 
 def builtin_digit_sum(n: int, k: int) -> int:
@@ -80,6 +82,19 @@ def test_digit_sum_bounded_by_argument(n, k):
     s = digit_sum(n, k)
     assert s <= n
     assert (s == n) == (n < k)
+
+
+@given(st.integers(1, 10**12), st.integers(0, 40), st.integers(2, 60))
+def test_trailing_zero_digits_change_no_digit_sum_or_root(n, m, k):
+    # n * k^m is n's digits followed by m zeros: the main1 sweep's memo of
+    # roots relies on this to key each n on n without its trailing zeros.
+    shifted = n * k**m
+    assert digits_brute(shifted, k) == digits_brute(n, k) + [0] * m
+    assert _digit_sum(shifted, k) == _digit_sum(n, k) == sum(digits_brute(n, k))
+    root = n
+    while root >= k:
+        root = sum(digits_brute(root, k))
+    assert _trajectory(shifted, k)[-1] == _trajectory(n, k)[-1] == root
 
 
 @given(st.integers(1, 10**9), st.integers(3, 16))

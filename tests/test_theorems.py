@@ -302,10 +302,40 @@ def test_fuzz_main1_reports_every_failure_in_order(monkeypatch, workers):
     assert summary.tested == len(main1_tuples(bases, bound))
 
 
+def test_fuzz_main1_verdict_memo_is_scoped_to_one_base_and_divisor(monkeypatch):
+    # A fake root of n % 101 % k breaks the law, so README scale gives
+    # thousands of distinct root tuples and failures.  One tuple of roots
+    # can have different verdicts under another r or in another base, so a
+    # memo of verdicts keyed without r, or kept across bases, reports
+    # wrong failures; verify_main1 starts from an empty memo for each tuple.
+    monkeypatch.setattr(theorems, "_trajectory", lambda n, k: [n % 101 % k])
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    bases, bound, terms = range(2, 17), 120, 5
+    expected = []
+    tuples = set()
+    for k, r, a, b in main1_tuples(bases, bound):
+        report = verify_main1(Rational(a, b), r, k, terms)
+        tuples.add((k, r, tuple(t.root for t in report.terms)))
+        if not report.passed:
+            expected.append({"base": k, "r": r, "num": a, "den": b, "witness": report.witness})
+    assert len(tuples) > 4000 and len(expected) > 15000
+    for workers in (1, 2):
+        summary = fuzz_main1(bases, bound, terms, workers=workers)
+        assert summary.tested == 15970
+        assert summary.failures == tuple(expected)
+
+
+def without_trailing_zeros(n, k):
+    while n % k == 0:
+        n //= k
+    return n
+
+
 def test_fuzz_main1_reduces_each_distinct_n_once(monkeypatch):
     # README scale: the 15,970 tuples reach 95,820 values
-    # n_j = a * k^rho0 / b * (k/r)^j, of which 29,558 are distinct per
-    # (k, a); each of those is reduced once.
+    # n_j = a * k^rho0 / b * (k/r)^j.  Stripped of their trailing base-k
+    # zeros, which leaves every digit sum alone, 12,150 of them are
+    # distinct per (k, a); each of those is reduced once.
     calls = []
 
     def counting(n, k):
@@ -319,8 +349,9 @@ def test_fuzz_main1_reduces_each_distinct_n_once(monkeypatch):
     distinct = set()
     for k, r, a, b in main1_tuples(range(2, 17), 120):
         rho0 = next(e for e in range(b) if k**e % b == 0)
-        distinct.update((k, a, a * k**rho0 // b * (k // r)**j) for j in range(6))
-    assert len(calls) == len(distinct) == 29558
+        distinct.update((k, a, without_trailing_zeros(a * k**rho0 // b * (k // r)**j, k))
+                        for j in range(6))
+    assert len(calls) == len(distinct) == 12150
 
 
 def test_sweeps_hand_plain_ranges_at_a_large_bound(monkeypatch):
