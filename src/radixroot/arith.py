@@ -26,14 +26,48 @@ def _require_int(x: int, name: str, low: int | None = 0,
     return x
 
 
-def _digits_of(n: int, k: int) -> list[int]:
-    """Base-k digits of n >= 0, most significant first; [0] for n = 0."""
-    if n == 0:
-        return [0]
+# Numbers below 2^_SPLIT_BITS take one divmod per digit; larger ones are
+# first split by k^(2^i).  The value is a pick: on the digits of 5^60000
+# in bases 2, 10 and 40, cutoffs from 250 to 2,000 bits timed within 40%
+# of each other, and 500 was fastest or close to it in each base.
+_SPLIT_BITS = 500
+
+
+def _square_powers(n: int, k: int) -> list[int]:
+    """k, k^2, k^4, ... up to the first k^(2^i) whose square exceeds n."""
+    powers = [k]
+    # Square while the bit lengths allow the square to be <= n.
+    while 2 * powers[-1].bit_length() - 1 <= n.bit_length():
+        powers.append(powers[-1] * powers[-1])
+    return powers
+
+
+def _digits_of(n: int, k: int, width: int = 1, powers: list[int] | None = None,
+               i: int = 0) -> list[int]:
+    """Base-k digits of n >= 0, most significant first, left-padded with
+    zeros to ``width`` digits: [0] for n = 0.
+
+    Large n is split as hi * k^(2^i) + lo, each power computed once per
+    call (``powers``), so the cost is that of a few full-size divisions
+    rather than one per digit.  Every call takes n < powers[i]^2.
+    """
+    if n >> _SPLIT_BITS:
+        if powers is None:
+            powers = _square_powers(n, k)
+            i = len(powers) - 1
+        if i >= 0:
+            half = 1 << i
+            if n < powers[i] and width <= half:  # no digit at or above k^half
+                return _digits_of(n, k, width, powers, i - 1)
+            hi, lo = divmod(n, powers[i])
+            return (_digits_of(hi, k, width - half, powers, i - 1)
+                    + _digits_of(lo, k, half, powers, i - 1))
     out = []
     while n:
         n, d = divmod(n, k)
         out.append(d)
+    if width > len(out):
+        out.extend([0] * (width - len(out)))
     out.reverse()
     return out
 

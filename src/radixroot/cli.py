@@ -42,13 +42,13 @@ def parse_value_literal(text: str) -> Rational:
         num_text, _, den_text = text.partition("/")
         num, den = radix._decimal(num_text), radix._decimal(den_text)
         if num is None or den is None:
-            raise ParseError(f"invalid rational literal {text!r}", 0)
+            raise ParseError(f"invalid rational literal {radix._echo(text)}", 0)
         if den == 0:
-            raise ParseError(f"zero denominator in {text!r}", len(num_text) + 1)
+            raise ParseError(f"zero denominator in {radix._echo(text)}", len(num_text) + 1)
         return Rational(num, den)
     num = radix._decimal(text)
     if num is None:
-        raise ParseError(f"invalid number literal {text!r}", 0)
+        raise ParseError(f"invalid number literal {radix._echo(text)}", 0)
     return Rational(num)
 
 
@@ -58,9 +58,9 @@ def parse_base_range(text: str) -> range:
     low = radix._decimal(lo)
     high = radix._decimal(hi) if sep else low
     if low is None or high is None:
-        raise ParseError(f"invalid base range {text!r}", 0)
+        raise ParseError(f"invalid base range {radix._echo(text)}", 0)
     if high < low:
-        raise PreconditionError(f"inverted base range {text!r}")
+        raise PreconditionError(f"inverted base range {radix._echo(text)}")
     if low < 2:
         raise PreconditionError(f"bases must be >= 2, got {low}")
     return range(low, high + 1)

@@ -16,28 +16,51 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
-from .arith import Rational, _decimal_text, _digits_of, _require_int, divisors, factorize, totient
+from .arith import Rational, _decimal_text, _digits_of, _require_int, factorize, totient
 from .errors import DomainError, ParseError
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _DIGIT_VALUES = {ch: i for i, upper in enumerate(ALPHABET) for ch in (upper, upper.lower())}
+# Byte -> digit value, and digit value -> byte, for bytes.translate to read
+# and write a whole section of a base up to 36 at once.  Bytes that spell
+# no digit read as _NOT_A_DIGIT, which no such base has.
+_NOT_A_DIGIT = 255
+_VALUE_OF_BYTE = bytes(_DIGIT_VALUES.get(chr(b), _NOT_A_DIGIT) for b in range(256))
+_BYTE_OF_VALUE = ALPHABET.encode().ljust(256, b"\0")
+_DIGIT_BYTES = bytes(range(len(ALPHABET)))
+# Bases from 37 up to this one keep a table of their digits' names; the
+# table holds one name per digit of the base, so larger bases do without.
+_NAMED_BASES = 1024
+# Error messages quote at most this many characters of the input.
+_ECHO_CHARS = 60
 
 
 def _decimal(text: str) -> int | None:
     """Value of an ASCII decimal numeral, or None for any other text.
 
     This is the one rule for numbers typed as text: ``str.isdigit`` alone
-    also accepts non-ASCII digits such as '١' or '²'.
+    also accepts non-ASCII digits such as '١' or '²'.  Numerals past the
+    interpreter's int-string limit are read by ``_int_of``.
     """
     if not (text.isascii() and text.isdigit()):
         return None
     try:
         return int(text)
     except ValueError:  # longer than the interpreter's int-string limit
-        return None
+        return _int_of(text.encode().translate(_VALUE_OF_BYTE), 10)
+
+
+def _echo(text: str) -> str:
+    """``text`` quoted for an error message: whole up to _ECHO_CHARS
+    characters, else its first _ECHO_CHARS and its length."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
 class Kind(str, enum.Enum):
@@ -191,12 +214,19 @@ def _noncanonical(int_digits, frac_digits, repetend) -> tuple[str, str] | None:
 
 
 def _string_period(digits: tuple[int, ...]) -> int:
-    """Minimal t such that digits is a repetition of its first t entries."""
-    n = len(digits)
-    for t in divisors(n):
-        if digits == digits[:t] * (n // t):
-            return t
-    return n
+    """Minimal t such that digits is a repetition of its first t entries.
+
+    The periods that divide len(digits) are the multiples of the minimal
+    one, so t drops by each prime factor q while t/q is still a period:
+    while digits equals itself shifted by t/q.  That compare stops at the
+    first mismatch, which for a minimal repetend comes within a few
+    entries; slicing would copy the whole tuple twice first.
+    """
+    t = len(digits)
+    for q, _ in factorize(t).factors:
+        while t % q == 0 and all(map(operator.eq, islice(digits, t // q, None), digits)):
+            t //= q
+    return t
 
 
 # Digit strings up to this long convert by Horner's rule. The value is a
@@ -205,9 +235,9 @@ def _string_period(digits: tuple[int, ...]) -> int:
 _HORNER_DIGITS = 64
 
 
-def _int_of(digits: tuple[int, ...], k: int, powers: dict[int, int] | None = None) -> int:
+def _int_of(digits: tuple[int, ...] | bytes, k: int, powers: dict[int, int] | None = None) -> int:
     """The integer whose base-k digits, most significant first, are
-    ``digits``; 0 for no digits.
+    ``digits`` (a tuple, or bytes of digit values); 0 for no digits.
 
     Long strings are halved and joined as hi * k^len(lo) + lo, each power
     of k computed once per call (``powers``), so the cost is that of a few
@@ -229,9 +259,7 @@ def _int_of(digits: tuple[int, ...], k: int, powers: dict[int, int] | None = Non
 
 def _split_at_point(scaled: int, k: int, rho0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Digits of scaled/k^rho0: pad to rho0+1 digits and split at the point."""
-    digits = _digits_of(scaled, k)
-    if len(digits) < rho0 + 1:
-        digits = [0] * (rho0 + 1 - len(digits)) + digits
+    digits = _digits_of(scaled, k, rho0 + 1)
     if rho0 == 0:
         return tuple(digits), ()
     return tuple(digits[:-rho0]), tuple(digits[-rho0:])
@@ -312,11 +340,22 @@ def convert(r: PositionalRepr, k2: int, infinite: bool = False) -> PositionalRep
     return _encode(value_of(r), k2, infinite)
 
 
+@lru_cache(maxsize=32)
+def _digit_names(base: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The decimal names of the digits of a base from 37 to _NAMED_BASES,
+    and the value of each name."""
+    names = tuple(map(str, range(base)))
+    return names, dict(zip(names, range(base)))
+
+
 def _join_digits(digits, base: int) -> str:
     """Digits as text: one 0-9A-Z character each up to base 36, decimal
     numbers joined by commas above."""
     if base <= 36:
-        return "".join(ALPHABET[d] for d in digits)
+        return bytes(digits).translate(_BYTE_OF_VALUE).decode("ascii")
+    if base <= _NAMED_BASES:
+        names = _digit_names(base)[0]
+        return ",".join([names[d] for d in digits])
     return ",".join(map(_decimal_text, digits))
 
 
@@ -333,21 +372,40 @@ def format_repr(r: PositionalRepr) -> str:
 def _tokenize(section: str, start: int, base: int, placeholder: bool = False) -> tuple[int | None, ...]:
     """Digit values of ``section``, which begins at offset ``start`` of the
     input: one character per digit up to base 36, comma-separated ASCII
-    decimals above.  With ``placeholder`` a '?' digit reads as None."""
+    decimals above.  With ``placeholder`` a '?' digit reads as None.
+
+    A section of plain digits is read whole: up to base 36 by one
+    bytes.translate, above by one lookup of each name.  Only when that
+    fails -- a leading zero above base 36, a digit past the name table,
+    or an error -- are the tokens walked one by one, and the walk raises
+    at the first offender.  A ``placeholder`` pattern is always walked:
+    it is short, and its '?' would fail the whole-section read.
+    """
     if not section:
         return ()
+    tokens = section if base <= 36 else section.split(",")
+    if not placeholder:
+        if base <= 36:
+            # A non-ASCII character encodes as one '?', which spells no digit.
+            values = section.encode("ascii", "replace").translate(_VALUE_OF_BYTE)
+            if not values.translate(None, _DIGIT_BYTES[:base]):
+                return tuple(values)
+        elif base <= _NAMED_BASES:
+            try:
+                return tuple(map(_digit_names(base)[1].__getitem__, tokens))
+            except KeyError:
+                pass
+    lookup = _DIGIT_VALUES.get if base <= 36 else _decimal
     out = []
     pos = start
-    for token in section if base <= 36 else section.split(","):
-        if placeholder and token == "?":
-            value = None
-        else:
-            value = _DIGIT_VALUES.get(token) if base <= 36 else _decimal(token)
-            if value is None:
+    for token in tokens:
+        value = lookup(token)
+        if value is None:
+            if not (placeholder and token == "?"):
                 kind = "character" if base <= 36 else "token"
-                raise ParseError(f"invalid digit {kind} {token!r}", pos)
-            if value >= base:
-                raise ParseError(f"digit {token!r} is >= base {base}", pos)
+                raise ParseError(f"invalid digit {kind} {_echo(token)}", pos)
+        elif value >= base:
+            raise ParseError(f"digit {_echo(token)} is >= base {_decimal_text(base)}", pos)
         out.append(value)
         pos += len(token) + (base > 36)
     return tuple(out)

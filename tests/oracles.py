@@ -151,3 +151,63 @@ def main1_roots_brute(num: int, den: int, r: int, k: int, terms: int) -> list[in
             x = sum(digits_brute(x, k))
         roots.append(x)
     return roots
+
+
+class TokenizeBruteError(ValueError):
+    """What ``tokenize_brute`` raises: the message and position that the
+    library's ParseError must carry for the same input."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.message = message
+        self.position = position
+
+
+def tokenize_brute(section: str, start: int, base: int, placeholder: bool = False):
+    """Digit values of a bracket-notation section, one token at a time:
+    one 0-9A-Z character (either case) per digit up to base 36, comma-
+    separated ASCII decimal numerals above.  With ``placeholder`` a '?'
+    token reads as None.  Raises TokenizeBruteError with the message and
+    position of the first bad token."""
+    alphabet = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+    def decimal(token):
+        if not token or any(c not in "0123456789" for c in token):
+            return None
+        n = 0
+        for c in token:
+            n = n * 10 + "0123456789".index(c)
+        return n
+
+    if not section:
+        return ()
+    out = []
+    pos = start
+    for token in section if base <= 36 else section.split(","):
+        if placeholder and token == "?":
+            value = None
+        else:
+            if base > 36:
+                value = decimal(token)
+            elif token.isascii() and token.upper() in alphabet:
+                value = alphabet.index(token.upper())
+            else:
+                value = None
+            if value is None:
+                kind = "character" if base <= 36 else "token"
+                raise TokenizeBruteError(f"invalid digit {kind} {token!r}", pos)
+            if value >= base:
+                raise TokenizeBruteError(f"digit {token!r} is >= base {base}", pos)
+        out.append(value)
+        pos += len(token) + (base > 36)
+    return tuple(out)
+
+
+def string_period_brute(digits) -> int:
+    """Smallest t dividing len(digits) with digits a repetition of its
+    first t entries, trying every t in turn."""
+    n = len(digits)
+    for t in range(1, n + 1):
+        if n % t == 0 and list(digits) == list(digits[:t]) * (n // t):
+            return t
+    return n

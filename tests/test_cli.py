@@ -288,7 +288,6 @@ def test_literal_and_range_parsing():
         (parse_value_literal, "3/\u0661"),
         (parse_value_literal, "\u00b2"),
         (parse_value_literal, "5/0"),
-        pytest.param(parse_value_literal, "1" * 5000, id="past-int-string-limit"),
         (parse_value_literal, "[1]_\u00b2"),
         (parse_base_range, "\u0661\u0660"),
         (parse_base_range, "1_6"),
@@ -309,6 +308,31 @@ def test_value_literals_raise_only_positioned_parse_errors(text):
         parse_value_literal(text)
     except ParseError as exc:
         assert 0 <= exc.position <= len(text)
+
+
+def test_literals_past_the_int_string_limit_parse(capsys):
+    assert parse_value_literal("1" * 5000) == Rational((10**5000 - 1) // 9)
+    assert parse_value_literal("1" * 5000 + "/" + "3" * 5000) == Rational(1, 3)
+    code, out, _ = run_cli(capsys, "digroot", "9" * 4999 + "8", "--base", "10")
+    assert code == 0
+    assert out == run_cli(capsys, "digroot", "[" + "9" * 4999 + "8]_10", "--base", "10")[1]
+    assert out.startswith("root=8 ")
+
+
+@pytest.mark.parametrize(
+    "parser, text, message",
+    [
+        (parse_value_literal, "x" + "1" * 5000, "invalid number literal"),
+        (parse_value_literal, "1" * 5000 + "/x", "invalid rational literal"),
+        (parse_value_literal, "1" * 5000 + "/0", "zero denominator in"),
+        (parse_base_range, "1" * 5000 + "..x", "invalid base range"),
+    ],
+)
+def test_parse_errors_quote_long_literals_by_prefix_and_length(parser, text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parser(text)
+    assert str(excinfo.value).startswith(f"{message} {text[:60]!r}... ({len(text)} characters)")
+    assert len(str(excinfo.value)) < 200
 
 
 def test_bad_literals_exit_2(capsys):

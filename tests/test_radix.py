@@ -29,15 +29,20 @@ from radixroot import (
     verify_main1,
 )
 from radixroot import arith, radix
-from radixroot.radix import _digits_of, _int_of, _smooth_split
+from radixroot.arith import _SPLIT_BITS
+from radixroot.digroot import _digit_sum
+from radixroot.radix import _digits_of, _int_of, _smooth_split, _string_period, _tokenize
 
 from oracles import (
+    TokenizeBruteError,
     closed_form_repetend,
     digits_brute,
     int_of_digits_brute,
     long_division_digits,
     multiplicative_order_brute,
     smooth_split_brute,
+    string_period_brute,
+    tokenize_brute,
 )
 
 rationals = st.builds(Rational, st.integers(0, 500), st.integers(1, 500))
@@ -222,6 +227,29 @@ def test_digit_conversion_matches_naive_loops(n_k):
     assert _int_of((), k) == 0
 
 
+@st.composite
+def naturals_near_split_points(draw):
+    """(n, k): n within a few bits of _SPLIT_BITS times 1, 2, 4 or 8 (one
+    to four split levels), or within 2 of a power k^(2^i) that the split
+    divides by; k in 2..70, or far above a machine word."""
+    k = draw(st.one_of(st.integers(2, 70), st.just(2**64 + 13)))
+    if draw(st.booleans()):
+        bits = _SPLIT_BITS * draw(st.sampled_from([1, 2, 4, 8])) + draw(st.integers(-3, 3))
+        return draw(st.integers(2 ** (bits - 1), 2**bits - 1)), k
+    i = draw(st.integers(0, (40000 // k.bit_length()).bit_length() - 1))
+    return max(k ** (2**i) + draw(st.integers(-2, 2)), 0), k
+
+
+@settings(max_examples=150)
+@given(naturals_near_split_points(), st.integers(0, 40))
+def test_split_digit_kernels_match_brute_near_split_points(n_k, pad):
+    n, k = n_k
+    digits = digits_brute(n, k)
+    assert _digits_of(n, k) == digits
+    assert _digits_of(n, k, len(digits) + pad) == [0] * pad + digits
+    assert _digit_sum(n, k) == sum(digits)
+
+
 def test_digit_conversion_edges():
     assert _int_of((1,) + (0,) * 5000, 3) == 3**5000
     assert _int_of((2,) * 5000, 3) == 3**5000 - 1
@@ -250,6 +278,23 @@ def test_long_repetends_match_closed_form_and_long_division(k, p, t):
     assert r.period == t
     assert r.repetend == closed_form_repetend(num % p, p, k)
     assert (list(r.int_digits), list(r.frac_digits), list(r.repetend)) == long_division_digits(num, p, k)
+
+
+# (base, prime p, ord_p(base)): periods near 65,000
+ROUND_TRIP_PERIODS = [
+    (2, 65011, 65010), (10, 65029, 65028), (16, 128047, 64023),
+    (36, 128033, 64016), (40, 65033, 65032), (60, 65003, 65002),
+]
+
+
+@pytest.mark.parametrize("k, p, t", ROUND_TRIP_PERIODS)
+def test_long_repetends_round_trip_through_text(k, p, t):
+    q = Rational(1, p)
+    r = to_repeating(q, k)
+    assert r.period == t
+    assert parse(format_repr(r)) == r
+    assert value_of(r) == q
+    assert list(r.repetend) == long_division_digits(1, p, k)[2]
 
 
 def test_long_repetend_round_trips_through_comma_notation():
@@ -425,7 +470,6 @@ def test_parse_format_round_trip(num, den, k):
         "[1]_\u00b2",
         "[1,\u00b2]_40",
         "[\u0131]_36",
-        pytest.param("[1]_" + "1" * 5000, id="base-past-int-string-limit"),
         pytest.param("[1," + "1" * 5000 + "]_40", id="digit-past-int-string-limit"),
     ],
 )
@@ -435,6 +479,82 @@ def test_parse_rejects_malformed_input_with_position(text):
     assert isinstance(excinfo.value.position, int)
     assert 0 <= excinfo.value.position <= len(text) + 1
     assert "position" in str(excinfo.value)
+
+
+def test_parse_reads_a_base_past_the_int_string_limit():
+    r = parse("[1]_" + "1" * 5000)
+    assert r.base == (10**5000 - 1) // 9
+    assert (r.int_digits, r.frac_digits, r.repetend) == ((1,), (), ())
+
+
+def test_parse_errors_quote_long_tokens_by_prefix_and_length():
+    with pytest.raises(ParseError) as excinfo:
+        parse("[1," + "1" * 5000 + "]_40")
+    assert excinfo.value.position == 3
+    message = str(excinfo.value)
+    assert message.startswith("digit '" + "1" * 60 + "'... (5000 characters) is >= base 40")
+    assert len(message) < 200
+    # A short token is still quoted whole.
+    assert str(pytest.raises(ParseError, parse, "[1,99]_40").value) == (
+        "digit '99' is >= base 40 (at position 3)")
+
+
+# Characters that are not ASCII digits but look or fold like them: an
+# Arabic-Indic one, a superscript two, a dotless i (upper case 'I'), the
+# Kelvin sign (lower case 'k') and a mathematical bold digit.
+LOOKALIKES = "\u0661\u00b2\u0131\u212a\U0001d7cf"
+low_base_sections = st.one_of(
+    st.text(alphabet="0123456789abczAXYZ", max_size=24),
+    st.text(alphabet="0123456789abczAXYZ?.,_ " + LOOKALIKES, max_size=24),
+)
+high_base_tokens = st.one_of(
+    st.integers(0, 90).map(str),
+    st.integers(0, 90).map(lambda n: "0" + str(n)),
+    st.sampled_from(["", "?", "??", "a", "1a", "+1", " 1", "1_0"]),
+    st.text(alphabet="0123456789?" + LOOKALIKES, max_size=4),
+)
+high_base_sections = st.one_of(
+    st.lists(st.integers(0, 90).map(str), max_size=8).map(",".join),
+    st.lists(high_base_tokens, max_size=8).map(",".join),
+)
+
+
+def tokenize_outcome(section: str, start: int, base: int, placeholder: bool):
+    """The library's digits, or its error as (message, position), beside
+    the same for tokenize_brute."""
+    try:
+        got = _tokenize(section, start, base, placeholder)
+    except ParseError as exc:
+        got = (str(exc), exc.position)
+    try:
+        want = tokenize_brute(section, start, base, placeholder)
+    except TokenizeBruteError as exc:
+        want = (f"{exc.message} (at position {exc.position})", exc.position)
+    return got, want
+
+
+@settings(max_examples=400)
+@given(st.integers(2, 36), low_base_sections, st.integers(0, 5), st.booleans())
+def test_tokenize_matches_brute_up_to_base_36(base, section, start, placeholder):
+    got, want = tokenize_outcome(section, start, base, placeholder)
+    assert got == want
+
+
+@settings(max_examples=400)
+@given(st.integers(37, 70), high_base_sections, st.integers(0, 5), st.booleans())
+def test_tokenize_matches_brute_above_base_36(base, section, start, placeholder):
+    got, want = tokenize_outcome(section, start, base, placeholder)
+    assert got == want
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=12), st.integers(1, 30),
+       st.integers(0, 400), st.integers(0, 2))
+def test_string_period_matches_brute(block, times, where, new):
+    digits = block * times
+    if where < len(digits):  # break the repetition in one place, sometimes
+        digits[where] = new
+    digits = tuple(digits)
+    assert _string_period(digits) == string_period_brute(digits)
 
 
 bracket_literals = st.builds(
