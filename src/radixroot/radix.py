@@ -21,17 +21,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .arith import Rational, _decimal_text, _digits_of, _require_int, factorize, totient
+from .arith import (
+    ALPHABET,
+    _BYTE_OF_VALUE,
+    Rational,
+    _decimal_text,
+    _digits_of,
+    _int_of,
+    _int_of_text,
+    _require_int,
+    factorize,
+    totient,
+)
 from .errors import DomainError, ParseError
 
-ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _DIGIT_VALUES = {ch: i for i, upper in enumerate(ALPHABET) for ch in (upper, upper.lower())}
-# Byte -> digit value, and digit value -> byte, for bytes.translate to read
-# and write a whole section of a base up to 36 at once.  Bytes that spell
-# no digit read as _NOT_A_DIGIT, which no such base has.
+# Byte -> digit value, for bytes.translate to read a whole section of a
+# base up to 36 at once (arith._BYTE_OF_VALUE writes one).  Bytes that
+# spell no digit read as _NOT_A_DIGIT, which no such base has.
 _NOT_A_DIGIT = 255
 _VALUE_OF_BYTE = bytes(_DIGIT_VALUES.get(chr(b), _NOT_A_DIGIT) for b in range(256))
-_BYTE_OF_VALUE = ALPHABET.encode().ljust(256, b"\0")
 _DIGIT_BYTES = bytes(range(len(ALPHABET)))
 # Bases from 37 up to this one keep a table of their digits' names; the
 # table holds one name per digit of the base, so larger bases do without.
@@ -44,15 +53,12 @@ def _decimal(text: str) -> int | None:
     """Value of an ASCII decimal numeral, or None for any other text.
 
     This is the one rule for numbers typed as text: ``str.isdigit`` alone
-    also accepts non-ASCII digits such as '١' or '²'.  Numerals past the
-    interpreter's int-string limit are read by ``_int_of``.
+    also accepts non-ASCII digits such as '١' or '²'.  Numerals of any
+    length are read, also past the interpreter's int-string limit.
     """
     if not (text.isascii() and text.isdigit()):
         return None
-    try:
-        return int(text)
-    except ValueError:  # longer than the interpreter's int-string limit
-        return _int_of(text.encode().translate(_VALUE_OF_BYTE), 10)
+    return _int_of_text(text, 10)
 
 
 def _echo(text: str) -> str:
@@ -227,34 +233,6 @@ def _string_period(digits: tuple[int, ...]) -> int:
         while t % q == 0 and all(map(operator.eq, islice(digits, t // q, None), digits)):
             t //= q
     return t
-
-
-# Digit strings up to this long convert by Horner's rule. The value is a
-# pick: cutoffs from 16 to 256 timed within noise of each other on strings
-# of 300 to 66,000 digits in bases 2, 10 and 40.
-_HORNER_DIGITS = 64
-
-
-def _int_of(digits: tuple[int, ...] | bytes, k: int, powers: dict[int, int] | None = None) -> int:
-    """The integer whose base-k digits, most significant first, are
-    ``digits`` (a tuple, or bytes of digit values); 0 for no digits.
-
-    Long strings are halved and joined as hi * k^len(lo) + lo, each power
-    of k computed once per call (``powers``), so the cost is that of a few
-    full-size multiplications rather than one per digit.
-    """
-    if len(digits) <= _HORNER_DIGITS:
-        n = 0
-        for d in digits:
-            n = n * k + d
-        return n
-    if powers is None:
-        powers = {}
-    mid = len(digits) // 2
-    width = len(digits) - mid
-    if width not in powers:
-        powers[width] = k**width
-    return _int_of(digits[:mid], k, powers) * powers[width] + _int_of(digits[mid:], k, powers)
 
 
 def _split_at_point(scaled: int, k: int, rho0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,7 +1,9 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radixroot import (
@@ -29,7 +31,7 @@ from radixroot import (
     verify_main1,
 )
 from radixroot import arith, radix
-from radixroot.arith import _SPLIT_BITS
+from radixroot.arith import _INT_LEAF, _SPLIT_BITS
 from radixroot.digroot import _digit_sum
 from radixroot.radix import _digits_of, _int_of, _smooth_split, _string_period, _tokenize
 
@@ -261,6 +263,64 @@ def test_digit_conversion_edges():
     assert _int_of(digits, huge) == n
 
 
+@st.composite
+def digit_strings_near_leaf_splits(draw):
+    """(digits, k): k in 2..60, each power of two drawn as often as the
+    other bases together; the length within 2 of _INT_LEAF * 2^i for
+    i = 0..5, where the int() leaves split; random digits, all k - 1, or
+    a 1 then zeros, behind up to 3 leading zeros or all zeros."""
+    k = draw(st.one_of(st.sampled_from((2, 4, 8, 16, 32)), st.integers(2, 60)))
+    length = _INT_LEAF * 2 ** draw(st.integers(0, 5)) + draw(st.integers(-2, 2))
+    zeros = draw(st.one_of(st.integers(0, 3), st.just(length)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    body = draw(st.sampled_from([
+        tuple(rng.randrange(k) for _ in range(length - zeros)),
+        (k - 1,) * (length - zeros),
+        (1,) + (0,) * (length - zeros - 1),
+    ]))
+    return (0,) * zeros + body[:length - zeros], k
+
+
+LONGEST = _INT_LEAF * 32 + 2
+
+
+@settings(max_examples=80)
+@example(((1,) * LONGEST, 2))
+@example(((3,) * LONGEST, 4))
+@example(((7,) * LONGEST, 8))
+@example(((15,) * LONGEST, 16))
+@example(((31,) * LONGEST, 32))
+@given(digit_strings_near_leaf_splits())
+def test_int_of_matches_brute_around_leaf_splits(digits_k):
+    digits, k = digits_k
+    assert _int_of(digits, k) == int_of_digits_brute(digits, k)
+    assert _int_of(digits[:1], k) == int_of_digits_brute(digits[:1], k)
+    assert _int_of((), k) == 0
+
+
+@pytest.fixture
+def lowest_int_string_limit():
+    """The interpreter's int-string limit at its lowest nonzero setting,
+    restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_conversions_are_exact_under_the_lowest_int_string_limit(lowest_int_string_limit):
+    assert sys.get_int_max_str_digits() == 640
+    for k in (2, 3, 10, 16, 36, 40):
+        for n in (640, 1024, 5000):
+            assert _int_of((1,) + (0,) * n, k) == k**n
+            assert _int_of((k - 1,) * n, k) == k**n - 1
+    q = Rational(1, 65029)
+    r = to_repeating(q, 10)
+    assert r.period == 65028
+    assert value_of(r) == q
+    assert radix._decimal("9" * 4999 + "8") == 10**5000 - 2
+
+
 # (base, prime p, ord_p(base)): periods from 10^3 to about 2 * 10^4
 LONG_PERIODS = [
     (2, 1019, 1018), (2, 4003, 4002), (2, 20029, 20028),
@@ -280,8 +340,9 @@ def test_long_repetends_match_closed_form_and_long_division(k, p, t):
     assert (list(r.int_digits), list(r.frac_digits), list(r.repetend)) == long_division_digits(num, p, k)
 
 
-# (base, prime p, ord_p(base)): periods near 65,000
+# (base, prime p, ord_p(base)): periods near 12,000 and 65,000
 ROUND_TRIP_PERIODS = [
+    (2, 12011, 12010), (10, 12011, 12010), (16, 24019, 12009),
     (2, 65011, 65010), (10, 65029, 65028), (16, 128047, 64023),
     (36, 128033, 64016), (40, 65033, 65032), (60, 65003, 65002),
 ]
@@ -293,7 +354,7 @@ def test_long_repetends_round_trip_through_text(k, p, t):
     r = to_repeating(q, k)
     assert r.period == t
     assert parse(format_repr(r)) == r
-    assert value_of(r) == q
+    assert value_of(parse(format_repr(r))) == q
     assert list(r.repetend) == long_division_digits(1, p, k)[2]
 
 
