@@ -72,15 +72,21 @@ def _digits_of(n: int, k: int, width: int = 1, powers: list[int] | None = None,
     return out
 
 
+def _digit_sum(n: int, k: int) -> int:
+    """Sum of the base-k digits of n >= 0, split by _digits_of when large."""
+    if n >> _SPLIT_BITS:
+        return sum(_digits_of(n, k))
+    s = 0
+    while n:
+        n, d = divmod(n, k)
+        s += d
+    return s
+
+
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # Digit value -> byte, for bytes.translate to spell a whole string of digits
 # of a base up to 36 at once.
 _BYTE_OF_VALUE = ALPHABET.encode().ljust(256, b"\0")
-# In bases up to 36, strings up to this many digits convert by Horner's
-# rule and longer ones through int().  Timed in bases 2, 3, 10, 16 and 36:
-# at 3 digits Horner takes 0.15-0.3 us and int() 0.3-0.55 us; they tie
-# at 8 to 10 digits, and at 16 int() takes half Horner's time.
-_SHORT_DIGITS = 8
 # int() reads at most this many characters at once in a base that is not
 # a power of two.  It is sys.int_info.str_digits_check_threshold, the
 # lowest int-string limit other than 0 that sys.set_int_max_str_digits
@@ -88,7 +94,7 @@ _SHORT_DIGITS = 8
 # 640 characters timed within 30% of each other on 700 to 65,000 digits
 # in bases 3, 10 and 36, and 640 was fastest or close to it.
 _INT_LEAF = 640
-# Above base 36, digit strings are halved down to leaves of at most this
+# Above base 36, digit strings are split down to leaves of at most this
 # many digits, which _int_of reads by Horner's rule.  The value is a pick:
 # on strings of 300 to 66,000 digits in bases 40 and 60, cutoffs from 32
 # to 256 timed within 30% of each other with no steady winner, and 16 was
@@ -96,44 +102,42 @@ _INT_LEAF = 640
 _HORNER_DIGITS = 64
 
 
-def _halves(digits, k: int, leaf: int, read, powers: dict[int, int]) -> int:
-    """``read(digits, k)`` for at most ``leaf`` digits; longer strings are
-    halved and joined as hi * k^len(lo) + lo, each power of k computed once
-    per call (``powers``), so the cost is that of a few full-size
-    multiplications rather than one per digit."""
+def _joined(digits, k: int, leaf: int, read, powers: list[int] | None = None) -> int:
+    """``read(digits, k)`` for at most ``leaf`` digits.  Longer strings are
+    hi * k^(2^i) + lo, with lo the last 2^i digits and 2^i the largest power
+    of two below the length, as _digits_of splits; each k^(2^i) is squared
+    from the one below once per call (``powers``)."""
     if len(digits) <= leaf:
         return read(digits, k)
-    mid = len(digits) // 2
-    width = len(digits) - mid
-    if width not in powers:
-        powers[width] = k**width
-    return (_halves(digits[:mid], k, leaf, read, powers) * powers[width]
-            + _halves(digits[mid:], k, leaf, read, powers))
+    i = (len(digits) - 1).bit_length() - 1
+    if powers is None:
+        powers = [k]
+        while len(powers) <= i:
+            powers.append(powers[-1] * powers[-1])
+    return (_joined(digits[:-(1 << i)], k, leaf, read, powers) * powers[i]
+            + _joined(digits[-(1 << i):], k, leaf, read, powers))
 
 
 def _int_of_text(text: str | bytes, k: int) -> int:
     """The integer spelled by ``text``, a nonempty string of base-k digit
-    characters with 2 <= k <= 36, whatever the int-string limit.
-
-    int() reads power-of-two bases in linear time and past any limit;
-    other bases are read in leaves of at most _INT_LEAF characters.
-    """
-    if len(text) <= _INT_LEAF or k & (k - 1) == 0:
+    characters with 2 <= k <= 36, whatever the int-string limit: int() reads
+    power-of-two bases whole in linear time, others in _INT_LEAF leaves."""
+    if k & (k - 1) == 0:
         return int(text, k)
-    return _halves(text, k, _INT_LEAF, int, {})
+    return _joined(text, k, _INT_LEAF, int)
 
 
 def _int_of(digits, k: int) -> int:
     """The integer whose base-k digits, most significant first, are
     ``digits`` (a sequence of digit values); 0 for no digits."""
-    if len(digits) <= (_SHORT_DIGITS if k <= 36 else _HORNER_DIGITS):
-        n = 0
-        for d in digits:
-            n = n * k + d
-        return n
     if k <= 36:
-        return _int_of_text(bytes(digits).translate(_BYTE_OF_VALUE), k)
-    return _halves(digits, k, _HORNER_DIGITS, _int_of, {})
+        return _int_of_text(bytes(digits).translate(_BYTE_OF_VALUE), k) if digits else 0
+    if len(digits) > _HORNER_DIGITS:
+        return _joined(digits, k, _HORNER_DIGITS, _int_of)
+    n = 0
+    for d in digits:
+        n = n * k + d
+    return n
 
 
 def _decimal_text(n: int) -> str:

@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields
 
 from . import digroot, modring, radix, theorems
-from .arith import Rational, _decimal_text
+from .arith import Rational
 from .errors import DomainError, ParseError, PreconditionError
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _resolve_workers(flag_value: int | None) -> int:
 
 
 def _rational_json(q: Rational) -> dict:
-    return {"num": _decimal_text(q.num), "den": _decimal_text(q.den)}
+    return {"num": str(q.num), "den": str(q.den)}
 
 
 def _field_dict(report, *skip: str) -> dict:
@@ -333,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Numbers print in full; the caller's int-string limit comes back after.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         inputs, result, text, passed = args.func(args)
         if args.json:
@@ -352,6 +355,8 @@ def main(argv=None) -> int:
         # unwritten output does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_VIOLATION if passed is False else EXIT_OK
 
 

@@ -7,21 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import _SPLIT_BITS, Rational, _decimal_text, _digits_of, _require_int
+from .arith import Rational, _decimal_text, _digit_sum, _require_int
 from .errors import DomainError
 from .radix import _terminating_split
-
-
-def _digit_sum(n: int, k: int) -> int:
-    """Sum of the base-k digits of n >= 0.  Large n sums the digits that
-    ``arith._digits_of`` finds by splitting."""
-    if n >> _SPLIT_BITS:
-        return sum(_digits_of(n, k))
-    s = 0
-    while n:
-        n, d = divmod(n, k)
-        s += d
-    return s
 
 
 def _trajectory(n: int, k: int) -> list[int]:

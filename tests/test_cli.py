@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import radixroot
 from radixroot.cli import main, parse_base_range, parse_value_literal
 from radixroot import ParseError, PreconditionError, Rational
+from radixroot.arith import _decimal_text
 
 from oracles import digits_brute
 
@@ -109,6 +110,34 @@ def test_values_past_the_int_string_limit_render_in_both_modes(capsys):
     code, out, _ = run_cli(capsys, "convert", literal, "--to", "10", "--json")
     assert code == 0
     assert json.loads(out)["inputs"]["value"] == {"num": decimal, "den": "1"}
+
+
+BIG_BASE = 2**16700  # 5,028 digits, past the interpreter's 4,300-digit limit
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+@pytest.mark.parametrize("argv, code, number, path, in_text", [
+    (["verify", "main1", "--q", "1", "--r", "2", "--base", BIG_BASE], 0, BIG_BASE,
+     ("inputs", "base"), True),
+    (["digroot", 10**5000, "--base", BIG_BASE], 0, 10**5000, ("result", "root"), True),
+    # The text names only the kind, rho0 and the period.
+    (["classify", "5", "--base", BIG_BASE], 0, BIG_BASE, ("inputs", "base"), False),
+    # The value terminates, so the check reports FAIL with a reason.
+    (["verify", "main2", "--n", 10**5000 + 1, "--s", "1048576", "--base", "10"], 1,
+     10**5000 + 1, ("inputs", "n"), True),
+], ids=["main1", "digroot", "classify", "main2"])
+def test_integers_past_the_int_string_limit_print_in_full(
+        capsys, argv, code, number, path, in_text, json_flag):
+    limit = sys.get_int_max_str_digits()
+    argv = [a if isinstance(a, str) else _decimal_text(a) for a in argv]
+    got, out, err = run_cli(capsys, *argv, *["--json"] * json_flag)
+    assert (got, err) == (code, "")
+    assert sys.get_int_max_str_digits() == limit
+    if json_flag:
+        doc = json.loads(out, parse_int=str)
+        assert doc[path[0]][path[1]] == _decimal_text(number)
+    elif in_text:
+        assert _decimal_text(number) in out
 
 
 def test_unexpected_errors_are_not_reported_as_usage_errors(monkeypatch):

@@ -267,11 +267,17 @@ def test_digit_conversion_edges():
 def digit_strings_near_leaf_splits(draw):
     """(digits, k): k in 2..60, each power of two drawn as often as the
     other bases together; the length within 2 of _INT_LEAF * 2^i for
-    i = 0..5, where the int() leaves split; random digits, all k - 1, or
-    a 1 then zeros, behind up to 3 leading zeros or all zeros."""
+    i = 0..5, where the int() leaves split, within 2 of 2^i for i = 0..15,
+    where the joins split (64 is the leaf above base 36), or 0..10; random
+    digits, all k - 1, or a 1 then zeros, behind up to 3 leading zeros or
+    all zeros."""
     k = draw(st.one_of(st.sampled_from((2, 4, 8, 16, 32)), st.integers(2, 60)))
-    length = _INT_LEAF * 2 ** draw(st.integers(0, 5)) + draw(st.integers(-2, 2))
-    zeros = draw(st.one_of(st.integers(0, 3), st.just(length)))
+    length = max(0, draw(st.one_of(
+        st.builds(lambda i, d: _INT_LEAF * 2**i + d, st.integers(0, 5), st.integers(-2, 2)),
+        st.builds(lambda i, d: 2**i + d, st.integers(0, 15), st.integers(-2, 2)),
+        st.integers(0, 10),
+    )))
+    zeros = min(draw(st.one_of(st.integers(0, 3), st.just(length))), length)
     rng = random.Random(draw(st.integers(0, 2**32)))
     body = draw(st.sampled_from([
         tuple(rng.randrange(k) for _ in range(length - zeros)),
@@ -311,7 +317,7 @@ def lowest_int_string_limit():
 def test_conversions_are_exact_under_the_lowest_int_string_limit(lowest_int_string_limit):
     assert sys.get_int_max_str_digits() == 640
     for k in (2, 3, 10, 16, 36, 40):
-        for n in (640, 1024, 5000):
+        for n in (1, 8, 9, 640, 1024, 5000):
             assert _int_of((1,) + (0,) * n, k) == k**n
             assert _int_of((k - 1,) * n, k) == k**n - 1
     q = Rational(1, 65029)
