@@ -10,8 +10,11 @@ Exit codes: 0 = success / check verified, 1 = check violation found,
 2 = usage, parse, or precondition error, 141 (128 + SIGPIPE) = the reader
 closed stdout before all output was written.  ``--json`` switches every
 subcommand to a single JSON document on stdout; diagnostics go to stderr.
-Rationals are serialized as {"num": "...", "den": "..."} strings so that
-consumers never overflow, digit lists as arrays of integers.
+Rationals are serialized as {"num": "...", "den": "..."} strings, digit
+lists as arrays of integers, and every other integer (a base, n, a root)
+as a JSON number, printed in full however long.  Python's ``json`` reads a
+number past 4,300 digits only with ``parse_int=str`` or with the
+int-string limit lifted (``sys.set_int_max_str_digits(0)``).
 """
 
 from __future__ import annotations

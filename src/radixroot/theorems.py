@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 from .arith import Rational, _decimal_text, _require_int, divisors, factorize
 from .digroot import _digit_sum, _scaled, _trajectory
@@ -51,20 +53,20 @@ def _require_main1_args(q: Rational, r: int, k: int) -> tuple[int, int, int]:
     return split
 
 
-def _main1(num: int, split: tuple[int, int, int], r: int, k: int, terms_max: int,
-           memo: dict[int, int],
+def _main1(n0: int, r: int, k: int, terms_max: int, memo: dict[int, int],
            verdicts: dict[tuple[int, ...], tuple[bool, int | None]],
            ) -> tuple[tuple[int, ...], bool, int | None]:
-    """The main1 kernel for q = num/den, given the split (den, 1, rho0):
-    the roots R_j of q/r^j for j = 0..terms_max, whether every
+    """The main1 kernel for q = n0 / k^rho0, with n0 = k^rho0 * q an
+    integer: the roots R_j of q/r^j for j = 0..terms_max, whether every
     r^j * R_j = R_0 mod k-1, and the first j whose root leaves the orbit
     of R_0 or breaks that congruence.
 
-    Terms are stepped by k/r: n_j = n_0 * (k/r)^j = k^(rho0+j) * q/r^j is
+    Terms are stepped by k/r: n_j = n0 * (k/r)^j = k^(rho0+j) * q/r^j is
     an integer, and it is the minimal-exponent value of q/r^j times some
     k^m, which only appends m zero digits, so its root is that of q/r^j.
     For the same reason n_j is stripped of its trailing base-k zeros
-    before it is looked up.  ``memo`` maps a stripped n to its base-k
+    before it is looked up, and the result depends on n0 only through n0
+    without its trailing zeros.  ``memo`` maps a stripped n to its base-k
     root; an n missing from it is reduced by iterated digit sums and
     added.  ``verdicts`` maps a tuple of roots to its (congruence_ok,
     witness), which depends on nothing else for one (k, r, terms_max);
@@ -73,7 +75,7 @@ def _main1(num: int, split: tuple[int, int, int], r: int, k: int, terms_max: int
     for the roots and one (k, r) for the verdicts in the sweep.
     """
     step = k // r
-    n = _scaled(num, k, split)
+    n = n0
     roots = []
     for _ in range(terms_max + 1):
         while n % k == 0:
@@ -129,7 +131,7 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
     """
     split = _require_main1_args(q, r, k)
     _require_int(terms_max, "terms", 1, PreconditionError)
-    roots, congruence_ok, witness = _main1(q.num, split, r, k, terms_max, {}, {})
+    roots, congruence_ok, witness = _main1(_scaled(q.num, k, split), r, k, terms_max, {}, {})
     terms = tuple(
         Main1Term(j, Rational(q.num, q.den * r**j), root, _orbit_label(k - 1, root))
         for j, root in enumerate(roots)
@@ -148,7 +150,8 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
 
 def verify_cor1(q: Rational, r: int, k: int) -> bool:
     """If the root of q is divisible by k-1, so is the root of q/r."""
-    root0, root1 = _main1(q.num, _require_main1_args(q, r, k), r, k, 1, {}, {})[0]
+    n0 = _scaled(q.num, k, _require_main1_args(q, r, k))
+    root0, root1 = _main1(n0, r, k, 1, {}, {})[0]
     if root0 % (k - 1) != 0:
         raise PreconditionError(
             f"digital root of {q} is not divisible by {_decimal_text(k - 1)}")
@@ -253,46 +256,60 @@ def _run_main1_chunk(numerators, bases, bound: int, terms_max: int):
     """Run every (k, r, a/b) tuple of each numerator a: k in ``bases``, r a
     proper divisor of k, b a k-smooth denominator <= bound coprime to a.
 
-    The proper divisors and the split of each b are found once per base
-    per chunk.  The tuples of one (k, a) reach the same stripped n_j again
-    across r and b, so they share one memo of roots, dropped with that
-    (k, a): at README scale (bases 2..16, bound 120, 5 terms) 12,150
-    reductions serve 95,820 terms.  Each (k, r) keeps one memo of
-    verdicts for the whole chunk.  It stays small: R_j = R_0 * (k/r)^j
-    mod k-1 and a root in 1..k-1 is fixed by its residue, so true roots
-    give at most k-1 distinct tuples per (k, r).  Roots are never taken
-    from n mod k-1; they are iterated digit sums of real digits.
+    The proper divisors, and k^rho0 / b for each b, are found once per
+    base per chunk.  A tuple's verdict depends on b only through
+    n_0 = a * k^rho0 / b without its trailing base-k zeros (see
+    ``_main1``), and b and b*k always share it, so the b of one (k, a)
+    are grouped by that n_0 and each group runs the kernel once per r:
+    at README scale (bases 2..16, bound 120, 5 terms) 11,020 kernel calls
+    decide 15,970 tuples.  Every b of a failing group is listed with the
+    group's witness.  The calls of one (k, a) reach the same stripped n_j
+    again across r and n_0, so they share one memo of roots, dropped with
+    that (k, a): 12,150 reductions serve 66,120 terms.  Each (k, r) keeps
+    one memo of verdicts for the whole chunk.  It stays small:
+    R_j = R_0 * (k/r)^j mod k-1 and a root in 1..k-1 is fixed by its
+    residue, so true roots give at most k-1 distinct tuples per (k, r).
+    Roots are never taken from n mod k-1; they are iterated digit sums of
+    real digits.
     """
     tables = [(k, [(r, {}) for r in divisors(k)[1:-1]],
-               [(b, _smooth_split(b, k)) for b in _smooth_values(k, bound)])
+               [(b, _scaled(1, k, _smooth_split(b, k))) for b in _smooth_values(k, bound)])
               for k in bases if len(divisors(k)) > 2]
     failed = tested = 0
     failures = []
     for a in numerators:
         for k, proper, smooth in tables:
-            coprime = [(b, split) for b, split in smooth if math.gcd(a, b) == 1]
-            tested += len(proper) * len(coprime)
+            groups: dict[int, list[int]] = {}  # n_0 without trailing zeros -> its b
+            for b, scale in smooth:
+                if math.gcd(a, b) == 1:
+                    n0 = a * scale
+                    while n0 % k == 0:
+                        n0 //= k
+                    groups.setdefault(n0, []).append(b)
+            tested += len(proper) * sum(map(len, groups.values()))
             memo: dict[int, int] = {}
             for r, verdicts in proper:
-                for b, split in coprime:
-                    witness = _main1(a, split, r, k, terms_max, memo, verdicts)[2]
+                for n0, dens in groups.items():
+                    witness = _main1(n0, r, k, terms_max, memo, verdicts)[2]
                     if witness is not None:
-                        failed += 1
-                        failures.append(
-                            {"base": k, "r": r, "num": a, "den": b, "witness": witness})
+                        failed += len(dens)
+                        failures += ({"base": k, "r": r, "num": a, "den": b, "witness": witness}
+                                     for b in dens)
     return tested, failed, 0, 0, failures
 
 
-def _main2_sums(k: int, s: int, numerators: list[int]) -> list[tuple[int, int, bool]] | None:
-    """For each n in ``numerators`` (all coprime to s), (n, the digit sum of
-    the repetend of n/s in base k, the T'' verdict); None when (k, s) fails
-    main2's preconditions.
+def _main2_failures(k: int, s: int, numerators: list[int]) -> list[int] | None:
+    """The n in ``numerators`` (all coprime to s) for which n/s fails main2
+    in base k; None when (k, s) fails main2's preconditions.
 
     The repetend of n/s is that of rem/p with rem = n * (k^rho0 // smooth)
     mod p, and the remainders rem * k^i mod p of one long division have
-    repetends that are rotations of each other, so they share a digit sum.
-    Each T-step division therefore settles its whole remainder cycle, and
-    the memo of digit sums by remainder never holds more than p entries.
+    repetends that are rotations of each other, so they share a digit sum
+    and a root.  Each T-step division therefore decides its whole
+    remainder cycle: whether the root of its digit sum is divisible by
+    k-1.  A memo of those verdicts by remainder, never larger than p,
+    serves the rest of the cycle, and roots are memoised by digit sum.
+    T'' is tested for each n as n * residue = 0 mod s*(k-1).
     """
     smooth, p, rho0 = _smooth_split(s, k)
     if p == 1 or math.gcd(p, k - 1) != 1:
@@ -301,21 +318,26 @@ def _main2_sums(k: int, s: int, numerators: list[int]) -> list[tuple[int, int, b
     lift = k**rho0 // smooth % p
     residue = _t_doubleprime_residue(s, k, rho0, period)
     modulus = s * (k - 1)
-    sums: dict[int, int] = {}
-    out = []
+    verdicts: dict[int, bool] = {}
+    roots: dict[int, int] = {}
+    failing = []
     for n in numerators:
         rem = n * lift % p
-        total = sums.get(rem)
-        if total is None:
-            total, cycle = 0, []
-            r = rem
+        divisible = verdicts.get(rem)
+        if divisible is None:
+            total, cycle, r = 0, [], rem
             for _ in range(period):
                 d, r = divmod(r * k, p)
                 total += d
                 cycle.append(r)
-            sums.update(dict.fromkeys(cycle, total))
-        out.append((n, total, n * residue % modulus == 0))
-    return out
+            root = roots.get(total)
+            if root is None:
+                root = roots[total] = _trajectory(total, k)[-1]
+            divisible = root % (k - 1) == 0
+            verdicts.update(dict.fromkeys(cycle, divisible))
+        if not divisible or n * residue % modulus:
+            failing.append(n)
+    return failing
 
 
 def _run_main2_chunk(denominators, bases, n_bound: int):
@@ -324,20 +346,15 @@ def _run_main2_chunk(denominators, bases, n_bound: int):
     for s in denominators:
         numerators = [n for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
         for k in bases:
-            sums = _main2_sums(k, s, numerators)
-            if sums is None:
+            failing = _main2_failures(k, s, numerators)
+            if failing is None:
                 skipped += len(numerators)
                 continue
             tested += len(numerators)
             if k == 2:
                 degenerate += len(numerators)
-            roots: dict[int, int] = {}  # one trajectory per distinct digit sum
-            for n, total, divisible in sums:
-                if total not in roots:
-                    roots[total] = _trajectory(total, k)[-1]
-                if not (divisible and roots[total] % (k - 1) == 0):
-                    failed += 1
-                    failures.append({"base": k, "n": n, "s": s})
+            failed += len(failing)
+            failures += ({"base": k, "n": n, "s": s} for n in failing)
     return tested, failed, skipped, degenerate, failures
 
 
@@ -348,18 +365,29 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunked(runner, items, workers: int) -> FuzzSummary:
-    """Run contiguous slices of ``items`` through ``runner`` in at most
-    ``workers`` processes, one per usable CPU at most, and merge the counts.
-    Failures are sorted by their values in field order, whatever ``workers``."""
+def _slices(items, parts: int, cost) -> list:
+    """Cut ``items`` into ``parts`` contiguous slices of about equal integer
+    ``cost``.  Slice i ends after the longest prefix that costs at most
+    i/parts of the total, so each slice's cost is within one item's cost of
+    an even share.  With unit costs slice i is
+    items[i*n//parts:(i+1)*n//parts]."""
+    prefix = list(accumulate(map(cost, items)))
+    cuts = [0, *(bisect_right(prefix, i * prefix[-1] // parts) for i in range(1, parts)),
+            len(items)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummary:
+    """Run contiguous slices of ``items``, cut at equal ``cost`` (see
+    ``_slices``), through ``runner`` in at most ``workers`` processes, one
+    per usable CPU at most, and merge the counts.  Failures are sorted by
+    their values in field order, whatever ``workers``."""
     workers = min(workers, _cpu_count())
-    n = len(items)
-    if workers == 1 or n < 2 * workers:
+    if workers == 1 or len(items) < 2 * workers:
         results = [runner(items)]
     else:
-        chunks = [items[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, chunks))
+            results = list(pool.map(runner, _slices(items, workers, cost)))
     tested = sum(r[0] for r in results)
     failed = sum(r[1] for r in results)
     skipped = sum(r[2] for r in results)
@@ -373,12 +401,14 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
 
     Enumerates k in ``bases``, every divisor r of k with 2 <= r < k, and
     every reduced a/b with a <= bound and k-smooth b <= bound.  The work
-    items are the numerators a, dealt to the workers in contiguous
-    slices; each a runs all its (k, r, b) through the main1 kernel that
-    ``verify_main1`` uses, for j = 0..terms_max, and builds no report.
-    The kernel keys roots on n_j without its trailing base-k zeros, in
-    one memo per (k, a), and verdicts on the tuple of roots, in one memo
-    per (k, r) per chunk (see ``_run_main1_chunk``).  Every root is still
+    items are the numerators a, dealt to the workers in even contiguous
+    slices.  In each base k, a groups its b by n_0 = a * k^rho0 / b without
+    trailing base-k zeros, which decides a tuple's verdict, and runs each
+    group once per r through the main1 kernel that ``verify_main1`` uses,
+    for j = 0..terms_max, building no report.  The kernel keys roots on n_j
+    without its trailing base-k zeros, in one memo per (k, a), and
+    verdicts on the tuple of roots, in one memo per (k, r) per chunk (see
+    ``_run_main1_chunk``).  Every tuple is still counted, and every root is
     an iterated digit sum of real digits, never n mod k-1.  A failure is
     listed by (base, r, num, den, witness), sorted by (base, r, num, den)
     whatever the number of workers.
@@ -395,22 +425,27 @@ def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSumma
     """Check main2 for every reduced n/s with n <= n_bound and
     2 <= s <= s_bound, in each base k of ``bases``.
 
-    The work items are the denominators s, dealt to the workers in
-    contiguous slices; each s lists its coprime numerators once and runs
-    them in every base.  s is split and ord_p(k) found once per (k, s),
-    and a pair whose denominator has no part coprime to the base, or
-    whose coprime part shares a factor with k-1, has all its numerators
-    counted as skipped at once.  Each tested n/s gets the digit sum of
-    its real repetend, from one long division per remainder cycle (see
-    ``_main2_sums``), and the T'' test mod s*(k-1).  Failures are listed
-    by (base, n, s) whatever the number of workers.
+    The work items are the denominators s; each s lists its coprime
+    numerators once and runs them in every base.  s is split and ord_p(k)
+    found once per (k, s), and a pair whose denominator has no part
+    coprime to the base, or whose coprime part shares a factor with k-1,
+    has all its numerators counted as skipped at once.  Each tested n/s
+    is decided by the root of the digit sum of its real repetend, from
+    one long division per remainder cycle (see ``_main2_failures``), and
+    by the T'' test mod s*(k-1).  Failures are listed by (base, n, s)
+    whatever the number of workers.
+
+    The denominators are dealt to the workers in contiguous slices of
+    equal cost, a denominator s costing n_bound + s: one step per
+    numerator in each base, plus at most p <= s long-division steps per
+    base to settle its remainder cycles.
     """
     bases = [_require_int(k, "base", 2) for k in bases]
     _require_int(n_bound, "n_bound", 0, PreconditionError)
     _require_int(s_bound, "s_bound", 0, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
     runner = partial(_run_main2_chunk, bases=bases, n_bound=n_bound)
-    return _run_chunked(runner, range(2, s_bound + 1), workers)
+    return _run_chunked(runner, range(2, s_bound + 1), workers, cost=lambda s: n_bound + s)
 
 
 @dataclass(frozen=True, slots=True)

@@ -335,23 +335,44 @@ def test_fuzz_main1_reduces_each_distinct_n_once(monkeypatch):
     # README scale: the 15,970 tuples reach 95,820 values
     # n_j = a * k^rho0 / b * (k/r)^j.  Stripped of their trailing base-k
     # zeros, which leaves every digit sum alone, 12,150 of them are
-    # distinct per (k, a); each of those is reduced once.
-    calls = []
+    # distinct per (k, a); each of those is reduced once.  The tuples have
+    # 11,020 distinct (k, r, a, n_0) with n_0 stripped the same way, and
+    # the kernel runs once for each.
+    calls, kernel_calls = [], []
 
     def counting(n, k):
         calls.append((n, k))
         return trajectory(n, k)
 
-    trajectory = theorems._trajectory
+    def counting_kernel(n0, r, k, *rest):
+        kernel_calls.append((k, r, n0))
+        return kernel(n0, r, k, *rest)
+
+    trajectory, kernel = theorems._trajectory, theorems._main1
     monkeypatch.setattr(theorems, "_trajectory", counting)
+    monkeypatch.setattr(theorems, "_main1", counting_kernel)
     summary = fuzz_main1(range(2, 17), 120, 5)
     assert summary.tested == 15970 and summary.failed == 0
-    distinct = set()
+    distinct, groups = set(), set()
     for k, r, a, b in main1_tuples(range(2, 17), 120):
         rho0 = next(e for e in range(b) if k**e % b == 0)
         distinct.update((k, a, without_trailing_zeros(a * k**rho0 // b * (k // r)**j, k))
                         for j in range(6))
+        groups.add((k, r, a, without_trailing_zeros(a * k**rho0 // b, k)))
     assert len(calls) == len(distinct) == 12150
+    assert len(kernel_calls) == len(groups) == 11020
+
+
+def test_fuzz_main1_lists_every_den_of_a_shared_n0(monkeypatch):
+    # 3/1, 3/10 and 3/100 share n_0 = 3 in base 10, so the sweep runs the
+    # kernel once for the three.  A fake root of n % k fails them at j = 1
+    # (roots 3 and 5: 2 * 5 - 3 != 0 mod 9), and each is still listed.
+    monkeypatch.setattr(theorems, "_trajectory", lambda n, k: [n % k])
+    failures = fuzz_main1([10], 100, 3).failures
+    for b in (1, 10, 100):
+        assert verify_main1(Rational(3, b), 2, 10, 3).witness == 1
+        assert {"base": 10, "r": 2, "num": 3, "den": b, "witness": 1} in failures
+    assert len(failures) == len(set(tuple(f.values()) for f in failures))
 
 
 def test_sweeps_hand_plain_ranges_at_a_large_bound(monkeypatch):
@@ -360,7 +381,7 @@ def test_sweeps_hand_plain_ranges_at_a_large_bound(monkeypatch):
     # over one range of numerators or denominators instead.
     handed = []
 
-    def recording(runner, items, workers):
+    def recording(runner, items, workers, cost=None):
         handed.append((runner.keywords["bases"], items, workers))
         return theorems.FuzzSummary(0, 0, 0, 0, 0, ())
 
@@ -389,35 +410,98 @@ def test_fuzz_main2_small_sweep():
     assert summary.tested + summary.skipped == 5 * coprime_pairs
 
 
+def root_by_parity(total, k):
+    """A fake trajectory: k-1 when total / (k-1) is odd, else 1.  Real digit
+    sums are multiples of k-1, so in bases above 2 it fails about half of
+    the tuples, by their digit sums."""
+    return [k - 1 if total // (k - 1) % 2 else 1]
+
+
 def test_fuzz_main2_worker_invariant(monkeypatch):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
     assert fuzz_main2(range(9, 12), 8, 8) == fuzz_main2(range(9, 12), 8, 8, workers=2)
-    # 8 denominators in contiguous slices of 4 and 4, or 2, 3 and 3: every
-    # chunk runs its denominators in all 5 bases.
+    # 8 denominators in contiguous slices of equal cost, 4 and 4, or 3, 2
+    # and 3: every chunk runs its denominators in all 5 bases.
     one = fuzz_main2(range(9, 14), 12, 9)
     assert one.tested > 0 and one.skipped > 0
     assert one == fuzz_main2(range(9, 14), 12, 9, workers=2)
     assert one == fuzz_main2(range(9, 14), 12, 9, workers=3)
+    # At README scale, with a fake root that fails about half the tuples.
+    monkeypatch.setattr(theorems, "_trajectory", root_by_parity)
+    one = fuzz_main2(range(2, 17), 100, 100)
+    assert one.failed > 10000 and one.passed > 10000
+    assert one == fuzz_main2(range(2, 17), 100, 100, workers=2)
+    assert one == fuzz_main2(range(2, 17), 100, 100, workers=3)
 
 
-def test_fuzz_main2_sums_equal_the_single_tuple_kernel():
-    """The sweep's digit sums and T'' verdicts, from one long division per
-    remainder cycle, equal those of the full repetend of each tuple, on
-    every README-scale tuple.  Digit sums are compared, not roots: every
-    root is k-1."""
+def test_fuzz_main2_sums_equal_the_single_tuple_kernel(monkeypatch):
+    """The sweep kernel's digit sums, from one long division per remainder
+    cycle, and its T'' verdicts equal those of the full repetend of each
+    tuple, on every README-scale tuple.  Run on one numerator, the kernel
+    takes the root of that numerator's digit sum alone; run on all of
+    them, it takes the roots of their distinct digit sums, in order, and
+    fails the same numerators.  Digit sums are compared, not roots: every
+    root is k-1, so a numerator passes exactly when T'' holds."""
+    totals = []
+
+    def recording(total, k):
+        totals.append(total)
+        return trajectory(total, k)
+
+    trajectory = theorems._trajectory
+    monkeypatch.setattr(theorems, "_trajectory", recording)
     got, want, skipped = [], [], []
     for k in range(2, 17):
         for s in range(2, 101):
             numerators = [n for n in range(1, 101) if math.gcd(n, s) == 1]
-            sums = theorems._main2_sums(k, s, numerators)
             reports = [theorems._main2(n, s, k) for n in numerators]
-            if sums is None:
+            totals.clear()
+            failing = theorems._main2_failures(k, s, numerators)
+            if failing is None:
                 skipped += [r.preconditions_ok for r in reports]
                 continue
-            got += [(k, s) + verdict for verdict in sums]
-            want += [(k, s, r.n, sum(r.repetend), r.t_doubleprime_divisible) for r in reports]
+            assert totals == list(dict.fromkeys(sum(r.repetend) for r in reports))
+            assert failing == [r.n for r in reports if not r.t_doubleprime_divisible]
+            for r in reports:
+                totals.clear()
+                passed = theorems._main2_failures(k, s, [r.n]) == []
+                got += [(k, s, r.n, *totals, passed)]
+                want += [(k, s, r.n, sum(r.repetend), r.t_doubleprime_divisible)]
     assert got == want
     assert len(got) == 58147 and len(skipped) == 31658 and not any(skipped)
+
+
+@st.composite
+def main2_sweep_cases(draw):
+    """A base k <= 40, a denominator s <= 2000 with a k-smooth part (every
+    k-smooth m <= 2000 divides k^11) and a numerator bound n <= 300."""
+    k = draw(st.integers(2, 40))
+    smooth = draw(st.sampled_from([m for m in range(1, 2001) if k**11 % m == 0]))
+    s = smooth * draw(st.integers(1 if smooth > 1 else 2, 2000 // smooth))
+    return k, s, draw(st.integers(1, 300))
+
+
+@settings(max_examples=50)
+@given(main2_sweep_cases())
+@example((10, 2 * 983, 300))  # T = ord_983(10) = 982
+@example((2, 2 * 997, 300))   # base 2: degenerate
+@example((31, 31 * 64, 20))   # p = 64 shares 2 with k-1: skipped
+def test_main2_sweep_kernel_matches_the_single_tuple_kernel(case):
+    """Beyond README scale, the sweep's counts and failures equal those of
+    a loop of the single-tuple kernel over the same tuples, with real
+    roots and with a fake root that fails tuples by their digit sums."""
+    k, s, n_bound = case
+    for fake in (None, root_by_parity):
+        with pytest.MonkeyPatch.context() as mp:
+            if fake:
+                mp.setattr(theorems, "_trajectory", fake)
+            reports = [theorems._main2(n, s, k)
+                       for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
+            got = theorems._run_main2_chunk([s], [k], n_bound)
+        tested = [r for r in reports if r.preconditions_ok]
+        failures = [{"base": k, "n": r.n, "s": s} for r in tested if not r.passed]
+        assert got == (len(tested), len(failures), len(reports) - len(tested),
+                       len(tested) if k == 2 else 0, failures)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -442,10 +526,11 @@ def test_fuzz_main2_reports_every_failure_in_order(monkeypatch, workers):
 
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and each
-    chunk's result, maps serially in this process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, each chunk
+    and each chunk's result, maps serially in this process."""
 
     opened = []
+    chunks = []
     results = []
 
     def __init__(self, max_workers):
@@ -458,6 +543,7 @@ class RecordingExecutor:
         return False
 
     def map(self, fn, items):
+        self.chunks.extend(items)
         results = [fn(item) for item in items]
         self.results.extend(results)
         return results
@@ -467,6 +553,7 @@ class RecordingExecutor:
 def recording_executor(monkeypatch):
     monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "opened", [])
+    monkeypatch.setattr(RecordingExecutor, "chunks", [])
     monkeypatch.setattr(RecordingExecutor, "results", [])
     return RecordingExecutor
 
@@ -527,6 +614,37 @@ def test_main1_chunks_share_the_work_evenly(monkeypatch, recording_executor, wor
     assert recording_executor.opened == [workers] and len(tested) == workers
     assert sum(tested) == summary.tested == 15970
     assert max(tested) <= 1.02 * min(tested)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("bases, n_bound, s_bound", [(range(2, 17), 100, 100), ([10], 300, 1000)])
+def test_main2_chunks_are_cut_at_equal_cost(monkeypatch, recording_executor, workers, bases,
+                                            n_bound, s_bound):
+    # A denominator s costs n_bound + s.  Every denominator lands in one
+    # non-empty chunk, in order, and each chunk costs less than one
+    # denominator more or less than an even share.  Two chunks can then
+    # differ by almost two denominators: 199,584 against 200,970 with
+    # 4 workers at s <= 1000, where s = 1000 costs 1,300.
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
+    summary = fuzz_main2(bases, n_bound, s_bound, workers=workers)
+    chunks = recording_executor.chunks
+    assert recording_executor.opened == [workers] and len(chunks) == workers and all(chunks)
+    assert [s for chunk in chunks for s in chunk] == list(range(2, s_bound + 1))
+    costs = [sum(n_bound + s for s in chunk) for chunk in chunks]
+    share = sum(costs) / workers
+    assert all(abs(cost - share) < n_bound + s_bound for cost in costs)
+    assert summary == fuzz_main2(bases, n_bound, s_bound)
+
+
+def test_slices_cut_where_the_cumulative_cost_splits_evenly():
+    # README scale: s = 2..100 at n_bound 100 costs 14,949.  Even halves
+    # would cost 6,174 and 8,775; the cut after s = 58 gives 7,410 and
+    # 7,539.
+    assert theorems._slices(range(2, 101), 2, lambda s: 100 + s) == [range(2, 59),
+                                                                      range(59, 101)]
+    # Slice i ends after the longest prefix costing at most i/parts of the
+    # total, so a costly item starts the next slice.
+    assert theorems._slices([1, 1, 9, 1, 1, 1], 2, lambda x: x) == [[1, 1], [9, 1, 1, 1]]
 
 
 def test_fuzz_rejects_bad_worker_count():
