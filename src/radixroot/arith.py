@@ -1,4 +1,5 @@
-"""Exact natural and rational arithmetic with elementary multiplicative tools.
+"""Exact natural and rational arithmetic, elementary multiplicative tools,
+and conversion between integers and their base-k digits.
 
 Naturals are plain Python ints restricted to values >= 0; there is no
 magnitude ceiling.  All values are immutable and every function is pure.
@@ -26,10 +27,17 @@ def _require_int(x: int, name: str, low: int | None = 0,
     return x
 
 
+def _require_digits(digits, k: int) -> tuple[int, ...]:
+    """``digits`` as a tuple, or a DomainError naming the first that is not a digit of base k."""
+    digits = tuple(digits)
+    for d in digits:
+        if _require_int(d, "digit") >= k:
+            raise DomainError(f"digit {_decimal_text(d)} out of range for base {_decimal_text(k)}")
+    return digits
+
+
 # Numbers below 2^_SPLIT_BITS take one divmod per digit; larger ones are
-# first split by k^(2^i).  The value is a pick: on the digits of 5^60000
-# in bases 2, 10 and 40, cutoffs from 250 to 2,000 bits timed within 40%
-# of each other, and 500 was fastest or close to it in each base.
+# first split by k^(2^i).  A pick: cutoffs of 250 to 2,000 bits timed alike.
 _SPLIT_BITS = 500
 
 
@@ -88,17 +96,13 @@ ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # of a base up to 36 at once.
 _BYTE_OF_VALUE = ALPHABET.encode().ljust(256, b"\0")
 # int() reads at most this many characters at once in a base that is not
-# a power of two.  It is sys.int_info.str_digits_check_threshold, the
-# lowest int-string limit other than 0 that sys.set_int_max_str_digits
-# accepts, so no setting of the limit rejects a leaf.  Leaves of 80 to
-# 640 characters timed within 30% of each other on 700 to 65,000 digits
-# in bases 3, 10 and 36, and 640 was fastest or close to it.
+# a power of two: sys.int_info.str_digits_check_threshold, the lowest
+# nonzero int-string limit, so no setting of the limit rejects a leaf.
+# Leaves of 80 to 640 characters timed alike.
 _INT_LEAF = 640
 # Above base 36, digit strings are split down to leaves of at most this
-# many digits, which _int_of reads by Horner's rule.  The value is a pick:
-# on strings of 300 to 66,000 digits in bases 40 and 60, cutoffs from 32
-# to 256 timed within 30% of each other with no steady winner, and 16 was
-# up to 1.6x slower from 20,000 digits on.
+# many digits, which _int_of reads by Horner's rule.  A pick: cutoffs of
+# 32 to 256 timed alike, and 16 was slower on long strings.
 _HORNER_DIGITS = 64
 
 

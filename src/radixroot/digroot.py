@@ -7,9 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Rational, _decimal_text, _digit_sum, _require_int
-from .errors import DomainError
-from .radix import _terminating_split
+from .arith import Rational, _digit_sum, _require_digits, _require_int
+from .radix import _scaled, _terminating_split
 
 
 def _trajectory(n: int, k: int) -> list[int]:
@@ -19,12 +18,6 @@ def _trajectory(n: int, k: int) -> list[int]:
         n = _digit_sum(n, k)
         chain.append(n)
     return chain
-
-
-def _scaled(num: int, k: int, split: tuple[int, int, int]) -> int:
-    """k^rho0 * num/den, given the split (den, 1, rho0) of a terminating den."""
-    den, _, rho0 = split
-    return num * k**rho0 // den
 
 
 def digit_sum(n: int, k: int) -> int:
@@ -88,11 +81,4 @@ def tf_digital_root(q: Rational, k: int) -> DigitRootResult:
 
 def digit_sum_of_digits(digits, k: int) -> int:
     """Plain sum of an explicit digit list, validating each digit < k."""
-    _require_int(k, "base", 2)
-    total = 0
-    for d in digits:
-        if _require_int(d, "digit") >= k:
-            raise DomainError(
-                f"digit {_decimal_text(d)} out of range for base {_decimal_text(k)}")
-        total += d
-    return total
+    return sum(_require_digits(digits, _require_int(k, "base", 2)))

@@ -44,20 +44,19 @@ def residue(x: int, n: int) -> ResidueClass:
     return ResidueClass(x % n, n)
 
 
-def _require_same_modulus(a: ResidueClass, b: ResidueClass) -> int:
-    if a.modulus != b.modulus:
-        raise DomainError(
-            f"modulus mismatch: {_decimal_text(a.modulus)} != {_decimal_text(b.modulus)}")
-    return a.modulus
+def _require_same_modulus(m: int, n: int) -> int:
+    if m != n:
+        raise DomainError(f"modulus mismatch: {_decimal_text(m)} != {_decimal_text(n)}")
+    return m
 
 
 def res_add(a: ResidueClass, b: ResidueClass) -> ResidueClass:
-    n = _require_same_modulus(a, b)
+    n = _require_same_modulus(a.modulus, b.modulus)
     return ResidueClass((a.value + b.value) % n, n)
 
 
 def res_mul(a: ResidueClass, b: ResidueClass) -> ResidueClass:
-    n = _require_same_modulus(a, b)
+    n = _require_same_modulus(a.modulus, b.modulus)
     return ResidueClass((a.value * b.value) % n, n)
 
 
@@ -84,15 +83,18 @@ def gcd_class(n: int, d: int) -> tuple[int, ...]:
 
 def orbit(n: int, x: ResidueClass) -> tuple[int, ...]:
     """The orbit of x under multiplication by every unit mod n."""
-    _require_int(n, "modulus", 2)
-    if x.modulus != n:
-        raise DomainError(f"modulus mismatch: {_decimal_text(x.modulus)} != {_decimal_text(n)}")
+    _require_same_modulus(x.modulus, _require_int(n, "modulus", 2))
     return tuple(sorted({g * x.value % n for g in _units(n)}))
+
+
+def _orbit_label(n: int, x: int) -> int:
+    """gcd(x mod n, n), the divisor label of x's orbit mod n >= 2, unchecked."""
+    return math.gcd(x % n, n)
 
 
 def orbit_of(n: int, x: int) -> int:
     """The divisor label of the orbit containing x, i.e. gcd(x, n)."""
-    return math.gcd(ResidueClass(x, n).value, n)
+    return _orbit_label(n, ResidueClass(x, n).value)
 
 
 @dataclass(frozen=True)

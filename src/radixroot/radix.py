@@ -29,6 +29,7 @@ from .arith import (
     _digits_of,
     _int_of,
     _int_of_text,
+    _require_digits,
     _require_int,
     factorize,
     totient,
@@ -36,9 +37,8 @@ from .arith import (
 from .errors import DomainError, ParseError
 
 _DIGIT_VALUES = {ch: i for i, upper in enumerate(ALPHABET) for ch in (upper, upper.lower())}
-# Byte -> digit value, for bytes.translate to read a whole section of a
-# base up to 36 at once (arith._BYTE_OF_VALUE writes one).  Bytes that
-# spell no digit read as _NOT_A_DIGIT, which no such base has.
+# Byte -> digit value, for _tokenize (arith._BYTE_OF_VALUE writes one).
+# Bytes that spell no digit read as _NOT_A_DIGIT, which no base up to 36 has.
 _NOT_A_DIGIT = 255
 _VALUE_OF_BYTE = bytes(_DIGIT_VALUES.get(chr(b), _NOT_A_DIGIT) for b in range(256))
 _DIGIT_BYTES = bytes(range(len(ALPHABET)))
@@ -117,6 +117,13 @@ def _smooth_split(den: int, k: int) -> tuple[int, int, int]:
     return den // p, p, rho0
 
 
+def _scaled(num: int, k: int, split: tuple[int, int, int]) -> int:
+    """num * k^rho0 / smooth for the split (smooth, p, rho0) of den: p times
+    k^rho0 * num/den, so its remainder mod p has the repetend of num/den."""
+    smooth, _, rho0 = split
+    return num * (k**rho0 // smooth)
+
+
 # typed, as for factorize: (10, 7.0) must not hit the entry of (10, 7).
 @lru_cache(maxsize=4096, typed=True)
 def multiplicative_order(k: int, p: int) -> int:
@@ -167,8 +174,9 @@ class PositionalRepr:
 
     ``frac_digits`` holds the non-repeating fractional prefix and
     ``repetend`` the repeating block (empty for finite representations).
-    Finite representations never end in a zero fractional digit, and a
-    repetend is never all-zero and never longer than its minimal period.
+    The integer part has no leading zero, a finite representation never
+    ends in a zero fractional digit, and a repetend is never all-zero and
+    never longer than its minimal period.
     """
 
     base: int
@@ -178,13 +186,8 @@ class PositionalRepr:
 
     def __post_init__(self):
         k = _require_int(self.base, "base", 2)
-        object.__setattr__(self, "int_digits", tuple(self.int_digits))
-        object.__setattr__(self, "frac_digits", tuple(self.frac_digits))
-        object.__setattr__(self, "repetend", tuple(self.repetend))
-        for d in self.int_digits + self.frac_digits + self.repetend:
-            if _require_int(d, "digit") >= k:
-                raise DomainError(
-                    f"digit {_decimal_text(d)} out of range for base {_decimal_text(k)}")
+        for name in ("int_digits", "frac_digits", "repetend"):
+            object.__setattr__(self, name, _require_digits(getattr(self, name), k))
         broken = _noncanonical(self.int_digits, self.frac_digits, self.repetend)
         if broken:
             raise DomainError(broken[0])
@@ -255,11 +258,10 @@ def _repetend(rem: int, p: int, k: int) -> tuple[int, ...]:
 
 
 def _expand(num: int, k: int, split: tuple[int, int, int], infinite: bool) -> PositionalRepr:
-    """Digits of num/den in base k, given the split (smooth, p, rho0) of
-    den: the finite form when it terminates (p = 1), unless ``infinite``
-    asks for the repeating one (which needs num > 0)."""
-    smooth, p, rho0 = split
-    whole, rem = divmod(num * (k**rho0 // smooth), p)
+    """Digits of num/den in base k, given the split of den: the finite form
+    when it terminates, unless ``infinite`` asks for the repeating one (num > 0)."""
+    _, p, rho0 = split
+    whole, rem = divmod(_scaled(num, k, split), p)
     if p == 1 and infinite:
         return _trusted(k, *_split_at_point(whole - 1, k, rho0), (k - 1,))
     return _trusted(k, *_split_at_point(whole, k, rho0), _repetend(rem, p, k) if p > 1 else ())
@@ -273,18 +275,16 @@ def to_finite(q: Rational, k: int) -> PositionalRepr:
 def to_repeating(q: Rational, k: int) -> PositionalRepr:
     """The infinite base-k representation of q > 0, with explicit repetend.
 
-    For a repeating rational this is the canonical form: regular part of
-    length rho0 followed by the minimal repetend of T digits, found by
-    long division in O(T) steps.  For a terminating rational it is the
-    alternate form that trades the last digit down and repeats k-1
-    forever, e.g. [4.25]_6 -> [4.24(5)]_6.
+    For a repeating rational this is the canonical form, its repetend
+    found by long division in O(T) steps.  For a terminating rational it
+    is the alternate form that trades the last digit down and repeats
+    k-1 forever, e.g. [4.25]_6 -> [4.24(5)]_6.
     """
     return _encode(q, k, True)
 
 
 def _encode(q: Rational, k: int, infinite: bool) -> PositionalRepr:
-    """Canonical base-k representation of q: finite when it terminates,
-    unless ``infinite`` forces the repeating form."""
+    """``_expand`` of q, after the public checks."""
     _require_int(k, "base", 2)
     if infinite and q.is_zero:
         raise DomainError("0 has no representation with infinitely many nonzero digits")
@@ -327,8 +327,7 @@ def _digit_names(base: int) -> tuple[tuple[str, ...], dict[str, int]]:
 
 
 def _join_digits(digits, base: int) -> str:
-    """Digits as text: one 0-9A-Z character each up to base 36, decimal
-    numbers joined by commas above."""
+    """Digits as text, spelled as the module docstring describes."""
     if base <= 36:
         return bytes(digits).translate(_BYTE_OF_VALUE).decode("ascii")
     if base <= _NAMED_BASES:
@@ -348,9 +347,9 @@ def format_repr(r: PositionalRepr) -> str:
 
 
 def _tokenize(section: str, start: int, base: int, placeholder: bool = False) -> tuple[int | None, ...]:
-    """Digit values of ``section``, which begins at offset ``start`` of the
-    input: one character per digit up to base 36, comma-separated ASCII
-    decimals above.  With ``placeholder`` a '?' digit reads as None.
+    """Digit values of ``section`` (spelled as the module docstring says),
+    which begins at offset ``start`` of the input; with ``placeholder`` a
+    '?' digit reads as None.
 
     A section of plain digits is read whole: up to base 36 by one
     bytes.translate, above by one lookup of each name.  Only when that
@@ -394,10 +393,9 @@ def parse(text: str) -> PositionalRepr:
 
     The accepted grammar is ``'[' digits ['.' digits] ['(' digits ')'] ']'
     '_' base`` where the fractional digits may be empty only when a
-    repetend group follows.  Spellings that violate canonical digit
-    structure (leading zeros, a finite fraction ending in zero, an
-    all-zero or non-minimal repetend) are rejected with the offending
-    position rather than silently rewritten.
+    repetend group follows.  Spellings that break the canonical form (see
+    ``PositionalRepr``) are rejected with the offending position rather
+    than silently rewritten.
     """
     if not text:
         raise ParseError("empty input", 0)

@@ -8,9 +8,8 @@ main2: an irreducible fraction whose denominator has a part p >= 2 coprime
 to both k and k-1 is repeating in base k, and the digit sum of its
 repetend is divisible by k-1 (so the repetend's digital root is k-1).
 
-For k = 2 the modulus k-1 collapses to 1: every congruence holds and all
-residues share the single orbit labelled 1.  ``fuzz_main2`` counts such
-cases as degenerate; ``fuzz_main1`` never runs base 2 (no proper divisor).
+For k = 2 the modulus k-1 collapses to 1 and every congruence holds:
+``fuzz_main2`` counts such cases as degenerate, and main1 has no base 2.
 """
 
 from __future__ import annotations
@@ -24,15 +23,11 @@ from functools import partial
 from itertools import accumulate
 
 from .arith import Rational, _decimal_text, _require_int, divisors, factorize
-from .digroot import _digit_sum, _scaled, _trajectory
+from .digroot import _digit_sum, _trajectory
 from .errors import DomainError, PreconditionError
-from .radix import _repetend, _smooth_split, _terminating_split, _tokenize, multiplicative_order
-
-
-def _orbit_label(modulus: int, value: int) -> int:
-    """The gcd-class label of value mod modulus (see ``modring.orbit_of``);
-    modulus 1 has the single label 1."""
-    return math.gcd(value % modulus, modulus)
+from .modring import _orbit_label
+from .radix import (_repetend, _scaled, _smooth_split, _terminating_split, _tokenize,
+                    multiplicative_order)
 
 
 def verify_lemma_dr(q: Rational, k: int) -> bool:
@@ -67,12 +62,10 @@ def _main1(n0: int, r: int, k: int, terms_max: int, memo: dict[int, int],
     For the same reason n_j is stripped of its trailing base-k zeros
     before it is looked up, and the result depends on n0 only through n0
     without its trailing zeros.  ``memo`` maps a stripped n to its base-k
-    root; an n missing from it is reduced by iterated digit sums and
-    added.  ``verdicts`` maps a tuple of roots to its (congruence_ok,
-    witness), which depends on nothing else for one (k, r, terms_max);
-    a tuple missing from it is checked term by term and added.  The
-    caller decides both scopes: one call in the verifiers, one (k, a)
-    for the roots and one (k, r) for the verdicts in the sweep.
+    root, an iterated digit sum of real digits, never n mod k-1.
+    ``verdicts`` maps a tuple of roots to its (congruence_ok, witness),
+    which depends on nothing else for one (k, r, terms_max).  A miss in
+    either is computed and added; the caller decides both scopes.
     """
     step = k // r
     n = n0
@@ -124,11 +117,8 @@ class Main1Report:
 
 
 def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
-    """Check orbit invariance of the roots of q, q/r, ..., q/r^terms_max.
-
-    Every root R_j (reduced mod k-1) must lie in the orbit of R_0, and
-    r^j * R_j must stay congruent to R_0 mod k-1.
-    """
+    """Check main1 for q, q/r, ..., q/r^terms_max: every root R_j lies in
+    the orbit of R_0 mod k-1, and r^j * R_j = R_0 mod k-1."""
     split = _require_main1_args(q, r, k)
     _require_int(terms_max, "terms", 1, PreconditionError)
     roots, congruence_ok, witness = _main1(_scaled(q.num, k, split), r, k, terms_max, {}, {})
@@ -183,20 +173,32 @@ def _t_doubleprime_residue(s: int, k: int, rho0: int, period: int) -> int:
     return pow(k, rho0, modulus) * (pow(k, period, modulus) - 1) % modulus
 
 
+def _main2_setup(s: int, k: int) -> tuple[int, int, tuple[int, int, int] | None]:
+    """s's k-smooth part, its coprime part p, and None if (k, s) fails
+    main2's preconditions, else (lift, T = ord_p(k), T'' residue): n/s has
+    the repetend of (n * lift mod p)/p, lift = k^rho0 / smooth mod p."""
+    smooth, p, rho0 = _smooth_split(s, k)
+    if p == 1 or math.gcd(p, k - 1) != 1:
+        return smooth, p, None
+    period = multiplicative_order(k, p)
+    return smooth, p, (_scaled(1, k, (smooth, p, rho0)) % p, period,
+                       _t_doubleprime_residue(s, k, rho0, period))
+
+
 def _main2(n: int, s: int, k: int) -> Main2Report:
     """The main2 kernel for an irreducible n/s, preconditions included."""
-    smooth, p, rho0 = _smooth_split(s, k)
+    smooth, p, setup = _main2_setup(s, k)
     repetend, root, divisible, reason = (), None, False, None
-    if p == 1:
+    if setup is None and p == 1:
         reason = (f"{_decimal_text(n)}/{_decimal_text(s)} terminates in base "
                   f"{_decimal_text(k)}: no repetend")
-    elif math.gcd(p, k - 1) != 1:
+    elif setup is None:
         reason = (f"gcd({_decimal_text(p)}, {_decimal_text(k - 1)}) = "
                   f"{_decimal_text(math.gcd(p, k - 1))} != 1")
     else:
-        repetend = _repetend(n * (k**rho0 // smooth) % p, p, k)
+        lift, _, residue = setup
+        repetend = _repetend(n * lift % p, p, k)
         root = _trajectory(sum(repetend), k)[-1]
-        residue = _t_doubleprime_residue(s, k, rho0, len(repetend))
         divisible = n * residue % (s * (k - 1)) == 0
     return Main2Report(
         base=k, n=n, s=s, smooth_part=smooth, p_part=p,
@@ -207,13 +209,10 @@ def _main2(n: int, s: int, k: int) -> Main2Report:
 
 
 def verify_main2(n: int, s: int, k: int) -> Main2Report:
-    """Check the repetend digit-sum divisibility for n/s in base k.
-
-    s splits as smooth_part * p with smooth_part built from primes of k.
-    The claim applies when p >= 2 and gcd(p, k-1) = 1; tuples outside
-    those preconditions yield a non-passing report with a reason rather
-    than an error.  Also checks that (k^T - 1) * k^rho0 * n / s is a
-    natural number divisible by k-1.
+    """Check the repetend digit-sum divisibility for n/s in base k, and
+    that (k^T - 1) * k^rho0 * n / s is a natural number divisible by k-1.
+    A tuple outside main2's preconditions (see the module docstring)
+    yields a non-passing report with a reason rather than an error.
     """
     _require_int(k, "base", 2)
     _require_int(n, "n", 1, PreconditionError)
@@ -253,24 +252,18 @@ def _smooth_values(k: int, bound: int) -> list[int]:
 
 
 def _run_main1_chunk(numerators, bases, bound: int, terms_max: int):
-    """Run every (k, r, a/b) tuple of each numerator a: k in ``bases``, r a
-    proper divisor of k, b a k-smooth denominator <= bound coprime to a.
+    """Run the ``fuzz_main1`` tuples (k, r, a/b) of each numerator a.
 
     The proper divisors, and k^rho0 / b for each b, are found once per
     base per chunk.  A tuple's verdict depends on b only through
     n_0 = a * k^rho0 / b without its trailing base-k zeros (see
     ``_main1``), and b and b*k always share it, so the b of one (k, a)
-    are grouped by that n_0 and each group runs the kernel once per r:
-    at README scale (bases 2..16, bound 120, 5 terms) 11,020 kernel calls
-    decide 15,970 tuples.  Every b of a failing group is listed with the
-    group's witness.  The calls of one (k, a) reach the same stripped n_j
-    again across r and n_0, so they share one memo of roots, dropped with
-    that (k, a): 12,150 reductions serve 66,120 terms.  Each (k, r) keeps
-    one memo of verdicts for the whole chunk.  It stays small:
-    R_j = R_0 * (k/r)^j mod k-1 and a root in 1..k-1 is fixed by its
-    residue, so true roots give at most k-1 distinct tuples per (k, r).
-    Roots are never taken from n mod k-1; they are iterated digit sums of
-    real digits.
+    are grouped by that n_0 and each group runs the kernel once per r;
+    every b of a failing group is listed with the group's witness.  The
+    calls of one (k, a) reach the same stripped n_j again across r and
+    n_0, so they share one memo of roots, dropped with that (k, a).  Each
+    (k, r) keeps one memo of verdicts for the whole chunk, small because
+    R_j = R_0 * (k/r)^j mod k-1: true roots give at most k-1 tuples.
     """
     tables = [(k, [(r, {}) for r in divisors(k)[1:-1]],
                [(b, _scaled(1, k, _smooth_split(b, k))) for b in _smooth_values(k, bound)])
@@ -302,21 +295,17 @@ def _main2_failures(k: int, s: int, numerators: list[int]) -> list[int] | None:
     """The n in ``numerators`` (all coprime to s) for which n/s fails main2
     in base k; None when (k, s) fails main2's preconditions.
 
-    The repetend of n/s is that of rem/p with rem = n * (k^rho0 // smooth)
-    mod p, and the remainders rem * k^i mod p of one long division have
-    repetends that are rotations of each other, so they share a digit sum
-    and a root.  Each T-step division therefore decides its whole
-    remainder cycle: whether the root of its digit sum is divisible by
-    k-1.  A memo of those verdicts by remainder, never larger than p,
-    serves the rest of the cycle, and roots are memoised by digit sum.
-    T'' is tested for each n as n * residue = 0 mod s*(k-1).
+    The remainders rem * k^i mod p of one long division have repetends
+    that are rotations of each other, so they share a digit sum and a
+    root.  Each T-step division therefore decides its whole remainder
+    cycle: whether the root of its digit sum is divisible by k-1.  A memo
+    of those verdicts by remainder, never larger than p, serves the rest
+    of the cycle, and roots are memoised by digit sum.
     """
-    smooth, p, rho0 = _smooth_split(s, k)
-    if p == 1 or math.gcd(p, k - 1) != 1:
+    _, p, setup = _main2_setup(s, k)
+    if setup is None:
         return None
-    period = multiplicative_order(k, p)
-    lift = k**rho0 // smooth % p
-    residue = _t_doubleprime_residue(s, k, rho0, period)
+    lift, period, residue = setup
     modulus = s * (k - 1)
     verdicts: dict[int, bool] = {}
     roots: dict[int, int] = {}
@@ -388,30 +377,18 @@ def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummar
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(runner, _slices(items, workers, cost)))
-    tested = sum(r[0] for r in results)
-    failed = sum(r[1] for r in results)
-    skipped = sum(r[2] for r in results)
-    degenerate = sum(r[3] for r in results)
+    tested, failed, skipped, degenerate = map(sum, zip(*(r[:4] for r in results)))
     failures = sorted((f for r in results for f in r[4]), key=lambda f: tuple(f.values()))
     return FuzzSummary(tested, tested - failed, failed, skipped, degenerate, tuple(failures))
 
 
 def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzSummary:
-    """Check main1 for every (k, r, a/b) tuple in range.
-
-    Enumerates k in ``bases``, every divisor r of k with 2 <= r < k, and
-    every reduced a/b with a <= bound and k-smooth b <= bound.  The work
-    items are the numerators a, dealt to the workers in even contiguous
-    slices.  In each base k, a groups its b by n_0 = a * k^rho0 / b without
-    trailing base-k zeros, which decides a tuple's verdict, and runs each
-    group once per r through the main1 kernel that ``verify_main1`` uses,
-    for j = 0..terms_max, building no report.  The kernel keys roots on n_j
-    without its trailing base-k zeros, in one memo per (k, a), and
-    verdicts on the tuple of roots, in one memo per (k, r) per chunk (see
-    ``_run_main1_chunk``).  Every tuple is still counted, and every root is
-    an iterated digit sum of real digits, never n mod k-1.  A failure is
-    listed by (base, r, num, den, witness), sorted by (base, r, num, den)
-    whatever the number of workers.
+    """Check main1 for every (k, r, a/b) tuple in range: k in ``bases``,
+    every divisor r of k with 2 <= r < k, and every reduced a/b with
+    a <= bound and k-smooth b <= bound, for j = 0..terms_max, with the
+    kernel ``verify_main1`` uses.  A failure is listed by
+    (base, r, num, den, witness), sorted by (base, r, num, den) whatever
+    the number of workers.
     """
     bases = [_require_int(k, "base", 2) for k in bases]
     _require_int(bound, "bound", 0, PreconditionError)
@@ -423,28 +400,18 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
 
 def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSummary:
     """Check main2 for every reduced n/s with n <= n_bound and
-    2 <= s <= s_bound, in each base k of ``bases``.
-
-    The work items are the denominators s; each s lists its coprime
-    numerators once and runs them in every base.  s is split and ord_p(k)
-    found once per (k, s), and a pair whose denominator has no part
-    coprime to the base, or whose coprime part shares a factor with k-1,
-    has all its numerators counted as skipped at once.  Each tested n/s
-    is decided by the root of the digit sum of its real repetend, from
-    one long division per remainder cycle (see ``_main2_failures``), and
-    by the T'' test mod s*(k-1).  Failures are listed by (base, n, s)
-    whatever the number of workers.
-
-    The denominators are dealt to the workers in contiguous slices of
-    equal cost, a denominator s costing n_bound + s: one step per
-    numerator in each base, plus at most p <= s long-division steps per
-    base to settle its remainder cycles.
+    2 <= s <= s_bound, in each base k of ``bases``: the root of the digit
+    sum of its real repetend, and T''.  A tuple that fails main2's
+    preconditions is counted as skipped.  Failures are listed by
+    (base, n, s) whatever the number of workers.
     """
     bases = [_require_int(k, "base", 2) for k in bases]
     _require_int(n_bound, "n_bound", 0, PreconditionError)
     _require_int(s_bound, "s_bound", 0, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
     runner = partial(_run_main2_chunk, bases=bases, n_bound=n_bound)
+    # A denominator s costs one step per numerator in each base, plus at
+    # most p <= s long-division steps per base to settle its cycles.
     return _run_chunked(runner, range(2, s_bound + 1), workers, cost=lambda s: n_bound + s)
 
 

@@ -145,3 +145,10 @@ def test_digit_sum_of_digits_examples():
         digit_sum_of_digits([3, 10], 10)
     with pytest.raises(DomainError):
         digit_sum_of_digits([True, 5], 10)
+
+
+def test_digit_sum_of_digits_takes_any_iterable():
+    assert digit_sum_of_digits((d for d in [2, 8, 5, 7, 1, 4]), 10) == 27
+    assert digit_sum_of_digits(iter(()), 7) == 0
+    with pytest.raises(DomainError, match=r"^digit 12 out of range for base 10$"):
+        digit_sum_of_digits((d for d in [1, 2, 12, 13]), 10)

@@ -476,6 +476,20 @@ def test_positional_repr_validation():
     assert PositionalRepr(10, (1,), (5, 0), (1, 2)).frac_digits == (5, 0)
 
 
+def test_positional_repr_takes_iterables_and_stores_tuples():
+    r = PositionalRepr(6, [4], (d for d in [2, 4]), iter([5]))
+    assert (r.int_digits, r.frac_digits, r.repetend) == ((4,), (2, 4), (5,))
+    assert value_of(r) == Rational(161, 36)
+    assert r == PositionalRepr(6, (4,), (2, 4), (5,))
+
+
+def test_positional_repr_names_the_first_bad_digit_of_any_section():
+    with pytest.raises(DomainError, match=r"^digit 11 out of range for base 10$"):
+        PositionalRepr(10, [1], (2, 11, 12), (13,))
+    with pytest.raises(DomainError, match=r"^digit 13 out of range for base 10$"):
+        PositionalRepr(10, (1,), [2], (d for d in (3, 13, 14)))
+
+
 def test_parse_format_examples():
     r = parse("[4.24(5)]_6")
     assert (r.int_digits, r.frac_digits, r.repetend) == ((4,), (2, 4), (5,))

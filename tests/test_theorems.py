@@ -267,6 +267,32 @@ def test_t_doubleprime_residue_matches_the_bignum_formula(case):
     assert (n * residue % (s * (k - 1)) == 0) == t_doubleprime_bignum(n, s, k, rho0, period)
 
 
+def test_main2_matches_long_division_when_s_has_a_smooth_part():
+    """verify_main2 and the sweep share one setup (the lift to a remainder
+    mod p, T and the T'' residue), so comparing them cannot catch a wrong
+    setup.  Schoolbook long division can: on every README-scale tuple
+    whose s has a k-smooth part > 1, the report's repetend is the one long
+    division finds, and its T'' verdict is the k^T bignum's, with rho0 and
+    T read off that division."""
+    checked = 0
+    for k in range(2, 17):
+        for s in range(2, 101):
+            if math.gcd(s, k) == 1:
+                continue
+            for n in range(1, 101):
+                if math.gcd(n, s) != 1:
+                    continue
+                report = verify_main2(n, s, k)
+                if not report.preconditions_ok:
+                    continue
+                _, regular, repetend = long_division_digits(n, s, k)
+                assert report.repetend == tuple(repetend), (n, s, k)
+                assert report.t_doubleprime_divisible == t_doubleprime_bignum(
+                    n, s, k, len(regular), len(repetend)), (n, s, k)
+                checked += 1
+    assert checked == 15626
+
+
 def test_fuzz_main1_small_sweep_has_no_failures():
     summary = fuzz_main1(range(4, 11), 12, 3)
     assert summary.tested > 0
