@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
+from itertools import product
 
 from .errors import DomainError
 
@@ -89,6 +90,27 @@ def _digit_sum(n: int, k: int) -> int:
         n, d = divmod(n, k)
         s += d
     return s
+
+
+# Long division steps m base-k digits per divmod, m the largest width with
+# k^m <= _BLOCK_CAP, reading each block from a table of k^m entries; bases
+# above isqrt(_BLOCK_CAP) = 32 have no m >= 2 and step one digit at a time.
+# A 2^12 cap timed no faster (its tables miss the CPU cache) and held about
+# six times the memory.
+_BLOCK_CAP = 1 << 10
+
+
+@lru_cache(maxsize=32)
+def _digit_blocks(k: int) -> tuple[bytes, ...]:
+    """For 2 <= k <= 32: the table of every m-digit block of base k, m the
+    largest width with k^m <= _BLOCK_CAP.  Entry v is the m base-k digits of
+    v, most significant first and left-padded with zeros, one byte each, so
+    the table has k^m entries of m bytes."""
+    m = 2
+    while k ** (m + 1) <= _BLOCK_CAP:
+        m += 1
+    # product() counts in base k: its v-th tuple is the digits of v.
+    return tuple(map(bytes, product(range(k), repeat=m)))
 
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -227,6 +249,19 @@ def totient(n: int) -> int:
     return phi
 
 
+def _coerced(op):
+    """The Rational operator ``op(self, other)`` taking an int other as
+    Rational(other), and answering NotImplemented for any other type."""
+    @wraps(op)
+    def method(self, other):
+        if isinstance(other, int):
+            other = Rational(other)
+        elif not isinstance(other, Rational):
+            return NotImplemented
+        return op(self, other)
+    return method
+
+
 @dataclass(frozen=True, slots=True)
 class Rational:
     """A reduced nonnegative fraction num/den with den >= 1.
@@ -255,29 +290,20 @@ class Rational:
     def is_integer(self) -> bool:
         return self.den == 1
 
+    @_coerced
     def __add__(self, other: "Rational | int") -> "Rational":
-        if isinstance(other, int):
-            other = Rational(other)
-        if not isinstance(other, Rational):
-            return NotImplemented
         return Rational(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
+    @_coerced
     def __mul__(self, other: "Rational | int") -> "Rational":
-        if isinstance(other, int):
-            other = Rational(other)
-        if not isinstance(other, Rational):
-            return NotImplemented
         return Rational(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other: "Rational | int") -> "Rational":
-        if isinstance(other, int):
-            other = Rational(other)
-        if not isinstance(other, Rational):
-            return NotImplemented
         if other.num == 0:
             raise DomainError("division by zero")
         return Rational(self.num * other.den, self.den * other.num)

@@ -23,9 +23,11 @@ from itertools import islice
 
 from .arith import (
     ALPHABET,
+    _BLOCK_CAP,
     _BYTE_OF_VALUE,
     Rational,
     _decimal_text,
+    _digit_blocks,
     _digits_of,
     _int_of,
     _int_of_text,
@@ -248,13 +250,30 @@ def _split_at_point(scaled: int, k: int, rho0: int) -> tuple[tuple[int, ...], tu
 
 def _repetend(rem: int, p: int, k: int) -> tuple[int, ...]:
     """Repetend of rem/p in base k (0 < rem < p, gcd(p, k) = 1): the
-    T = ord_p(k) digits of remainder long division, whose operands all
-    stay below k * p."""
-    out = []
-    for _ in range(multiplicative_order(k, p)):
-        d, rem = divmod(rem * k, p)
-        out.append(d)
-    return tuple(out)
+    T = ord_p(k) digits of remainder long division.
+
+    Bases up to 32 take m digits per divmod, m from arith._digit_blocks,
+    whose table spells each quotient below k^m; the operands stay below
+    k^m * p, and a last block of T mod m digits is rem * k^(T mod m) // p.
+    Larger bases take one digit per divmod, with operands below k * p.
+    """
+    t = multiplicative_order(k, p)
+    if k * k > _BLOCK_CAP:
+        out = []
+        for _ in range(t):
+            d, rem = divmod(rem * k, p)
+            out.append(d)
+        return tuple(out)
+    table = _digit_blocks(k)
+    m, block = len(table[0]), len(table)  # m digits, k^m values
+    full, tail = divmod(t, m)
+    blocks = []
+    for _ in range(full):
+        v, rem = divmod(rem * block, p)
+        blocks.append(table[v])
+    if tail:
+        blocks.append(table[rem * k**tail // p][m - tail:])
+    return tuple(b"".join(blocks))
 
 
 def _expand(num: int, k: int, split: tuple[int, int, int], infinite: bool) -> PositionalRepr:

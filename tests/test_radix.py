@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -31,9 +32,9 @@ from radixroot import (
     verify_main1,
 )
 from radixroot import arith, radix
-from radixroot.arith import _INT_LEAF, _SPLIT_BITS
+from radixroot.arith import _BLOCK_CAP, _INT_LEAF, _SPLIT_BITS, _digit_blocks
 from radixroot.digroot import _digit_sum
-from radixroot.radix import _digits_of, _int_of, _smooth_split, _string_period, _tokenize
+from radixroot.radix import _digits_of, _int_of, _repetend, _smooth_split, _string_period, _tokenize
 
 from oracles import (
     TokenizeBruteError,
@@ -188,7 +189,7 @@ def test_multiplicative_order_matches_brute_force(k, p):
 
 
 def test_number_theory_caches_are_bounded():
-    for cached in (factorize, multiplicative_order):
+    for cached in (factorize, multiplicative_order, _digit_blocks):
         assert cached.cache_parameters()["maxsize"] is not None
         assert cached.cache_info().maxsize == cached.cache_parameters()["maxsize"]
 
@@ -333,6 +334,7 @@ LONG_PERIODS = [
     (10, 1019, 1018), (10, 4007, 4006), (10, 20047, 20046),
     (16, 2027, 1013), (16, 8039, 4019), (16, 40031, 20015),
     (40, 1019, 1018), (40, 4007, 4006), (40, 20023, 20022),
+    (3, 4001, 4000), (33, 4003, 4002),
 ]
 
 
@@ -344,6 +346,64 @@ def test_long_repetends_match_closed_form_and_long_division(k, p, t):
     assert r.period == t
     assert r.repetend == closed_form_repetend(num % p, p, k)
     assert (list(r.int_digits), list(r.frac_digits), list(r.repetend)) == long_division_digits(num, p, k)
+
+
+@st.composite
+def long_divisions(draw):
+    """(rem, p, k): k in 2..70, on both sides of the last base with a block
+    table, 2 <= p <= 5000 coprime to k, and any 0 < rem < p."""
+    k = draw(st.integers(2, 70))
+    p = draw(st.integers(2, 5000).filter(lambda p: math.gcd(p, k) == 1))
+    return draw(st.integers(1, p - 1)), p, k
+
+
+@settings(max_examples=300)
+@given(long_divisions())
+@example((1, 1019, 32))  # the last base with a block table
+@example((1, 1019, 33))  # and the first without one
+def test_repetend_matches_schoolbook_long_division(case):
+    rem, p, k = case
+    # A reducible rem/p repeats its minimal repetend ord_p(k) / length times.
+    repetend = long_division_digits(rem, p, k)[2]
+    t = multiplicative_order_brute(k, p)
+    assert _repetend(rem, p, k) == tuple(repetend) * (t // len(repetend))
+
+
+# (base, prime p, ord_p(base)): for each base, periods congruent to 0, 1 and
+# m - 1 modulo its block width m, so that the last block is full, one digit
+# long and one digit short.
+BLOCK_REMAINDERS = [
+    (2, 61, 60), (2, 103, 51), (2, 79, 39),
+    (3, 19, 18), (3, 431, 43), (3, 47, 23),
+    (10, 19, 18), (10, 17, 16), (10, 71, 35),
+    (16, 97, 12), (16, 11, 5),
+    (32, 13, 12), (32, 23, 11),
+]
+
+
+def test_block_remainder_cases_cover_every_last_block():
+    assert 32 * 32 <= _BLOCK_CAP < 33 * 33
+    for k in (2, 3, 10, 16, 32):
+        m = len(_digit_blocks(k)[0])
+        assert {t % m for base, _, t in BLOCK_REMAINDERS if base == k} == {0, 1, m - 1}
+
+
+@pytest.mark.parametrize("k, p, t", BLOCK_REMAINDERS)
+def test_repetend_ends_with_a_short_block(k, p, t):
+    assert multiplicative_order_brute(k, p) == t
+    for rem in range(1, p):
+        assert _repetend(rem, p, k) == closed_form_repetend(rem, p, k)
+
+
+@pytest.mark.parametrize("k", range(2, 33))
+def test_digit_blocks_spell_real_digits(k):
+    table = _digit_blocks(k)
+    m = len(table[0])
+    assert k**m <= _BLOCK_CAP < k ** (m + 1)
+    assert len(table) == k**m
+    for v, block in enumerate(table):
+        digits = digits_brute(v, k)
+        assert list(block) == [0] * (m - len(digits)) + digits
 
 
 # (base, prime p, ord_p(base)): periods near 12,000 and 65,000
