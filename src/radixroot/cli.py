@@ -1,10 +1,15 @@
 """Command-line interface.
 
-Each ``cmd_*`` parses its arguments, calls the library and returns
-``(inputs, result, text, passed)``, with ``passed`` None for commands that
-check nothing.  ``main`` alone turns that into output and an exit code:
-the text, or with ``--json`` the document {"command", "inputs", "result",
-"pass"}, where "pass" is present only when ``passed`` is not None.
+Each subcommand is declared once, in ``_COMMANDS``: its help, its
+``cmd_*`` function and its flags.  Its JSON "inputs" are its arguments in
+declaration order, after "check" for ``verify`` and ``fuzz``; ``value`` and
+``q`` literals are parsed before the command runs.  Each ``cmd_*`` calls
+the library and returns ``(result, text, passed)``, with ``passed`` None
+for commands that check nothing.  ``main`` alone turns that into output
+and an exit code: the text, or with ``--json`` the document {"command",
+"inputs", "result", "pass"}, where "pass" is present only when ``passed``
+is not None.  One rule writes every result record: a dataclass field by
+field, in declaration order.
 
 Exit codes: 0 = success / check verified, 1 = check violation found,
 2 = usage, parse, or precondition error, 141 (128 + SIGPIPE) = the reader
@@ -91,10 +96,6 @@ def _resolve_workers(flag_value: int | None) -> int:
     return flag_value
 
 
-def _rational_json(q: Rational) -> dict:
-    return {"num": str(q.num), "den": str(q.den)}
-
-
 def _field_dict(report, *skip: str) -> dict:
     """A result dataclass's fields in declaration order, the JSON key order.
     Shallow, unlike ``dataclasses.asdict``: json writes tuples as arrays,
@@ -102,52 +103,44 @@ def _field_dict(report, *skip: str) -> dict:
     return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in skip}
 
 
+def _json_default(obj) -> dict:
+    """How json writes what it cannot: a Rational as two decimal strings,
+    any other dataclass field by field."""
+    if isinstance(obj, Rational):
+        return {"num": str(obj.num), "den": str(obj.den)}
+    return _field_dict(obj)
+
+
 def cmd_classify(args):
-    q = parse_value_literal(args.value)
-    c = radix.classify(q, args.base)
-    inputs = {"value": _rational_json(q), "base": args.base}
-    result = {"kind": c.kind.value, "rho0": c.rho0, "period": c.period}
-    return inputs, result, f"{c.kind.value} rho0={c.rho0} period={c.period}", None
+    c = radix.classify(args.value, args.base)
+    return c, f"{c.kind.value} rho0={c.rho0} period={c.period}", None
 
 
 def cmd_repr(args):
     """``repr --base`` and ``convert --to``: one value in one base."""
-    key = "base" if args.command == "repr" else "to"
-    base = getattr(args, key)
-    q = parse_value_literal(args.value)
-    r = radix._encode(q, base, args.infinite)
+    base = args.base if args.command == "repr" else args.to
+    r = radix._encode(args.value, base, args.infinite)
     text = radix.format_repr(r)
-    inputs = {"value": _rational_json(q), key: base, "infinite": args.infinite}
-    result = {"text": text, **_field_dict(r)}
-    return inputs, result, text, None
+    return {"text": text, **_field_dict(r)}, text, None
 
 
 def cmd_digroot(args):
-    q = parse_value_literal(args.value)
-    res = digroot.tf_digital_root(q, args.base)
-    inputs = {"value": _rational_json(q), "base": args.base}
+    res = digroot.tf_digital_root(args.value, args.base)
     trajectory = ", ".join(str(t) for t in res.trajectory)
-    text = f"root={res.root} persistence={res.persistence} trajectory=[{trajectory}]"
-    return inputs, _field_dict(res), text, None
+    return res, f"root={res.root} persistence={res.persistence} trajectory=[{trajectory}]", None
 
 
 def cmd_orbits(args):
     part = modring.orbit_partition(args.modulus)
-    classes = sorted(part.classes.items())
-    lines = []
-    for d, members in classes:
-        inner = ", ".join(str(m) for m in members)
-        lines.append(f"Γ_{d}^{part.modulus} = {{{inner}}}")
-    result = {
-        "modulus": part.modulus,
-        "classes": {str(d): list(m) for d, m in classes},
-    }
-    return {"modulus": args.modulus}, result, "\n".join(lines), None
+    lines = [
+        f"Γ_{d}^{part.modulus} = {{{', '.join(str(m) for m in members)}}}"
+        for d, members in part.classes.items()
+    ]
+    return part, "\n".join(lines), None
 
 
 def cmd_main1(args):
-    q = parse_value_literal(args.q)
-    rep = theorems.verify_main1(q, args.r, args.base, args.terms)
+    rep = theorems.verify_main1(args.q, args.r, args.base, args.terms)
     lines = [
         f"main1: {'PASS' if rep.passed else 'FAIL'}",
         f"  base={rep.base} q={rep.q} r={rep.r} orbit_delta={rep.orbit_delta}"
@@ -159,21 +152,10 @@ def cmd_main1(args):
     ]
     if rep.witness is not None:
         lines.append(f"  witness: j={rep.witness}")
-    inputs = {"check": "main1", "q": _rational_json(q), "r": args.r,
-              "base": args.base, "terms": args.terms}
-    result = {
-        "base": rep.base,
-        "q": _rational_json(rep.q),
-        "r": rep.r,
-        "terms": [
-            {"j": t.j, "value": _rational_json(t.value), "root": t.root, "orbit": t.orbit_label}
-            for t in rep.terms
-        ],
-        "orbit_delta": rep.orbit_delta,
-        "congruence_ok": rep.congruence_ok,
-        "witness": rep.witness,
-    }
-    return inputs, result, "\n".join(lines), rep.passed
+    # The public key of a term's label is "orbit".
+    terms = [{"j": t.j, "value": t.value, "root": t.root, "orbit": t.orbit_label}
+             for t in rep.terms]
+    return {**_field_dict(rep, "passed"), "terms": terms}, "\n".join(lines), rep.passed
 
 
 def cmd_main2(args):
@@ -191,50 +173,96 @@ def cmd_main2(args):
         )
     else:
         lines.append(f"  reason: {rep.reason}")
-    inputs = {"check": "main2", "n": args.n, "s": args.s, "base": args.base}
-    return inputs, _field_dict(rep, "passed"), "\n".join(lines), rep.passed
+    return _field_dict(rep, "passed"), "\n".join(lines), rep.passed
 
 
 def cmd_cor1(args):
-    q = parse_value_literal(args.q)
-    holds = theorems.verify_cor1(q, args.r, args.base)
-    inputs = {"check": "cor1", "q": _rational_json(q), "r": args.r, "base": args.base}
-    return inputs, {"holds": holds}, f"cor1: {'PASS' if holds else 'FAIL'}", holds
+    holds = theorems.verify_cor1(args.q, args.r, args.base)
+    return {"holds": holds}, f"cor1: {'PASS' if holds else 'FAIL'}", holds
 
 
 def cmd_lemma31(args):
-    q = parse_value_literal(args.q)
-    holds = theorems.verify_lemma_dr(q, args.base)
-    inputs = {"check": "lemma31", "q": _rational_json(q), "base": args.base}
-    return inputs, {"holds": holds}, f"lemma31: {'PASS' if holds else 'FAIL'}", holds
+    holds = theorems.verify_lemma_dr(args.q, args.base)
+    return {"holds": holds}, f"lemma31: {'PASS' if holds else 'FAIL'}", holds
 
 
 def cmd_fuzz(args):
     bases = parse_base_range(args.bases)
-    workers = _resolve_workers(args.workers)
+    # The resolved count is what the inputs report.
+    args.workers = _resolve_workers(args.workers)
     if args.check == "main1":
-        summary = theorems.fuzz_main1(bases, args.bound, args.terms, workers=workers)
-        inputs = {"check": "main1", "bases": args.bases, "bound": args.bound,
-                  "terms": args.terms, "workers": workers}
+        summary = theorems.fuzz_main1(bases, args.bound, args.terms, workers=args.workers)
     else:
-        summary = theorems.fuzz_main2(bases, args.n_bound, args.s_bound, workers=workers)
-        inputs = {"check": "main2", "bases": args.bases, "n_bound": args.n_bound,
-                  "s_bound": args.s_bound, "workers": workers}
+        summary = theorems.fuzz_main2(bases, args.n_bound, args.s_bound, workers=args.workers)
     lines = [
         f"tested={summary.tested} skipped={summary.skipped}"
         f" degenerate={summary.degenerate} failed={summary.failed}"
     ]
     lines += [f"  FAIL {failure}" for failure in summary.failures]
-    return inputs, _field_dict(summary), "\n".join(lines), summary.failed == 0
+    return summary, "\n".join(lines), summary.failed == 0
 
 
 def cmd_magic(args):
     res = theorems.solve_missing_digit(args.pattern, args.base)
     rendered = [radix._join_digits([d], args.base) for d in res.candidates]
     text = f"ambiguous: {rendered[0]} or {rendered[1]}" if res.ambiguous else rendered[0]
-    inputs = {"pattern": args.pattern, "base": args.base}
-    result = {"digits": list(res.candidates), "ambiguous": res.ambiguous}
-    return inputs, result, text, None
+    return {"digits": res.candidates, "ambiguous": res.ambiguous}, text, None
+
+
+# Each subcommand once: name -> (help, cmd_*, [(flag, add_argument keywords)]),
+# or for a group, name -> (help, {check: the same triple}).  A help of None
+# leaves the name out of its group's listing.
+_VALUE = ("value", {})
+_Q = ("--q", {"required": True})
+_INT = {"type": _integer, "required": True}
+_BASE = ("--base", _INT)
+_WORKERS = ("--workers", {"type": _integer})
+_COMMANDS = {
+    "classify": ("terminating/repeating classification of a value", cmd_classify,
+                 [_VALUE, _BASE]),
+    "repr": ("canonical digit representation of a value", cmd_repr, [
+        _VALUE, _BASE,
+        ("--infinite", {"action": "store_true",
+                        "help": "force the repeating form with a trailing repetend"})]),
+    "convert": ("re-encode a value in another base", cmd_repr,
+                [_VALUE, ("--to", _INT), ("--infinite", {"action": "store_true"})]),
+    "digroot": ("digital root, persistence and trajectory", cmd_digroot, [_VALUE, _BASE]),
+    "orbits": ("orbit partition of the residues mod n", cmd_orbits, [("--modulus", _INT)]),
+    "verify": ("run one invariance check", {
+        "main1": ("orbit invariance under division by r^j", cmd_main1, [
+            _Q, ("--r", _INT), _BASE,
+            ("--terms", {"type": _integer, "default": 5, "help": "largest exponent j"})]),
+        "main2": ("repetend digit-sum divisibility by base-1", cmd_main2,
+                  [("--n", _INT), ("--s", _INT), _BASE]),
+        "cor1": ("roots divisible by base-1 stay divisible under /r", cmd_cor1,
+                 [_Q, ("--r", _INT), _BASE]),
+        "lemma31": ("digit sum and digital root agree mod base-1", cmd_lemma31, [_Q, _BASE]),
+    }),
+    "fuzz": ("enumerate a check over whole input ranges", {
+        "main1": (None, cmd_fuzz, [
+            ("--bases", {"required": True, "help": "base range, e.g. 2..16"}),
+            ("--bound", {**_INT, "help": "cap on numerators and smooth denominators"}),
+            ("--terms", {"type": _integer, "default": 5}), _WORKERS]),
+        "main2": (None, cmd_fuzz, [
+            ("--bases", {"required": True}), ("--n-bound", _INT), ("--s-bound", _INT),
+            _WORKERS]),
+    }),
+    "magic": ("recover the hidden digit of a multiple of base-1", cmd_magic,
+              [("pattern", {"help": "digit string with one '?' placeholder"}), _BASE]),
+}
+
+
+def _add_commands(parser, table: dict, dest: str, first: tuple = ()) -> None:
+    """One subparser per table entry; a leaf records its input names."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, spec in table.items():
+        p = sub.add_parser(name, **({"help": spec[0]} if spec[0] else {}))
+        if isinstance(spec[1], dict):
+            _add_commands(p, spec[1], "check", ("check",))
+            continue
+        inputs = [*first, *(p.add_argument(flag, **kw).dest for flag, kw in spec[2])]
+        p.add_argument("--json", action="store_true", help="emit a JSON document")
+        p.set_defaults(func=spec[1], inputs=inputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,94 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact base-k representations, digital roots, orbit structure, "
                     "and exhaustive invariance checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-
-    p = sub.add_parser("classify", help="terminating/repeating classification of a value")
-    p.add_argument("value")
-    p.add_argument("--base", type=_integer, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("repr", help="canonical digit representation of a value")
-    p.add_argument("value")
-    p.add_argument("--base", type=_integer, required=True)
-    p.add_argument("--infinite", action="store_true",
-                   help="force the repeating form with a trailing repetend")
-    add_json(p)
-    p.set_defaults(func=cmd_repr)
-
-    p = sub.add_parser("convert", help="re-encode a value in another base")
-    p.add_argument("value")
-    p.add_argument("--to", type=_integer, required=True)
-    p.add_argument("--infinite", action="store_true")
-    add_json(p)
-    p.set_defaults(func=cmd_repr)
-
-    p = sub.add_parser("digroot", help="digital root, persistence and trajectory")
-    p.add_argument("value")
-    p.add_argument("--base", type=_integer, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_digroot)
-
-    p = sub.add_parser("orbits", help="orbit partition of the residues mod n")
-    p.add_argument("--modulus", type=_integer, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("verify", help="run one invariance check")
-    vsub = p.add_subparsers(dest="check", required=True)
-    v = vsub.add_parser("main1", help="orbit invariance under division by r^j")
-    v.add_argument("--q", required=True)
-    v.add_argument("--r", type=_integer, required=True)
-    v.add_argument("--base", type=_integer, required=True)
-    v.add_argument("--terms", type=_integer, default=5, help="largest exponent j")
-    add_json(v)
-    v.set_defaults(func=cmd_main1)
-    v = vsub.add_parser("main2", help="repetend digit-sum divisibility by base-1")
-    v.add_argument("--n", type=_integer, required=True)
-    v.add_argument("--s", type=_integer, required=True)
-    v.add_argument("--base", type=_integer, required=True)
-    add_json(v)
-    v.set_defaults(func=cmd_main2)
-    v = vsub.add_parser("cor1", help="roots divisible by base-1 stay divisible under /r")
-    v.add_argument("--q", required=True)
-    v.add_argument("--r", type=_integer, required=True)
-    v.add_argument("--base", type=_integer, required=True)
-    add_json(v)
-    v.set_defaults(func=cmd_cor1)
-    v = vsub.add_parser("lemma31", help="digit sum and digital root agree mod base-1")
-    v.add_argument("--q", required=True)
-    v.add_argument("--base", type=_integer, required=True)
-    add_json(v)
-    v.set_defaults(func=cmd_lemma31)
-
-    p = sub.add_parser("fuzz", help="enumerate a check over whole input ranges")
-    fsub = p.add_subparsers(dest="check", required=True)
-    f = fsub.add_parser("main1")
-    f.add_argument("--bases", required=True, help="base range, e.g. 2..16")
-    f.add_argument("--bound", type=_integer, required=True,
-                   help="cap on numerators and smooth denominators")
-    f.add_argument("--terms", type=_integer, default=5)
-    f.add_argument("--workers", type=_integer, default=None)
-    add_json(f)
-    f.set_defaults(func=cmd_fuzz)
-    f = fsub.add_parser("main2")
-    f.add_argument("--bases", required=True)
-    f.add_argument("--n-bound", dest="n_bound", type=_integer, required=True)
-    f.add_argument("--s-bound", dest="s_bound", type=_integer, required=True)
-    f.add_argument("--workers", type=_integer, default=None)
-    add_json(f)
-    f.set_defaults(func=cmd_fuzz)
-
-    p = sub.add_parser("magic", help="recover the hidden digit of a multiple of base-1")
-    p.add_argument("pattern", help="digit string with one '?' placeholder")
-    p.add_argument("--base", type=_integer, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_magic)
-
+    _add_commands(parser, _COMMANDS, "command")
     return parser
 
 
@@ -340,12 +281,17 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        inputs, result, text, passed = args.func(args)
+        # Parsed here, not as an argparse type, so a bad literal reports
+        # its own position instead of a usage message.
+        for name in {"value", "q"}.intersection(args.inputs):
+            setattr(args, name, parse_value_literal(getattr(args, name)))
+        result, text, passed = args.func(args)
         if args.json:
+            inputs = {name: getattr(args, name) for name in args.inputs}
             doc = {"command": args.command, "inputs": inputs, "result": result}
             if passed is not None:
                 doc["pass"] = passed
-            print(json.dumps(doc, indent=2))
+            print(json.dumps(doc, indent=2, default=_json_default))
         else:
             print(text)
         # Flush here so a closed reader surfaces inside this try block.

@@ -28,11 +28,14 @@ def digit_sum(n: int, k: int) -> int:
 
 
 def digit_sum_iter(n: int, k: int, times: int) -> int:
+    """n after ``times`` base-k digit sums.  A single digit is its own
+    digit sum, so the loop stops there however large ``times`` is."""
     _require_int(k, "base", 2)
     _require_int(n, "n")
     _require_int(times, "times")
-    for _ in range(times):
+    while times and n >= k:
         n = _digit_sum(n, k)
+        times -= 1
     return n
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -555,3 +556,207 @@ def test_fuzz_failures_are_pinned_in_both_modes(capsys, monkeypatch):
                       "failures": [{"base": 5, "n": 1, "s": 3}, {"base": 5, "n": 2, "s": 3}]},
            "pass": False}
     assert run_cli(capsys, *argv, "--json") == (1, json.dumps(doc, indent=2) + "\n", "")
+
+
+# The --help of every parser level at 80 columns: the top level, each
+# group and each leaf.  The parsers are built from one table, so this pins
+# what each of them prints, listing and wrapping included.
+HELP = {
+    "": """\
+usage: radixroot [-h]
+                 {classify,repr,convert,digroot,orbits,verify,fuzz,magic} ...
+
+Exact base-k representations, digital roots, orbit structure, and exhaustive
+invariance checks.
+
+positional arguments:
+  {classify,repr,convert,digroot,orbits,verify,fuzz,magic}
+    classify            terminating/repeating classification of a value
+    repr                canonical digit representation of a value
+    convert             re-encode a value in another base
+    digroot             digital root, persistence and trajectory
+    orbits              orbit partition of the residues mod n
+    verify              run one invariance check
+    fuzz                enumerate a check over whole input ranges
+    magic               recover the hidden digit of a multiple of base-1
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "classify": """\
+usage: radixroot classify [-h] --base BASE [--json] value
+
+positional arguments:
+  value
+
+options:
+  -h, --help   show this help message and exit
+  --base BASE
+  --json       emit a JSON document
+""",
+    "repr": """\
+usage: radixroot repr [-h] --base BASE [--infinite] [--json] value
+
+positional arguments:
+  value
+
+options:
+  -h, --help   show this help message and exit
+  --base BASE
+  --infinite   force the repeating form with a trailing repetend
+  --json       emit a JSON document
+""",
+    "convert": """\
+usage: radixroot convert [-h] --to TO [--infinite] [--json] value
+
+positional arguments:
+  value
+
+options:
+  -h, --help  show this help message and exit
+  --to TO
+  --infinite
+  --json      emit a JSON document
+""",
+    "digroot": """\
+usage: radixroot digroot [-h] --base BASE [--json] value
+
+positional arguments:
+  value
+
+options:
+  -h, --help   show this help message and exit
+  --base BASE
+  --json       emit a JSON document
+""",
+    "orbits": """\
+usage: radixroot orbits [-h] --modulus MODULUS [--json]
+
+options:
+  -h, --help         show this help message and exit
+  --modulus MODULUS
+  --json             emit a JSON document
+""",
+    "verify": """\
+usage: radixroot verify [-h] {main1,main2,cor1,lemma31} ...
+
+positional arguments:
+  {main1,main2,cor1,lemma31}
+    main1               orbit invariance under division by r^j
+    main2               repetend digit-sum divisibility by base-1
+    cor1                roots divisible by base-1 stay divisible under /r
+    lemma31             digit sum and digital root agree mod base-1
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "verify main1": """\
+usage: radixroot verify main1 [-h] --q Q --r R --base BASE [--terms TERMS]
+                              [--json]
+
+options:
+  -h, --help     show this help message and exit
+  --q Q
+  --r R
+  --base BASE
+  --terms TERMS  largest exponent j
+  --json         emit a JSON document
+""",
+    "verify main2": """\
+usage: radixroot verify main2 [-h] --n N --s S --base BASE [--json]
+
+options:
+  -h, --help   show this help message and exit
+  --n N
+  --s S
+  --base BASE
+  --json       emit a JSON document
+""",
+    "verify cor1": """\
+usage: radixroot verify cor1 [-h] --q Q --r R --base BASE [--json]
+
+options:
+  -h, --help   show this help message and exit
+  --q Q
+  --r R
+  --base BASE
+  --json       emit a JSON document
+""",
+    "verify lemma31": """\
+usage: radixroot verify lemma31 [-h] --q Q --base BASE [--json]
+
+options:
+  -h, --help   show this help message and exit
+  --q Q
+  --base BASE
+  --json       emit a JSON document
+""",
+    "fuzz": """\
+usage: radixroot fuzz [-h] {main1,main2} ...
+
+positional arguments:
+  {main1,main2}
+
+options:
+  -h, --help     show this help message and exit
+""",
+    "fuzz main1": """\
+usage: radixroot fuzz main1 [-h] --bases BASES --bound BOUND [--terms TERMS]
+                            [--workers WORKERS] [--json]
+
+options:
+  -h, --help         show this help message and exit
+  --bases BASES      base range, e.g. 2..16
+  --bound BOUND      cap on numerators and smooth denominators
+  --terms TERMS
+  --workers WORKERS
+  --json             emit a JSON document
+""",
+    "fuzz main2": """\
+usage: radixroot fuzz main2 [-h] --bases BASES --n-bound N_BOUND --s-bound
+                            S_BOUND [--workers WORKERS] [--json]
+
+options:
+  -h, --help         show this help message and exit
+  --bases BASES
+  --n-bound N_BOUND
+  --s-bound S_BOUND
+  --workers WORKERS
+  --json             emit a JSON document
+""",
+    "magic": """\
+usage: radixroot magic [-h] --base BASE [--json] pattern
+
+positional arguments:
+  pattern      digit string with one '?' placeholder
+
+options:
+  -h, --help   show this help message and exit
+  --base BASE
+  --json       emit a JSON document
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=lambda c: c or "radixroot")
+def test_help_of_every_parser_level_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command.split(), "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
+
+
+def test_readme_cli_tour_comments_are_each_commands_first_output_line(capsys):
+    """Each line of the ``sh`` block under README's "## CLI tour" is a
+    command and, after "  # ", its first output line ("..." if more follow)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    tour = [line.partition("  # ") for line in block.splitlines()]
+    assert len(tour) == 13 and all(comment for _, _, comment in tour)
+    for command, _, comment in tour:
+        program, *argv = shlex.split(command)
+        assert program == "radixroot"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == comment.removesuffix(" ..."), command

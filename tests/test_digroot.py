@@ -43,6 +43,22 @@ def test_digit_sum_iter_examples():
     assert digit_sum_iter(161, 6, 2) == 6
 
 
+def test_digit_sum_iter_stops_at_one_digit_however_many_times():
+    # A single digit is its own digit sum, so none of these may loop 10^18 times.
+    assert digit_sum_iter(5, 10, 10**18) == 5
+    assert digit_sum_iter(7205, 10, 10**18) == 5
+    assert digit_sum_iter(0, 10, 10**18) == 0
+
+
+@given(st.integers(0, 10**30), st.integers(2, 40), st.integers(0, 10**18))
+def test_digit_sum_iter_past_the_persistence_gives_the_root(n, k, extra):
+    times = additive_persistence(n, k) + extra
+    root = n
+    while root >= k:
+        root = sum(digits_brute(root, k))
+    assert digit_sum_iter(n, k, times) == root
+
+
 def test_additive_persistence_examples():
     assert additive_persistence(7205, 10) == 2
     assert additive_persistence(161, 6) == 3

@@ -75,3 +75,27 @@ def test_run_exhaustive_checks():
         rf" degenerate={main2.degenerate}{timing}",
         lines[1],
     )
+
+
+def test_code_size_totals_match_plain_line_counts():
+    proc = run_script("code_size.py")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["module", "lines", "code"]
+    modules = sorted((REPO / "src" / "radixroot").glob("*.py"))
+    assert [row[0] for row in rows] == [path.name for path in modules]
+    lines = [len(path.read_text(encoding="utf-8").splitlines()) for path in modules]
+    assert [int(row[1]) for row in rows] == lines
+    assert all(0 < int(row[2]) <= int(row[1]) for row in rows)
+    assert total == ["total", str(sum(lines)), str(sum(int(row[2]) for row in rows))]
+
+
+def test_code_size_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n# comment\n\nx = 1  # trailing\n'
+        'def f():\n    """doc"""\n    return (1,\n            2)\n'
+    )
+    proc = run_script("code_size.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [f"{'m.py':<16}{9:>7}{4:>7}",
+                                            f"{'total':<16}{9:>7}{4:>7}"]
