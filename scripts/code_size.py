@@ -5,7 +5,7 @@ A code line is a line that holds a token other than a comment and is not
 part of a docstring (the string that opens a module, class or function
 body).  So blank lines, comment-only lines and docstrings are left out.
 
-Usage: python scripts/code_size.py [PACKAGE_DIR]   (default src/radixroot)
+Usage: python scripts/code_size.py
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-DEFAULT_DIR = Path(__file__).resolve().parents[1] / "src" / "radixroot"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "radixroot"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -37,10 +37,9 @@ def code_lines(source: str) -> int:
     return len(code - docstrings)
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else DEFAULT_DIR
+def main() -> int:
     rows = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         rows.append((path.name, len(source.splitlines()), code_lines(source)))
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
@@ -51,4 +50,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
