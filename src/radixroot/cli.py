@@ -76,24 +76,12 @@ def parse_base_range(text: str) -> range:
 
 def _integer(text: str) -> int:
     """An ASCII decimal numeral with an optional leading '-': the argparse
-    type of every integer flag, and how RADIXROOT_WORKERS is read.  Sign
-    checks are left to the library, which names the bound it needs."""
+    type of every integer flag.  Sign checks are left to the library,
+    which names the bound it needs."""
     value = radix._decimal(text.removeprefix("-"))
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
     return -value if text.startswith("-") else value
-
-
-def _resolve_workers(flag_value: int | None) -> int:
-    if flag_value is None:
-        env = os.environ.get("RADIXROOT_WORKERS")
-        if not env:
-            return 1
-        try:
-            flag_value = _integer(env)
-        except argparse.ArgumentTypeError:
-            raise PreconditionError(f"RADIXROOT_WORKERS must be an integer, got {env!r}") from None
-    return flag_value
 
 
 def _field_dict(report, *skip: str) -> dict:
@@ -188,8 +176,6 @@ def cmd_lemma31(args):
 
 def cmd_fuzz(args):
     bases = parse_base_range(args.bases)
-    # The resolved count is what the inputs report.
-    args.workers = _resolve_workers(args.workers)
     if args.check == "main1":
         summary = theorems.fuzz_main1(bases, args.bound, args.terms, workers=args.workers)
     else:
@@ -216,7 +202,7 @@ _VALUE = ("value", {})
 _Q = ("--q", {"required": True})
 _INT = {"type": _integer, "required": True}
 _BASE = ("--base", _INT)
-_WORKERS = ("--workers", {"type": _integer})
+_WORKERS = ("--workers", {"type": _integer, "default": 1})
 _COMMANDS = {
     "classify": ("terminating/repeating classification of a value", cmd_classify,
                  [_VALUE, _BASE]),
@@ -265,18 +251,16 @@ def _add_commands(parser, table: dict, dest: str, first: tuple = ()) -> None:
         p.set_defaults(func=spec[1], inputs=inputs)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radixroot",
-        description="Exact base-k representations, digital roots, orbit structure, "
-                    "and exhaustive invariance checks.",
-    )
-    _add_commands(parser, _COMMANDS, "command")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="radixroot",
+    description="Exact base-k representations, digital roots, orbit structure, "
+                "and exhaustive invariance checks.",
+)
+_add_commands(_PARSER, _COMMANDS, "command")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # Numbers print in full; the caller's int-string limit comes back after.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

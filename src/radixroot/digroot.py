@@ -29,14 +29,12 @@ def digit_sum(n: int, k: int) -> int:
 
 def digit_sum_iter(n: int, k: int, times: int) -> int:
     """n after ``times`` base-k digit sums.  A single digit is its own
-    digit sum, so the loop stops there however large ``times`` is."""
+    digit sum, so the chain stops there however large ``times`` is."""
     _require_int(k, "base", 2)
     _require_int(n, "n")
     _require_int(times, "times")
-    while times and n >= k:
-        n = _digit_sum(n, k)
-        times -= 1
-    return n
+    chain = _trajectory(n, k)
+    return chain[min(times, len(chain) - 1)]
 
 
 def additive_persistence(n: int, k: int) -> int:

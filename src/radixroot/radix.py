@@ -365,42 +365,38 @@ def format_repr(r: PositionalRepr) -> str:
     return f"[{body}]_{_decimal_text(r.base)}"
 
 
-def _tokenize(section: str, start: int, base: int, placeholder: bool = False) -> tuple[int | None, ...]:
+def _tokenize(section: str, start: int, base: int) -> tuple[int, ...]:
     """Digit values of ``section`` (spelled as the module docstring says),
-    which begins at offset ``start`` of the input; with ``placeholder`` a
-    '?' digit reads as None.
+    which begins at offset ``start`` of the input.
 
     A section of plain digits is read whole: up to base 36 by one
     bytes.translate, above by one lookup of each name.  Only when that
     fails -- a leading zero above base 36, a digit past the name table,
     or an error -- are the tokens walked one by one, and the walk raises
-    at the first offender.  A ``placeholder`` pattern is always walked:
-    it is short, and its '?' would fail the whole-section read.
+    at the first offender.
     """
     if not section:
         return ()
     tokens = section if base <= 36 else section.split(",")
-    if not placeholder:
-        if base <= 36:
-            # A non-ASCII character encodes as one '?', which spells no digit.
-            values = section.encode("ascii", "replace").translate(_VALUE_OF_BYTE)
-            if not values.translate(None, _DIGIT_BYTES[:base]):
-                return tuple(values)
-        elif base <= _NAMED_BASES:
-            try:
-                return tuple(map(_digit_names(base)[1].__getitem__, tokens))
-            except KeyError:
-                pass
+    if base <= 36:
+        # A non-ASCII character encodes as one '?', which spells no digit.
+        values = section.encode("ascii", "replace").translate(_VALUE_OF_BYTE)
+        if not values.translate(None, _DIGIT_BYTES[:base]):
+            return tuple(values)
+    elif base <= _NAMED_BASES:
+        try:
+            return tuple(map(_digit_names(base)[1].__getitem__, tokens))
+        except KeyError:
+            pass
     lookup = _DIGIT_VALUES.get if base <= 36 else _decimal
     out = []
     pos = start
     for token in tokens:
         value = lookup(token)
         if value is None:
-            if not (placeholder and token == "?"):
-                kind = "character" if base <= 36 else "token"
-                raise ParseError(f"invalid digit {kind} {_echo(token)}", pos)
-        elif value >= base:
+            kind = "character" if base <= 36 else "token"
+            raise ParseError(f"invalid digit {kind} {_echo(token)}", pos)
+        if value >= base:
             raise ParseError(f"digit {_echo(token)} is >= base {_decimal_text(base)}", pos)
         out.append(value)
         pos += len(token) + (base > 36)

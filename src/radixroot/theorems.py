@@ -436,13 +436,17 @@ def solve_missing_digit(pattern: str, k: int) -> MagicDigitResult:
     indistinguishable; that case is reported as ambiguous.
     """
     _require_int(k, "base", 2)
-    digits = _tokenize(pattern, 0, k, placeholder=True)
-    placeholders = digits.count(None)
+    tokens = pattern if k <= 36 else pattern.split(",")
+    # Each '?' reads as 0: it adds nothing to the digit sum, and being one
+    # character too it leaves every error message and position as it was.
+    spelled = ("" if k <= 36 else ",").join("0" if t == "?" else t for t in tokens)
+    digits = _tokenize(spelled, 0, k)
+    placeholders = tokens.count("?")
     if placeholders != 1:
         raise PreconditionError(
             f"pattern must contain exactly one '?' placeholder, found {placeholders}"
         )
-    residue = (-sum(d for d in digits if d is not None)) % (k - 1)
+    residue = (-sum(digits)) % (k - 1)
     if residue == 0:
         return MagicDigitResult((0, k - 1))
     return MagicDigitResult((residue,))

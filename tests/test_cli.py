@@ -249,18 +249,14 @@ def test_fuzz_main2_json(capsys):
     assert doc["result"]["failures"] == []
 
 
-def test_fuzz_workers_flag_and_env(capsys, monkeypatch):
-    code, out, _ = run_cli(capsys, "fuzz", "main1", "--bases", "8..9",
-                           "--bound", "8", "--terms", "2", "--workers", "2")
-    assert code == 0 and "failed=0" in out
-    monkeypatch.setenv("RADIXROOT_WORKERS", "2")
-    code, out, _ = run_cli(capsys, "fuzz", "main1", "--bases", "8..9",
-                           "--bound", "8", "--terms", "2", "--json")
+def test_fuzz_workers_flag(capsys):
+    argv = ["fuzz", "main1", "--bases", "8..9", "--bound", "8", "--terms", "2", "--json"]
+    code, out, _ = run_cli(capsys, *argv, "--workers", "2")
     assert code == 0 and json.loads(out)["inputs"]["workers"] == 2
-    monkeypatch.setenv("RADIXROOT_WORKERS", "zero")
-    code, _, err = run_cli(capsys, "fuzz", "main1", "--bases", "8..9",
-                           "--bound", "8", "--terms", "2")
-    assert code == 2 and "RADIXROOT_WORKERS" in err
+    assert json.loads(out)["result"]["failed"] == 0
+    # Without the flag the sweep runs in this process, and the inputs say so.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["inputs"]["workers"] == 1
 
 
 @pytest.mark.parametrize("text", ["\u0661\u0660", "1_0", " 10", "+10", "-"])
@@ -278,14 +274,6 @@ def test_integer_flags_take_only_ascii_decimal_numerals(capsys, argv, text):
         main([arg.format(text) for arg in argv])
     assert excinfo.value.code == 2
     assert "invalid integer" in capsys.readouterr().err
-
-
-def test_workers_env_takes_only_ascii_decimal_numerals(capsys, monkeypatch):
-    for text in ("\u0662", "1_0", "+2"):
-        monkeypatch.setenv("RADIXROOT_WORKERS", text)
-        code, out, err = run_cli(capsys, "fuzz", "main2", "--bases", "2..4",
-                                 "--n-bound", "10", "--s-bound", "10")
-        assert code == 2 and out == "" and "RADIXROOT_WORKERS" in err
 
 
 def test_magic_outputs(capsys):
@@ -556,6 +544,39 @@ def test_fuzz_failures_are_pinned_in_both_modes(capsys, monkeypatch):
                       "failures": [{"base": 5, "n": 1, "s": 3}, {"base": 5, "n": 2, "s": 3}]},
            "pass": False}
     assert run_cli(capsys, *argv, "--json") == (1, json.dumps(doc, indent=2) + "\n", "")
+
+
+def test_verify_main1_failure_is_pinned_in_both_modes(capsys, monkeypatch):
+    # Every root is 1, so r^j * R_j = R_0 mod 7 fails at j = 1 (2 != 1) and j = 2 (4 != 1).
+    monkeypatch.setattr(radixroot.theorems, "_trajectory", lambda n, k: [1])
+    argv = ["verify", "main1", "--q", "21", "--r", "2", "--base", "8", "--terms", "2"]
+    assert run_cli(capsys, *argv) == (
+        1, "main1: FAIL\n"
+           "  base=8 q=21 r=2 orbit_delta=1 congruence_ok=False\n"
+           "  j=0 value=21 root=1 orbit=1\n"
+           "  j=1 value=21/2 root=1 orbit=1\n"
+           "  j=2 value=21/4 root=1 orbit=1\n"
+           "  witness: j=1\n", "")
+    doc = {"command": "verify",
+           "inputs": {"check": "main1", "q": q_json(21), "r": 2, "base": 8, "terms": 2},
+           "result": {"base": 8, "q": q_json(21), "r": 2,
+                      "terms": [{"j": 0, "value": q_json(21), "root": 1, "orbit": 1},
+                                {"j": 1, "value": q_json(21, 2), "root": 1, "orbit": 1},
+                                {"j": 2, "value": q_json(21, 4), "root": 1, "orbit": 1}],
+                      "orbit_delta": 1, "congruence_ok": False, "witness": 1},
+           "pass": False}
+    assert run_cli(capsys, *argv, "--json") == (1, json.dumps(doc, indent=2) + "\n", "")
+
+
+def test_importing_the_library_loads_no_cli():
+    # A fresh interpreter, as perfbench's setup_s measures it: the library
+    # alone must not pay for the CLI's parser and JSON writer.
+    code = (f"import sys; sys.path.insert(0, {str(Path(radixroot.__file__).parents[1])!r})\n"
+            "import radixroot\n"
+            "print(sorted({'radixroot.cli', 'argparse', 'json'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # The --help of every parser level at 80 columns: the top level, each

@@ -12,6 +12,7 @@ from radixroot import (
     Kind,
     ParseError,
     PositionalRepr,
+    PreconditionError,
     Rational,
     classify,
     convert,
@@ -22,6 +23,7 @@ from radixroot import (
     parse,
     period,
     pow_rational,
+    solve_missing_digit,
     tf_digit_sum,
     tf_digital_root,
     to_finite,
@@ -660,31 +662,74 @@ high_base_sections = st.one_of(
 )
 
 
-def tokenize_outcome(section: str, start: int, base: int, placeholder: bool):
+def tokenize_outcome(section: str, start: int, base: int):
     """The library's digits, or its error as (message, position), beside
     the same for tokenize_brute."""
     try:
-        got = _tokenize(section, start, base, placeholder)
+        got = _tokenize(section, start, base)
     except ParseError as exc:
         got = (str(exc), exc.position)
     try:
-        want = tokenize_brute(section, start, base, placeholder)
+        want = tokenize_brute(section, start, base)
     except TokenizeBruteError as exc:
         want = (f"{exc.message} (at position {exc.position})", exc.position)
     return got, want
 
 
 @settings(max_examples=400)
-@given(st.integers(2, 36), low_base_sections, st.integers(0, 5), st.booleans())
-def test_tokenize_matches_brute_up_to_base_36(base, section, start, placeholder):
-    got, want = tokenize_outcome(section, start, base, placeholder)
+@given(st.integers(2, 36), low_base_sections, st.integers(0, 5))
+def test_tokenize_matches_brute_up_to_base_36(base, section, start):
+    got, want = tokenize_outcome(section, start, base)
     assert got == want
 
 
 @settings(max_examples=400)
-@given(st.integers(37, 70), high_base_sections, st.integers(0, 5), st.booleans())
-def test_tokenize_matches_brute_above_base_36(base, section, start, placeholder):
-    got, want = tokenize_outcome(section, start, base, placeholder)
+@given(st.integers(37, 70), high_base_sections, st.integers(0, 5))
+def test_tokenize_matches_brute_above_base_36(base, section, start):
+    got, want = tokenize_outcome(section, start, base)
+    assert got == want
+
+
+def with_placeholder(base: int, digits: list[int], at: int) -> tuple[int, str]:
+    """A base and its spelling of ``digits`` with one '?' token put in."""
+    tokens = [radix._join_digits([d], base) for d in digits]
+    tokens.insert(at % (len(tokens) + 1), "?")
+    return base, ("" if base <= 36 else ",").join(tokens)
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    st.tuples(st.integers(2, 36), low_base_sections),
+    st.tuples(st.integers(37, 70), high_base_sections),
+    st.integers(2, 70).flatmap(lambda k: st.builds(
+        with_placeholder, st.just(k), st.lists(st.integers(0, k - 1), max_size=8),
+        st.integers(0, 8))),
+))
+@example((10, "2?99561"))
+@example((2, "1?"))
+@example((40, "10,?"))
+@example((40, "07,?,99"))
+def test_solve_missing_digit_matches_the_placeholder_brute(case):
+    """The candidates, the first bad token's ParseError, or the
+    PreconditionError of a '?' count other than one, as tokenize_brute
+    with placeholders sees the pattern."""
+    base, pattern = case
+    try:
+        got = solve_missing_digit(pattern, base).candidates
+    except ParseError as exc:
+        got = (str(exc), exc.position)
+    except PreconditionError as exc:
+        got = str(exc)
+    try:
+        digits = tokenize_brute(pattern, 0, base, placeholder=True)
+    except TokenizeBruteError as exc:
+        want = (f"{exc.message} (at position {exc.position})", exc.position)
+    else:
+        total = sum(d for d in digits if d is not None)
+        if digits.count(None) == 1:
+            want = tuple(d for d in range(base) if (total + d) % (base - 1) == 0)
+        else:
+            want = f"pattern must contain exactly one '?' placeholder, found {digits.count(None)}"
     assert got == want
 
 
@@ -717,3 +762,7 @@ def test_parse_error_positions_point_at_offenders():
     assert pytest.raises(ParseError, parse, "[19]_9").value.position == 2
     assert pytest.raises(ParseError, parse, "[1.2(55)]_10").value.position == 5
     assert pytest.raises(ParseError, parse, "[007]_10").value.position == 1
+    for text, position in [("[1.(2(3))]_10", 5), ("[1.2(3)4)]_10", 6), ("[(1(2))]_10", 3)]:
+        error = pytest.raises(ParseError, parse, text).value
+        assert error.position == position
+        assert str(error) == f"nested repetend group (at position {position})"
