@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -375,6 +374,8 @@ def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummar
     if workers == 1 or len(items) < 2 * workers:
         results = [runner(items)]
     else:
+        # Imported here: a process that never sweeps in parallel should not load the pool.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(runner, _slices(items, workers, cost)))
     tested, failed, skipped, degenerate = map(sum, zip(*(r[:4] for r in results)))

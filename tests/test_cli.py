@@ -568,15 +568,51 @@ def test_verify_main1_failure_is_pinned_in_both_modes(capsys, monkeypatch):
     assert run_cli(capsys, *argv, "--json") == (1, json.dumps(doc, indent=2) + "\n", "")
 
 
+def run_fresh(code):
+    """Run ``code`` after ``import radixroot`` in a fresh ``python -I`` and
+    return its stdout."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(radixroot.__file__).parents[1])!r})\n"
+            f"import radixroot\n{code}")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
+
+
 def test_importing_the_library_loads_no_cli():
     # A fresh interpreter, as perfbench's setup_s measures it: the library
     # alone must not pay for the CLI's parser and JSON writer.
-    code = (f"import sys; sys.path.insert(0, {str(Path(radixroot.__file__).parents[1])!r})\n"
-            "import radixroot\n"
-            "print(sorted({'radixroot.cli', 'argparse', 'json'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-c", code],
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout == "[]\n"
+    out = run_fresh("print(sorted({'radixroot.cli', 'argparse', 'json'} & set(sys.modules)))")
+    assert out == "[]\n"
+
+
+def test_serial_work_loads_no_process_pool():
+    # Only a sweep that opens a pool may load it: queries, serial sweeps and
+    # the CLI stay clear of concurrent.futures and multiprocessing.
+    out = run_fresh(
+        "from radixroot import Rational, classify, to_repeating, fuzz_main1, fuzz_main2\n"
+        "classify(Rational(1, 7), 10); to_repeating(Rational(1, 7), 10)\n"
+        "fuzz_main1(range(2, 7), 10, 3); fuzz_main2(range(2, 7), 10, 10)\n"
+        "import radixroot.cli; radixroot.cli.main(['classify', '1/7', '--base', '10'])\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    assert out.splitlines() == ["repeating rho0=0 period=6", "[]"]
+
+
+def test_cold_pooled_sweep_gives_the_golden_summary():
+    # The first pooled sweep of a fresh process imports the pool itself.
+    out = run_fresh(
+        "from radixroot import fuzz_main2, theorems\n"
+        "pooled = fuzz_main2(range(2, 17), 100, 100, workers=2)\n"
+        "print(pooled)\n"
+        "print('concurrent.futures.process' in sys.modules, theorems._cpu_count())\n"
+        "print(pooled == fuzz_main2(range(2, 17), 100, 100, workers=1))")
+    summary, pool_state, same = out.splitlines()
+    assert summary == ("FuzzSummary(tested=58147, passed=58147, failed=0, skipped=31658, "
+                       "degenerate=5687, failures=())")
+    assert same == "True"
+    opened, cpus = pool_state.split()
+    if int(cpus) < 2:
+        pytest.skip("one usable CPU: _run_chunked runs the sweep serially and opens no pool")
+    assert opened == "True"
 
 
 # The --help of every parser level at 80 columns: the top level, each

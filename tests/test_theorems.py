@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import pytest
@@ -577,7 +578,7 @@ class RecordingExecutor:
 
 @pytest.fixture
 def recording_executor(monkeypatch):
-    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "opened", [])
     monkeypatch.setattr(RecordingExecutor, "chunks", [])
     monkeypatch.setattr(RecordingExecutor, "results", [])
