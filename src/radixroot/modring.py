@@ -88,8 +88,9 @@ def orbit(n: int, x: ResidueClass) -> tuple[int, ...]:
 
 
 def _orbit_label(n: int, x: int) -> int:
-    """gcd(x mod n, n), the divisor label of x's orbit mod n >= 2, unchecked."""
-    return math.gcd(x % n, n)
+    """The divisor label of x's orbit mod n >= 2, unchecked: gcd(x, n),
+    which equals gcd(x mod n, n), so x needs no reduction first."""
+    return math.gcd(x, n)
 
 
 def orbit_of(n: int, x: int) -> int:

@@ -178,7 +178,9 @@ class PositionalRepr:
     ``repetend`` the repeating block (empty for finite representations).
     The integer part has no leading zero, a finite representation never
     ends in a zero fractional digit, and a repetend is never all-zero and
-    never longer than its minimal period.
+    never longer than its minimal period.  A fractional prefix never ends
+    in the repetend's last digit, or the repetend could start one digit
+    earlier, so each value has one spelling of each form.
     """
 
     base: int
@@ -221,6 +223,9 @@ def _noncanonical(int_digits, frac_digits, repetend) -> tuple[str, str] | None:
         return "repetend must contain a nonzero digit", "rep"
     if repetend and _string_period(repetend) != len(repetend):
         return "repetend longer than its minimal period", "rep"
+    # 0.a_1..a_m(r_1..r_T) = 0.a_1..a_(m-1)(a_m r_1..r_(T-1)) when a_m = r_T.
+    if repetend and frac_digits and frac_digits[-1] == repetend[-1]:
+        return "fractional prefix ends in the repetend's last digit", "frac"
     return None
 
 
@@ -464,7 +469,8 @@ def parse(text: str) -> PositionalRepr:
     broken = _noncanonical(int_digits, frac_digits, repetend)
     if broken:
         message, part = broken
-        if part == "frac":
-            raise ParseError(message, frac_start + len(frac_section) - 1)
+        if part == "frac":  # at the last fractional digit
+            raise ParseError(message, frac_start + (len(frac_section) - 1 if base <= 36
+                                                    else frac_section.rfind(",") + 1))
         raise ParseError(message, 1 if part == "int" else rep_start)
     return _trusted(base, int_digits, frac_digits, repetend)

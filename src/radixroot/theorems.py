@@ -365,19 +365,66 @@ def _slices(items, parts: int, cost) -> list:
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
+def _send_slice(runner, part, writer) -> None:
+    """A child's whole work: send (True, runner(part)) or (False, the
+    exception it raised) through ``writer``."""
+    try:
+        outcome = True, runner(part)
+    except BaseException as exc:  # the parent reads it and raises it
+        outcome = False, exc
+    writer.send(outcome)
+
+
+def _start_slice(runner, part):
+    """Start a child process that runs ``_send_slice``; return the child
+    and the reading end of its one-way pipe."""
+    # Imported here: a process that never sweeps in parallel should not load them.
+    from multiprocessing import Pipe, Process
+    reader, writer = Pipe(duplex=False)
+    child = Process(target=_send_slice, args=(runner, part, writer))
+    child.start()
+    writer.close()  # the child holds the only writer, so its death reads as EOF
+    return child, reader
+
+
 def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummary:
     """Run contiguous slices of ``items``, cut at equal ``cost`` (see
-    ``_slices``), through ``runner`` in at most ``workers`` processes, one
-    per usable CPU at most, and merge the counts.  Failures are sorted by
-    their values in field order, whatever ``workers``."""
+    ``_slices``), through ``runner`` in at most ``workers`` processes, this
+    one included and one per usable CPU at most, and merge the counts.
+    This process runs the first slice while ``workers - 1`` children run
+    the rest; a child's exception is raised here, and every child is
+    joined before this returns or raises.  Failures are sorted by their
+    values in field order, whatever ``workers``."""
     workers = min(workers, _cpu_count())
     if workers == 1 or len(items) < 2 * workers:
         results = [runner(items)]
     else:
-        # Imported here: a process that never sweeps in parallel should not load the pool.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, _slices(items, workers, cost)))
+        first, *rest = _slices(items, workers, cost)
+        children = []
+        try:
+            for part in rest:
+                children.append(_start_slice(runner, part))
+            results = [runner(first)]
+            for child, reader in children:
+                try:
+                    ok, result = reader.recv()
+                except EOFError:  # killed, or its outcome would not pickle
+                    child.join()
+                    raise RuntimeError(f"a sweep process exited with code {child.exitcode} "
+                                       "before sending its result") from None
+                if not ok:
+                    raise result
+                results.append(result)
+        except BaseException:
+            # Their results are not wanted, and a child blocked on a full
+            # pipe would otherwise never exit.
+            for child, _ in children:
+                child.terminate()
+            raise
+        finally:
+            for child, reader in children:
+                child.join()
+                reader.close()
     tested, failed, skipped, degenerate = map(sum, zip(*(r[:4] for r in results)))
     failures = sorted((f for r in results for f in r[4]), key=lambda f: tuple(f.values()))
     return FuzzSummary(tested, tested - failed, failed, skipped, degenerate, tuple(failures))

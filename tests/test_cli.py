@@ -546,6 +546,17 @@ def test_fuzz_failures_are_pinned_in_both_modes(capsys, monkeypatch):
     assert run_cli(capsys, *argv, "--json") == (1, json.dumps(doc, indent=2) + "\n", "")
 
 
+def test_verify_main2_fails_on_a_nonzero_t_doubleprime_residue(capsys, monkeypatch):
+    # 9/7 has root 9 in base 10; only the faked T'' residue fails it.
+    monkeypatch.setattr(radixroot.theorems, "_t_doubleprime_residue",
+                        lambda s, k, rho0, period: 1)
+    argv = ["verify", "main2", "--n", "9", "--s", "7", "--base", "10"]
+    assert run_cli(capsys, *argv) == (
+        1, "main2: FAIL\n"
+           "  base=10 n=9 s=7 smooth_part=1 p_part=7\n"
+           "  repetend=285714 root=9 t''_divisible=False\n", "")
+
+
 def test_verify_main1_failure_is_pinned_in_both_modes(capsys, monkeypatch):
     # Every root is 1, so r^j * R_j = R_0 mod 7 fails at j = 1 (2 != 1) and j = 2 (4 != 1).
     monkeypatch.setattr(radixroot.theorems, "_trajectory", lambda n, k: [1])
@@ -598,20 +609,23 @@ def test_serial_work_loads_no_process_pool():
 
 
 def test_cold_pooled_sweep_gives_the_golden_summary():
-    # The first pooled sweep of a fresh process imports the pool itself.
+    # The first pooled sweep of a fresh process imports multiprocessing
+    # itself, and never concurrent.futures.
     out = run_fresh(
         "from radixroot import fuzz_main2, theorems\n"
         "pooled = fuzz_main2(range(2, 17), 100, 100, workers=2)\n"
         "print(pooled)\n"
-        "print('concurrent.futures.process' in sys.modules, theorems._cpu_count())\n"
+        "print('multiprocessing.connection' in sys.modules, 'concurrent.futures' in sys.modules,"
+        " theorems._cpu_count())\n"
         "print(pooled == fuzz_main2(range(2, 17), 100, 100, workers=1))")
     summary, pool_state, same = out.splitlines()
     assert summary == ("FuzzSummary(tested=58147, passed=58147, failed=0, skipped=31658, "
                        "degenerate=5687, failures=())")
     assert same == "True"
-    opened, cpus = pool_state.split()
+    opened, executor, cpus = pool_state.split()
+    assert executor == "False"
     if int(cpus) < 2:
-        pytest.skip("one usable CPU: _run_chunked runs the sweep serially and opens no pool")
+        pytest.skip("one usable CPU: _run_chunked runs the sweep serially and starts no child")
     assert opened == "True"
 
 

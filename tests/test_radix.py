@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 import sys
@@ -458,6 +460,55 @@ def test_round_trip_exhaustive_small_range():
                     assert value_of(to_repeating(q, k)) == q
 
 
+def every_spelling(k, length, int_digits):
+    """Each bracket string with an integer digit from ``int_digits`` and at
+    most ``length`` prefix-plus-repetend digits, canonical or not, with its
+    value by Fraction arithmetic."""
+    spell = ("," if k > 36 else "").join
+
+    def number(digits):
+        return functools.reduce(lambda x, d: x * k + d, digits, 0)
+
+    for n in range(length + 1):
+        for digits in itertools.product(range(k), repeat=n):
+            for m in range(n + 1):  # m prefix digits, n - m repetend digits
+                prefix, rep = digits[:m], digits[m:]
+                value = Fraction(number(prefix), k**m)
+                body = "." + spell(map(str, prefix)) if n else ""
+                if rep:
+                    value += Fraction(number(rep), k**m * (k ** len(rep) - 1))
+                    body += f"({spell(map(str, rep))})"
+                for a in int_digits:
+                    yield f"[{a}{body}]_{k}", a + value
+
+
+@pytest.mark.parametrize("k, length, int_digits", [(2, 8, (0, 1)), (40, 2, (0, 39))])
+def test_each_value_has_one_spelling_of_each_form(k, length, int_digits):
+    # Every string either parses to its own value or is rejected, every
+    # value spelled has a string that parses, and its strings that parse
+    # are at most one finite and one repeating, those that to_finite and
+    # to_repeating give back.  Two spellings mean a terminating value:
+    # its finite form and its (k-1)-tail.
+    spellings, rejected = {}, 0
+    for text, value in every_spelling(k, length, int_digits):
+        q = Rational(value.numerator, value.denominator)
+        spellings.setdefault(q, [])
+        try:
+            r = parse(text)
+        except ParseError:
+            rejected += 1
+            continue
+        assert value_of(r) == q, text
+        spellings[q].append(r)
+    assert rejected
+    for q, forms in spellings.items():
+        assert sorted(bool(r.repetend) for r in forms) in ([False], [True], [False, True]), q
+        for r in forms:
+            assert (to_repeating(q, k) if r.repetend else to_finite(q, k)) == r, q
+        if len(forms) == 2:
+            assert classify(q, k).is_terminating, q
+
+
 @given(rationals, bases)
 def test_reencoding_is_deterministic(q, k):
     if classify(q, k).is_terminating:
@@ -534,8 +585,13 @@ def test_positional_repr_validation():
         PositionalRepr(10, (1,), (), (0,))
     with pytest.raises(DomainError):
         PositionalRepr(10, (1,), (), (5, 5))
+    with pytest.raises(DomainError, match=r"^fractional prefix ends in the repetend's last"):
+        PositionalRepr(10, (0,), (1,), (2, 1))
+    with pytest.raises(DomainError, match=r"^fractional prefix ends in the repetend's last"):
+        PositionalRepr(40, (0,), (1, 39), (5, 39))
     # trailing zero in the regular part is fine when a repetend follows
     assert PositionalRepr(10, (1,), (5, 0), (1, 2)).frac_digits == (5, 0)
+    assert PositionalRepr(10, (0,), (1, 2), (2, 1)).repetend == (2, 1)
 
 
 def test_positional_repr_takes_iterables_and_stores_tuples():
@@ -766,3 +822,10 @@ def test_parse_error_positions_point_at_offenders():
         error = pytest.raises(ParseError, parse, text).value
         assert error.position == position
         assert str(error) == f"nested repetend group (at position {position})"
+    # A prefix that ends in the repetend's last digit is one digit too long:
+    # the first two spell 4/33 = [0.(12)]_10, the third 1 = [1]_10.
+    for text, position in [("[0.1(21)]_10", 3), ("[0.12(12)]_10", 4), ("[0.9(9)]_10", 3),
+                           ("[3.40(0,1,40)]_41", 3), ("[0.1,12(5,12)]_40", 5)]:
+        error = pytest.raises(ParseError, parse, text).value
+        assert str(error) == (f"fractional prefix ends in the repetend's last digit "
+                              f"(at position {position})")

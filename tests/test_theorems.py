@@ -1,5 +1,7 @@
-import concurrent.futures
 import math
+import multiprocessing
+import os
+import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -552,48 +554,89 @@ def test_fuzz_main2_reports_every_failure_in_order(monkeypatch, workers):
     assert summary.tested - summary.failed == summary.degenerate  # only k = 2 passes
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, each chunk
-    and each chunk's result, maps serially in this process."""
+def test_main2_reports_a_nonzero_t_doubleprime_residue(monkeypatch):
+    # Under main2's preconditions p * (k-1) divides k^T - 1, so the real
+    # T'' residue is always 0.  A fake residue of 1 is nonzero times every
+    # n coprime to s, so every tested tuple must fail, in verify_main2 and
+    # in the sweep, whose children are forked after the patch.
+    monkeypatch.setattr(theorems, "_t_doubleprime_residue", lambda s, k, rho0, period: 1)
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    bases, bound = range(2, 8), 12
+    tested = [report
+              for k in bases
+              for n in range(1, bound + 1)
+              for s in range(2, bound + 1)
+              if math.gcd(n, s) == 1 and (report := verify_main2(n, s, k)).preconditions_ok]
+    assert tested and not any(r.t_doubleprime_divisible or r.passed for r in tested)
+    assert any(r.repetend_root % (r.base - 1) == 0 for r in tested)  # failed by T'' alone
+    expected = tuple({"base": r.base, "n": r.n, "s": r.s} for r in tested)
+    for workers in (1, 2):
+        summary = fuzz_main2(bases, bound, bound, workers=workers)
+        assert summary.failures == expected
+        assert summary.failed == summary.tested == len(expected)
 
-    opened = []
-    chunks = []
-    results = []
 
-    def __init__(self, max_workers):
-        self.opened.append(max_workers)
+class InProcessChild:
+    """Stands in for a child and its pipe from ``_start_slice``: runs its
+    slice in this process when the parent reads its result, so that every
+    slice's runner call is seen here, the parent's first."""
 
-    def __enter__(self):
-        return self
+    def __init__(self, runner, part):
+        self.runner, self.part = runner, part
 
-    def __exit__(self, *exc):
-        return False
+    def recv(self):
+        return True, self.runner(self.part)
 
-    def map(self, fn, items):
-        self.chunks.extend(items)
-        results = [fn(item) for item in items]
-        self.results.extend(results)
-        return results
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+    def close(self):
+        pass
 
 
 @pytest.fixture
-def recording_executor(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "opened", [])
-    monkeypatch.setattr(RecordingExecutor, "chunks", [])
-    monkeypatch.setattr(RecordingExecutor, "results", [])
-    return RecordingExecutor
+def in_process_children(monkeypatch):
+    """Start each child as an InProcessChild; the list of slices handed to
+    children, in order."""
+    started = []
+
+    def start(runner, part):
+        started.append(part)
+        child = InProcessChild(runner, part)
+        return child, child
+
+    monkeypatch.setattr(theorems, "_start_slice", start)
+    return started
 
 
-def test_run_chunked_opens_one_worker_per_chunk(monkeypatch, recording_executor):
+def recording(monkeypatch, name):
+    """Wrap the chunk runner ``theorems.<name>``; the list of (chunk, result)
+    of each of its calls in this process."""
+    calls = []
+    runner = getattr(theorems, name)
+
+    def record(chunk, *args, **kwargs):
+        result = runner(chunk, *args, **kwargs)
+        calls.append((chunk, result))
+        return result
+
+    monkeypatch.setattr(theorems, name, record)
+    return calls
+
+
+def test_run_chunked_opens_one_worker_per_chunk(monkeypatch, in_process_children):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 8)
-    # 11 denominators in contiguous slices make 5 chunks of 2, 2, 2, 2 and 3.
+    # 11 denominators cut at equal cost make 5 chunks of 2, 3, 2, 2 and 2:
+    # this process runs the first, and one child each of the other four.
     summary = fuzz_main2(range(5, 6), 10, 12, workers=5)
-    assert recording_executor.opened == [5]
+    assert in_process_children == [range(4, 7), range(7, 9), range(9, 11), range(11, 13)]
     assert summary == fuzz_main2(range(5, 6), 10, 12)
 
 
-def test_run_chunked_deals_contiguous_slices(monkeypatch, recording_executor):
+def test_run_chunked_deals_contiguous_slices(monkeypatch, in_process_children):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 8)
     chunks = []
 
@@ -603,22 +646,23 @@ def test_run_chunked_deals_contiguous_slices(monkeypatch, recording_executor):
 
     summary = theorems._run_chunked(runner, range(11), 5)
     assert chunks == [range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 11)]
+    assert in_process_children == chunks[1:]
     assert summary.tested == 11
 
 
-def test_run_chunked_opens_at_most_one_worker_per_cpu(monkeypatch, recording_executor):
+def test_run_chunked_opens_at_most_one_worker_per_cpu(monkeypatch, in_process_children):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
     summary = fuzz_main2(range(5, 6), 10, 12, workers=5000)
-    assert recording_executor.opened == [2]
+    assert len(in_process_children) == 1
     assert summary == fuzz_main2(range(5, 6), 10, 12)
 
 
-def test_run_chunked_counts_only_the_cpus_it_may_use(monkeypatch, recording_executor):
+def test_run_chunked_counts_only_the_cpus_it_may_use(monkeypatch, in_process_children):
     # Pinned to CPU 0 of an 8-CPU machine, as under `taskset -c 0`.
     monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 8)
     summary = fuzz_main2(range(5, 6), 10, 12, workers=2)
-    assert recording_executor.opened == []
+    assert in_process_children == []
     assert summary == fuzz_main2(range(5, 6), 10, 12)
 
 
@@ -631,21 +675,22 @@ def test_cpu_count_falls_back_without_affinity(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
-def test_main1_chunks_share_the_work_evenly(monkeypatch, recording_executor, workers):
+def test_main1_chunks_share_the_work_evenly(monkeypatch, in_process_children, workers):
     # Every numerator runs in every base, so contiguous slices of numerators
     # cost about the same; round-robin units split by parity (12,606
     # against 3,364 tuples for two workers).
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
+    calls = recording(monkeypatch, "_run_main1_chunk")
     summary = fuzz_main1(range(2, 17), 120, 5, workers=workers)
-    tested = [result[0] for result in recording_executor.results]
-    assert recording_executor.opened == [workers] and len(tested) == workers
+    tested = [result[0] for _, result in calls]
+    assert len(in_process_children) == workers - 1 and len(tested) == workers
     assert sum(tested) == summary.tested == 15970
     assert max(tested) <= 1.02 * min(tested)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
 @pytest.mark.parametrize("bases, n_bound, s_bound", [(range(2, 17), 100, 100), ([10], 300, 1000)])
-def test_main2_chunks_are_cut_at_equal_cost(monkeypatch, recording_executor, workers, bases,
+def test_main2_chunks_are_cut_at_equal_cost(monkeypatch, in_process_children, workers, bases,
                                             n_bound, s_bound):
     # A denominator s costs n_bound + s.  Every denominator lands in one
     # non-empty chunk, in order, and each chunk costs less than one
@@ -653,14 +698,111 @@ def test_main2_chunks_are_cut_at_equal_cost(monkeypatch, recording_executor, wor
     # differ by almost two denominators: 199,584 against 200,970 with
     # 4 workers at s <= 1000, where s = 1000 costs 1,300.
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
+    calls = recording(monkeypatch, "_run_main2_chunk")
     summary = fuzz_main2(bases, n_bound, s_bound, workers=workers)
-    chunks = recording_executor.chunks
-    assert recording_executor.opened == [workers] and len(chunks) == workers and all(chunks)
+    chunks = [chunk for chunk, _ in calls]
+    assert len(chunks) == workers and all(chunks) and in_process_children == chunks[1:]
     assert [s for chunk in chunks for s in chunk] == list(range(2, s_bound + 1))
     costs = [sum(n_bound + s for s in chunk) for chunk in chunks]
     share = sum(costs) / workers
     assert all(abs(cost - share) < n_bound + s_bound for cost in costs)
     assert summary == fuzz_main2(bases, n_bound, s_bound)
+
+
+def count_chunk(chunk):
+    return len(chunk), 0, 0, 0, []
+
+
+def fail_past_the_first_slice(chunk):
+    if chunk[0] != 0:
+        raise DomainError(f"no verdict for the slice from {chunk[0]}")
+    return count_chunk(chunk)
+
+
+def fail_in_the_first_slice(chunk):
+    if chunk[0] == 0:
+        raise DomainError("no verdict for the first slice")
+    # More than a pipe's buffer holds, so the child blocks in its send
+    # until it is read or ended.
+    return len(chunk), 0, 0, 0, [{"base": 10, "n": n, "s": 7} for n in range(20000)]
+
+
+def started_children(monkeypatch):
+    """Record each real child that ``_start_slice`` starts."""
+    children = []
+    start = theorems._start_slice
+
+    def record(runner, part):
+        child, reader = start(runner, part)
+        children.append(child)
+        return child, reader
+
+    monkeypatch.setattr(theorems, "_start_slice", record)
+    return children
+
+
+def test_run_chunked_raises_a_childs_exception(monkeypatch):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
+    children = started_children(monkeypatch)
+    with pytest.raises(DomainError, match=r"^no verdict for the slice from 3$"):
+        theorems._run_chunked(fail_past_the_first_slice, range(9), 3)
+    assert len(children) == 2 and not any(child.is_alive() for child in children)
+    assert multiprocessing.active_children() == []
+
+
+def time_out(signum, frame):
+    # Not an OSError such as TimeoutError: multiprocessing's wait for a child swallows those.
+    pytest.fail("the sweep did not return within 30 s")
+
+
+def test_run_chunked_joins_the_children_when_its_own_slice_raises(monkeypatch):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
+    children = started_children(monkeypatch)
+    # Joined while blocked in their sends, the children would never exit:
+    # fail after 30 s instead of hanging, and end them.
+    handler = signal.signal(signal.SIGALRM, time_out)
+    signal.alarm(30)
+    try:
+        with pytest.raises(DomainError, match=r"^no verdict for the first slice$"):
+            theorems._run_chunked(fail_in_the_first_slice, range(9), 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+        for child in children:
+            if child.is_alive():
+                child.kill()
+                child.join()
+    assert len(children) == 2
+    assert all(child.exitcode is not None for child in children)
+    assert multiprocessing.active_children() == []
+
+
+def exit_past_the_first_slice(chunk):
+    if chunk[0] != 0:
+        os._exit(3)
+    return count_chunk(chunk)
+
+
+def test_run_chunked_reports_a_child_that_exits_without_a_result(monkeypatch):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"^a sweep process exited with code 3 before "
+                                           r"sending its result$"):
+        theorems._run_chunked(exit_past_the_first_slice, range(8), 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_sweeps_leave_no_child_running(monkeypatch):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
+    children = started_children(monkeypatch)
+    for workers in (2, 3):
+        started = len(children)
+        fuzz_main1(range(2, 11), 30, 3, workers=workers)
+        assert multiprocessing.active_children() == []
+        fuzz_main2(range(2, 11), 30, 30, workers=workers)
+        assert multiprocessing.active_children() == []
+        assert len(children) - started == 2 * (workers - 1)
+    assert theorems._run_chunked(count_chunk, range(9), 3).tested == 9
+    assert multiprocessing.active_children() == []
 
 
 def test_slices_cut_where_the_cumulative_cost_splits_evenly():
