@@ -290,51 +290,73 @@ def _run_main1_chunk(numerators, bases, bound: int, terms_max: int):
     return tested, failed, 0, 0, failures
 
 
-def _main2_failures(k: int, s: int, numerators: list[int]) -> list[int] | None:
-    """The n in ``numerators`` (all coprime to s) for which n/s fails main2
-    in base k; None when (k, s) fails main2's preconditions.
+def _main2_cycles(k: int, p: int, period: int) -> bytearray | None:
+    """Decide every remainder cycle of the units mod p in base k: None when
+    the root of each cycle's digit sum is divisible by k-1, else a
+    bytearray(p) that is 2 at each remainder of a failing cycle.
 
     The remainders rem * k^i mod p of one long division have repetends
     that are rotations of each other, so they share a digit sum and a
-    root.  Each T-step division therefore decides its whole remainder
-    cycle: whether the root of its digit sum is divisible by k-1.  A memo
-    of those verdicts by remainder, never larger than p, serves the rest
-    of the cycle, and roots are memoised by digit sum.
+    root, and one T-step division of real digits decides each cycle:
+    phi(p) steps in all.  Roots are memoised by digit sum.  One bytearray
+    marks the remainders divided (1) and those of failing cycles (2), and
+    it is kept only when a cycle fails: at most p bytes per (k, p).
+    """
+    table = bytearray(p)
+    roots: dict[int, int] = {}
+    rem = 1
+    while rem != -1:
+        if math.gcd(rem, p) == 1:
+            total, r = 0, rem
+            for _ in range(period):
+                d, r = divmod(r * k, p)
+                total += d
+                table[r] = 1
+            root = roots.get(total)
+            if root is None:
+                root = roots[total] = _trajectory(total, k)[-1]
+            if root % (k - 1):
+                for _ in range(period):  # r is back at rem
+                    table[r] = 2
+                    r = r * k % p
+        rem = table.find(0, rem + 1)
+    return table if 2 in table else None
+
+
+def _main2_failures(k: int, s: int, numerators: list[int],
+                    cycles: dict[tuple[int, int], bytearray | None]) -> list[int] | None:
+    """The n in ``numerators`` (all coprime to s) for which n/s fails main2
+    in base k; None when (k, s) fails main2's preconditions.
+
+    n/s has the repetend of rem/p, rem = n * lift mod p, a unit, so its
+    verdict is its remainder cycle's (see ``_main2_cycles``).  A cycle's
+    verdict depends only on (k, p), and ``cycles`` keeps them by (k, p)
+    for every s = smooth * p the caller runs.  A (k, s) whose cycles all
+    pass and whose T'' residue is 0 fails no numerator, so none is looked
+    at; otherwise n fails on its cycle or on n * residue != 0 mod s*(k-1).
     """
     _, p, setup = _main2_setup(s, k)
     if setup is None:
         return None
     lift, period, residue = setup
+    if (k, p) not in cycles:
+        cycles[k, p] = _main2_cycles(k, p, period)
+    table = cycles[k, p]
+    if table is None and not residue:
+        return []
     modulus = s * (k - 1)
-    verdicts: dict[int, bool] = {}
-    roots: dict[int, int] = {}
-    failing = []
-    for n in numerators:
-        rem = n * lift % p
-        divisible = verdicts.get(rem)
-        if divisible is None:
-            total, cycle, r = 0, [], rem
-            for _ in range(period):
-                d, r = divmod(r * k, p)
-                total += d
-                cycle.append(r)
-            root = roots.get(total)
-            if root is None:
-                root = roots[total] = _trajectory(total, k)[-1]
-            divisible = root % (k - 1) == 0
-            verdicts.update(dict.fromkeys(cycle, divisible))
-        if not divisible or n * residue % modulus:
-            failing.append(n)
-    return failing
+    return [n for n in numerators
+            if n * residue % modulus or table is not None and table[n * lift % p] == 2]
 
 
 def _run_main2_chunk(denominators, bases, n_bound: int):
     tested = failed = skipped = degenerate = 0
     failures = []
+    cycles = {}  # (k, p) -> _main2_cycles(k, p, T), for the whole chunk
     for s in denominators:
         numerators = [n for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
         for k in bases:
-            failing = _main2_failures(k, s, numerators)
+            failing = _main2_failures(k, s, numerators, cycles)
             if failing is None:
                 skipped += len(numerators)
                 continue
@@ -458,9 +480,15 @@ def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSumma
     _require_int(s_bound, "s_bound", 0, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
     runner = partial(_run_main2_chunk, bases=bases, n_bound=n_bound)
-    # A denominator s costs one step per numerator in each base, plus at
-    # most p <= s long-division steps per base to settle its cycles.
-    return _run_chunked(runner, range(2, s_bound + 1), workers, cost=lambda s: n_bound + s)
+    # A denominator s costs its list of numerators and one setup per base,
+    # plus phi(p) long-division steps in each base where its coprime part p
+    # is new to the slice, which is mostly where s = p.  Those steps
+    # dominate and grow with s.  Weighting s by 4 evens the two slices at
+    # README scale (n_bound = s_bound = 100) and leaves them within about
+    # 20% at n_bound = 300, s_bound = 1000, where a later slice also
+    # redivides the small p of its s = smooth * p, which no weight per s
+    # can see.
+    return _run_chunked(runner, range(2, s_bound + 1), workers, cost=lambda s: n_bound + 4 * s)
 
 
 @dataclass(frozen=True, slots=True)

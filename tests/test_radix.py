@@ -461,8 +461,9 @@ def test_round_trip_exhaustive_small_range():
 
 
 def every_spelling(k, length, int_digits):
-    """Each bracket string with an integer digit from ``int_digits`` and at
-    most ``length`` prefix-plus-repetend digits, canonical or not, with its
+    """Each bracket string with integer-part digits from ``int_digits`` (a
+    list of digit tuples, spelled as given, leading zeros included), at most
+    ``length`` prefix-plus-repetend digits, canonical or not, with its
     value by Fraction arithmetic."""
     spell = ("," if k > 36 else "").join
 
@@ -478,27 +479,35 @@ def every_spelling(k, length, int_digits):
                 if rep:
                     value += Fraction(number(rep), k**m * (k ** len(rep) - 1))
                     body += f"({spell(map(str, rep))})"
-                for a in int_digits:
-                    yield f"[{a}{body}]_{k}", a + value
+                for part in int_digits:
+                    yield f"[{spell(map(str, part))}{body}]_{k}", number(part) + value
 
 
-@pytest.mark.parametrize("k, length, int_digits", [(2, 8, (0, 1)), (40, 2, (0, 39))])
+@pytest.mark.parametrize("k, length, int_digits", [
+    (2, 8, [(0,), (1,), (1, 0), (1, 1), (0, 1)]),
+    (40, 2, [(0,), (39,)]),
+    (3, 5, [(0,), (1,), (2,), (1, 0), (0, 2)]),
+    (41, 2, [(0,), (40,), (1, 0), (0, 40)]),
+])
 def test_each_value_has_one_spelling_of_each_form(k, length, int_digits):
-    # Every string either parses to its own value or is rejected, every
-    # value spelled has a string that parses, and its strings that parse
-    # are at most one finite and one repeating, those that to_finite and
-    # to_repeating give back.  Two spellings mean a terminating value:
-    # its finite form and its (k-1)-tail.
+    # Every string either parses to its own value and formats back to
+    # itself, or is rejected, as is every integer part with a leading zero.
+    # Every value spelled has a string that parses, and its strings that
+    # parse are at most one finite and one repeating, those that to_finite
+    # and to_repeating give back.  Two spellings mean a terminating value:
+    # its finite form and its (k-1)-tail, which may carry into the integer
+    # part ([1.(1)]_2 = [10]_2).
     spellings, rejected = {}, 0
     for text, value in every_spelling(k, length, int_digits):
         q = Rational(value.numerator, value.denominator)
         spellings.setdefault(q, [])
+        leading_zero = text[1] == "0" and text[2] not in ".]"
         try:
             r = parse(text)
         except ParseError:
             rejected += 1
             continue
-        assert value_of(r) == q, text
+        assert not leading_zero and value_of(r) == q and format_repr(r) == text, text
         spellings[q].append(r)
     assert rejected
     for q, forms in spellings.items():

@@ -1,3 +1,4 @@
+import collections
 import math
 import multiprocessing
 import os
@@ -464,40 +465,101 @@ def test_fuzz_main2_worker_invariant(monkeypatch):
 
 
 def test_fuzz_main2_sums_equal_the_single_tuple_kernel(monkeypatch):
-    """The sweep kernel's digit sums, from one long division per remainder
-    cycle, and its T'' verdicts equal those of the full repetend of each
-    tuple, on every README-scale tuple.  Run on one numerator, the kernel
-    takes the root of that numerator's digit sum alone; run on all of
-    them, it takes the roots of their distinct digit sums, in order, and
-    fails the same numerators.  Digit sums are compared, not roots: every
-    root is k-1, so a numerator passes exactly when T'' holds."""
-    totals = []
-
-    def recording(total, k):
-        totals.append(total)
-        return trajectory(total, k)
-
+    """Every README-scale tuple is decided by the digit sum of its own real
+    repetend, and the sweep kernel's T'' verdicts are those of the
+    single-tuple kernel.  For each (k, s) and each digit sum D that its
+    full repetends reach, a fake root that fails D alone must fail exactly
+    the numerators whose repetend sums to D.  In base 2 every root is
+    0 mod k-1, so there only T'' decides."""
     trajectory = theorems._trajectory
-    monkeypatch.setattr(theorems, "_trajectory", recording)
-    got, want, skipped = [], [], []
+    tested, skipped, decided_by_sum = 0, [], 0
     for k in range(2, 17):
         for s in range(2, 101):
             numerators = [n for n in range(1, 101) if math.gcd(n, s) == 1]
             reports = [theorems._main2(n, s, k) for n in numerators]
-            totals.clear()
-            failing = theorems._main2_failures(k, s, numerators)
+            failing = theorems._main2_failures(k, s, numerators, {})
             if failing is None:
                 skipped += [r.preconditions_ok for r in reports]
                 continue
-            assert totals == list(dict.fromkeys(sum(r.repetend) for r in reports))
+            tested += len(reports)
             assert failing == [r.n for r in reports if not r.t_doubleprime_divisible]
-            for r in reports:
-                totals.clear()
-                passed = theorems._main2_failures(k, s, [r.n]) == []
-                got += [(k, s, r.n, *totals, passed)]
-                want += [(k, s, r.n, sum(r.repetend), r.t_doubleprime_divisible)]
-    assert got == want
-    assert len(got) == 58147 and len(skipped) == 31658 and not any(skipped)
+            sums = [sum(r.repetend) for r in reports]
+            for total in dict.fromkeys(sums) if k > 2 else ():
+                fails_total = (lambda t, k, total=total:
+                               [1] if t == total else trajectory(t, k))
+                monkeypatch.setattr(theorems, "_trajectory", fails_total)
+                failing = theorems._main2_failures(k, s, numerators, {})
+                monkeypatch.setattr(theorems, "_trajectory", trajectory)
+                assert failing == [n for n, d in zip(numerators, sums) if d == total]
+                decided_by_sum += len(failing)
+    assert tested == 58147 and len(skipped) == 31658 and not any(skipped)
+    assert decided_by_sum == tested - 5687  # every tuple but the degenerate ones
+
+
+def test_main2_chunk_memo_is_keyed_by_base_and_p(monkeypatch):
+    """One chunk of many denominators in many bases, with a fake root that
+    fails tuples by their digit sums, gives the counts and failures of a
+    loop of the single-tuple kernel: a cycle verdict kept for one base is
+    never used in another."""
+    monkeypatch.setattr(theorems, "_trajectory", root_by_parity)
+    bases, bound = range(3, 17), 100
+    reports = [theorems._main2(n, s, k)
+               for s in range(2, bound + 1)
+               for k in bases
+               for n in range(1, bound + 1) if math.gcd(n, s) == 1]
+    tested = [r for r in reports if r.preconditions_ok]
+    failures = [{"base": r.base, "n": r.n, "s": r.s} for r in tested if not r.passed]
+    assert 10000 < len(failures) < len(tested) - 10000
+    got = theorems._run_main2_chunk(range(2, bound + 1), bases, bound)
+    assert got == (len(tested), len(failures), len(reports) - len(tested), 0, failures)
+
+
+@pytest.mark.parametrize("k", [3, 10, 16])
+def test_main2_chunk_divides_each_unit_cycle_once(monkeypatch, k):
+    """A chunk divides every unit remainder mod p once, one long-division
+    step each, for each p its denominators reach, however many
+    s = smooth * p share that p."""
+    divided = []
+
+    def counting(a, b):
+        divided.append((a // k, b))  # the remainder divided, and p
+        return divmod(a, b)
+
+    monkeypatch.setattr(theorems, "divmod", counting, raising=False)
+    denominators = range(2, 400)
+    theorems._run_main2_chunk(denominators, [k], 50)
+    p_of = {s: theorems._main2_setup(s, k)[1] for s in denominators
+            if theorems._main2_setup(s, k)[2] is not None}
+    assert max(collections.Counter(p_of.values()).values()) >= 4
+    units = sorted((rem, p) for p in set(p_of.values())
+                   for rem in range(1, p) if math.gcd(rem, p) == 1)
+    assert sorted(divided) == units
+
+
+def test_main2_fake_root_failing_one_cycle_fails_its_numerators(monkeypatch):
+    """In base 10 the units mod 79 make 6 remainder cycles of 13 digits, and
+    only one has digit sum 45.  A root that fails 45 alone fails, for every
+    s = smooth * 79, exactly the n whose repetend is a rotation of that
+    cycle's, by schoolbook long division."""
+    k, p, bound = 10, 79, 100
+
+    def cycle_of(num, den):
+        r = tuple(long_division_digits(num, den, k)[2])
+        return min(r[i:] + r[:i] for i in range(len(r)))
+
+    cycles = {cycle_of(u, p) for u in range(1, p)}
+    failing_cycle, = (c for c in cycles if sum(c) == 45)
+    assert len(cycles) == 6
+    trajectory = theorems._trajectory
+    monkeypatch.setattr(theorems, "_trajectory",
+                        lambda t, k: [1] if t == 45 else trajectory(t, k))
+    denominators = [p * m for m in (1, 2, 4, 5, 8, 10)]
+    expected = [{"base": k, "n": n, "s": s}
+                for s in denominators for n in range(1, bound + 1)
+                if math.gcd(n, s) == 1 and cycle_of(n, s) == failing_cycle]
+    assert {f["s"] for f in expected} == set(denominators)
+    got = theorems._run_main2_chunk(denominators, [k], bound)
+    assert got[4] == expected and got[1] == len(expected) < got[0]
 
 
 @st.composite
@@ -629,10 +691,10 @@ def recording(monkeypatch, name):
 
 def test_run_chunked_opens_one_worker_per_chunk(monkeypatch, in_process_children):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 8)
-    # 11 denominators cut at equal cost make 5 chunks of 2, 3, 2, 2 and 2:
+    # 11 denominators cut at equal cost make 5 chunks of 3, 2, 2, 2 and 2:
     # this process runs the first, and one child each of the other four.
     summary = fuzz_main2(range(5, 6), 10, 12, workers=5)
-    assert in_process_children == [range(4, 7), range(7, 9), range(9, 11), range(11, 13)]
+    assert in_process_children == [range(5, 7), range(7, 9), range(9, 11), range(11, 13)]
     assert summary == fuzz_main2(range(5, 6), 10, 12)
 
 
@@ -692,20 +754,20 @@ def test_main1_chunks_share_the_work_evenly(monkeypatch, in_process_children, wo
 @pytest.mark.parametrize("bases, n_bound, s_bound", [(range(2, 17), 100, 100), ([10], 300, 1000)])
 def test_main2_chunks_are_cut_at_equal_cost(monkeypatch, in_process_children, workers, bases,
                                             n_bound, s_bound):
-    # A denominator s costs n_bound + s.  Every denominator lands in one
+    # A denominator s costs n_bound + 4 * s.  Every denominator lands in one
     # non-empty chunk, in order, and each chunk costs less than one
     # denominator more or less than an even share.  Two chunks can then
-    # differ by almost two denominators: 199,584 against 200,970 with
-    # 4 workers at s <= 1000, where s = 1000 costs 1,300.
+    # differ by almost two denominators: 7,164 against 7,956 with 4 workers
+    # at s <= 100, where s = 100 costs 500.
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
     calls = recording(monkeypatch, "_run_main2_chunk")
     summary = fuzz_main2(bases, n_bound, s_bound, workers=workers)
     chunks = [chunk for chunk, _ in calls]
     assert len(chunks) == workers and all(chunks) and in_process_children == chunks[1:]
     assert [s for chunk in chunks for s in chunk] == list(range(2, s_bound + 1))
-    costs = [sum(n_bound + s for s in chunk) for chunk in chunks]
+    costs = [sum(n_bound + 4 * s for s in chunk) for chunk in chunks]
     share = sum(costs) / workers
-    assert all(abs(cost - share) < n_bound + s_bound for cost in costs)
+    assert all(abs(cost - share) < n_bound + 4 * s_bound for cost in costs)
     assert summary == fuzz_main2(bases, n_bound, s_bound)
 
 
