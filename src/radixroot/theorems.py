@@ -35,16 +35,16 @@ def verify_lemma_dr(q: Rational, k: int) -> bool:
     return (_digit_sum(n, k) - _trajectory(n, k)[-1]) % (k - 1) == 0
 
 
-def _require_main1_args(q: Rational, r: int, k: int) -> tuple[int, int, int]:
+def _require_main1_args(q: Rational, r: int, k: int) -> int:
     """Preconditions shared by verify_main1 and verify_cor1; returns the
-    split of q's denominator."""
+    integer n_0 = k^rho0 * q."""
     split = _terminating_split(q, k)
     if _require_int(r, "r", 2, PreconditionError) >= k or k % r != 0:
         raise PreconditionError(f"r must be a divisor of {_decimal_text(k)} with 2 <= r < "
                                 f"{_decimal_text(k)}, got {_decimal_text(r)}")
     if q.is_zero:
         raise PreconditionError("q must be positive")
-    return split
+    return _scaled(q.num, k, split)
 
 
 def _main1(n0: int, r: int, k: int, terms_max: int, memo: dict[int, int],
@@ -118,9 +118,9 @@ class Main1Report:
 def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
     """Check main1 for q, q/r, ..., q/r^terms_max: every root R_j lies in
     the orbit of R_0 mod k-1, and r^j * R_j = R_0 mod k-1."""
-    split = _require_main1_args(q, r, k)
+    n0 = _require_main1_args(q, r, k)
     _require_int(terms_max, "terms", 1, PreconditionError)
-    roots, congruence_ok, witness = _main1(_scaled(q.num, k, split), r, k, terms_max, {}, {})
+    roots, congruence_ok, witness = _main1(n0, r, k, terms_max, {}, {})
     terms = tuple(
         Main1Term(j, Rational(q.num, q.den * r**j), root, _orbit_label(k - 1, root))
         for j, root in enumerate(roots)
@@ -139,8 +139,7 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
 
 def verify_cor1(q: Rational, r: int, k: int) -> bool:
     """If the root of q is divisible by k-1, so is the root of q/r."""
-    n0 = _scaled(q.num, k, _require_main1_args(q, r, k))
-    root0, root1 = _main1(n0, r, k, 1, {}, {})[0]
+    root0, root1 = _main1(_require_main1_args(q, r, k), r, k, 1, {}, {})[0]
     if root0 % (k - 1) != 0:
         raise PreconditionError(
             f"digital root of {q} is not divisible by {_decimal_text(k - 1)}")
@@ -172,39 +171,13 @@ def _t_doubleprime_residue(s: int, k: int, rho0: int, period: int) -> int:
     return pow(k, rho0, modulus) * (pow(k, period, modulus) - 1) % modulus
 
 
-def _main2_setup(s: int, k: int) -> tuple[int, int, tuple[int, int, int] | None]:
-    """s's k-smooth part, its coprime part p, and None if (k, s) fails
-    main2's preconditions, else (lift, T = ord_p(k), T'' residue): n/s has
-    the repetend of (n * lift mod p)/p, lift = k^rho0 / smooth mod p."""
-    smooth, p, rho0 = _smooth_split(s, k)
-    if p == 1 or math.gcd(p, k - 1) != 1:
-        return smooth, p, None
-    period = multiplicative_order(k, p)
-    return smooth, p, (_scaled(1, k, (smooth, p, rho0)) % p, period,
-                       _t_doubleprime_residue(s, k, rho0, period))
-
-
-def _main2(n: int, s: int, k: int) -> Main2Report:
-    """The main2 kernel for an irreducible n/s, preconditions included."""
-    smooth, p, setup = _main2_setup(s, k)
-    repetend, root, divisible, reason = (), None, False, None
-    if setup is None and p == 1:
-        reason = (f"{_decimal_text(n)}/{_decimal_text(s)} terminates in base "
-                  f"{_decimal_text(k)}: no repetend")
-    elif setup is None:
-        reason = (f"gcd({_decimal_text(p)}, {_decimal_text(k - 1)}) = "
-                  f"{_decimal_text(math.gcd(p, k - 1))} != 1")
-    else:
-        lift, _, residue = setup
-        repetend = _repetend(n * lift % p, p, k)
-        root = _trajectory(sum(repetend), k)[-1]
-        divisible = n * residue % (s * (k - 1)) == 0
-    return Main2Report(
-        base=k, n=n, s=s, smooth_part=smooth, p_part=p,
-        preconditions_ok=reason is None, repetend=repetend, repetend_root=root,
-        t_doubleprime_divisible=divisible,
-        passed=reason is None and root % (k - 1) == 0 and divisible, reason=reason,
-    )
+def _main2_setup(s: int, k: int) -> tuple[tuple[int, int, int], bool]:
+    """The split (smooth, p, rho0) of s, and whether (k, s) meets main2's
+    preconditions: p >= 2 and gcd(p, k-1) = 1.  n/s then has the repetend
+    of rem/p, rem = _scaled(n, k, split) mod p, and T = ord_p(k)."""
+    split = _smooth_split(s, k)
+    p = split[1]
+    return split, p != 1 and math.gcd(p, k - 1) == 1
 
 
 def verify_main2(n: int, s: int, k: int) -> Main2Report:
@@ -218,7 +191,26 @@ def verify_main2(n: int, s: int, k: int) -> Main2Report:
     _require_int(s, "s", 2, PreconditionError)
     if math.gcd(n, s) != 1:
         raise DomainError(f"{_decimal_text(n)}/{_decimal_text(s)} is not an irreducible fraction")
-    return _main2(n, s, k)
+    split, ok = _main2_setup(s, k)
+    smooth, p, rho0 = split
+    repetend, root, divisible, reason = (), None, False, None
+    if p == 1:
+        reason = (f"{_decimal_text(n)}/{_decimal_text(s)} terminates in base "
+                  f"{_decimal_text(k)}: no repetend")
+    elif not ok:
+        reason = (f"gcd({_decimal_text(p)}, {_decimal_text(k - 1)}) = "
+                  f"{_decimal_text(math.gcd(p, k - 1))} != 1")
+    else:
+        repetend = _repetend(_scaled(n, k, split) % p, p, k)
+        root = _trajectory(sum(repetend), k)[-1]
+        residue = _t_doubleprime_residue(s, k, rho0, len(repetend))
+        divisible = n * residue % (s * (k - 1)) == 0
+    return Main2Report(
+        base=k, n=n, s=s, smooth_part=smooth, p_part=p,
+        preconditions_ok=ok, repetend=repetend, repetend_root=root,
+        t_doubleprime_divisible=divisible,
+        passed=ok and root % (k - 1) == 0 and divisible, reason=reason,
+    )
 
 
 @dataclass(frozen=True)
@@ -323,46 +315,41 @@ def _main2_cycles(k: int, p: int, period: int) -> bytearray | None:
     return table if 2 in table else None
 
 
-def _main2_failures(k: int, s: int, numerators: list[int],
-                    cycles: dict[tuple[int, int], bytearray | None]) -> list[int] | None:
-    """The n in ``numerators`` (all coprime to s) for which n/s fails main2
-    in base k; None when (k, s) fails main2's preconditions.
-
-    n/s has the repetend of rem/p, rem = n * lift mod p, a unit, so its
-    verdict is its remainder cycle's (see ``_main2_cycles``).  A cycle's
-    verdict depends only on (k, p), and ``cycles`` keeps them by (k, p)
-    for every s = smooth * p the caller runs.  A (k, s) whose cycles all
-    pass and whose T'' residue is 0 fails no numerator, so none is looked
-    at; otherwise n fails on its cycle or on n * residue != 0 mod s*(k-1).
-    """
-    _, p, setup = _main2_setup(s, k)
-    if setup is None:
-        return None
-    lift, period, residue = setup
-    if (k, p) not in cycles:
-        cycles[k, p] = _main2_cycles(k, p, period)
-    table = cycles[k, p]
-    if table is None and not residue:
-        return []
-    modulus = s * (k - 1)
-    return [n for n in numerators
-            if n * residue % modulus or table is not None and table[n * lift % p] == 2]
-
-
 def _run_main2_chunk(denominators, bases, n_bound: int):
+    """Run the ``fuzz_main2`` tuples (k, n, s) of each denominator s.
+
+    n/s has the repetend of rem/p, rem = n * lift mod p, a unit, with
+    lift = k^rho0 / smooth mod p, so its verdict is its remainder cycle's
+    (see ``_main2_cycles``).  T = ord_p(k) and every cycle verdict depend
+    only on (k, p), and ``cycles`` keeps both by (k, p) for every
+    s = smooth * p of the chunk.  A (k, s) whose cycles all pass and whose
+    T'' residue is 0 fails no numerator, so none is looked at; otherwise n
+    fails on its cycle or on n * residue != 0 mod s*(k-1).
+    """
     tested = failed = skipped = degenerate = 0
     failures = []
-    cycles = {}  # (k, p) -> _main2_cycles(k, p, T), for the whole chunk
+    cycles = {}  # (k, p) -> (T, _main2_cycles(k, p, T)), for the whole chunk
     for s in denominators:
         numerators = [n for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
         for k in bases:
-            failing = _main2_failures(k, s, numerators, cycles)
-            if failing is None:
+            split, ok = _main2_setup(s, k)
+            if not ok:
                 skipped += len(numerators)
                 continue
             tested += len(numerators)
             if k == 2:
                 degenerate += len(numerators)
+            _, p, rho0 = split
+            if (k, p) not in cycles:
+                period = multiplicative_order(k, p)
+                cycles[k, p] = period, _main2_cycles(k, p, period)
+            period, table = cycles[k, p]
+            residue = _t_doubleprime_residue(s, k, rho0, period)
+            if table is None and not residue:
+                continue
+            lift, modulus = _scaled(1, k, split) % p, s * (k - 1)
+            failing = [n for n in numerators
+                       if n * residue % modulus or table is not None and table[n * lift % p] == 2]
             failed += len(failing)
             failures += ({"base": k, "n": n, "s": s} for n in failing)
     return tested, failed, skipped, degenerate, failures
@@ -414,39 +401,39 @@ def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummar
     ``_slices``), through ``runner`` in at most ``workers`` processes, this
     one included and one per usable CPU at most, and merge the counts.
     This process runs the first slice while ``workers - 1`` children run
-    the rest; a child's exception is raised here, and every child is
+    the rest, so one slice (one worker, or fewer than 2 * workers items)
+    starts no child; a child's exception is raised here, and every child is
     joined before this returns or raises.  Failures are sorted by their
     values in field order, whatever ``workers``."""
     workers = min(workers, _cpu_count())
-    if workers == 1 or len(items) < 2 * workers:
-        results = [runner(items)]
-    else:
-        first, *rest = _slices(items, workers, cost)
-        children = []
-        try:
-            for part in rest:
-                children.append(_start_slice(runner, part))
-            results = [runner(first)]
-            for child, reader in children:
-                try:
-                    ok, result = reader.recv()
-                except EOFError:  # killed, or its outcome would not pickle
-                    child.join()
-                    raise RuntimeError(f"a sweep process exited with code {child.exitcode} "
-                                       "before sending its result") from None
-                if not ok:
-                    raise result
-                results.append(result)
-        except BaseException:
-            # Their results are not wanted, and a child blocked on a full
-            # pipe would otherwise never exit.
-            for child, _ in children:
-                child.terminate()
-            raise
-        finally:
-            for child, reader in children:
+    if len(items) < 2 * workers:
+        workers = 1
+    first, *rest = _slices(items, workers, cost)
+    children = []
+    try:
+        for part in rest:
+            children.append(_start_slice(runner, part))
+        results = [runner(first)]
+        for child, reader in children:
+            try:
+                ok, result = reader.recv()
+            except EOFError:  # killed, or its outcome would not pickle
                 child.join()
-                reader.close()
+                raise RuntimeError(f"a sweep process exited with code {child.exitcode} "
+                                   "before sending its result") from None
+            if not ok:
+                raise result
+            results.append(result)
+    except BaseException:
+        # Their results are not wanted, and a child blocked on a full
+        # pipe would otherwise never exit.
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in children:
+            child.join()
+            reader.close()
     tested, failed, skipped, degenerate = map(sum, zip(*(r[:4] for r in results)))
     failures = sorted((f for r in results for f in r[4]), key=lambda f: tuple(f.values()))
     return FuzzSummary(tested, tested - failed, failed, skipped, degenerate, tuple(failures))

@@ -272,9 +272,9 @@ def test_t_doubleprime_residue_matches_the_bignum_formula(case):
 
 
 def test_main2_matches_long_division_when_s_has_a_smooth_part():
-    """verify_main2 and the sweep share one setup (the lift to a remainder
-    mod p, T and the T'' residue), so comparing them cannot catch a wrong
-    setup.  Schoolbook long division can: on every README-scale tuple
+    """verify_main2 and the sweep share one setup (the split of s, its
+    k^rho0 scaling and the T'' residue), so comparing them cannot catch a
+    wrong setup.  Schoolbook long division can: on every README-scale tuple
     whose s has a k-smooth part > 1, the report's repetend is the one long
     division finds, and its T'' verdict is the k^T bignum's, with rho0 and
     T read off that division."""
@@ -464,6 +464,14 @@ def test_fuzz_main2_worker_invariant(monkeypatch):
     assert one == fuzz_main2(range(2, 17), 100, 100, workers=3)
 
 
+def main2_chunk_failures(k, s, n_bound):
+    """The sweep kernel over one (k, s): None when (k, s) fails main2's
+    preconditions (n = 1 is always a numerator, so some tuple is skipped),
+    else the failing n in order."""
+    _, _, skipped, _, failures = theorems._run_main2_chunk([s], [k], n_bound)
+    return None if skipped else [f["n"] for f in failures]
+
+
 def test_fuzz_main2_sums_equal_the_single_tuple_kernel(monkeypatch):
     """Every README-scale tuple is decided by the digit sum of its own real
     repetend, and the sweep kernel's T'' verdicts are those of the
@@ -476,8 +484,8 @@ def test_fuzz_main2_sums_equal_the_single_tuple_kernel(monkeypatch):
     for k in range(2, 17):
         for s in range(2, 101):
             numerators = [n for n in range(1, 101) if math.gcd(n, s) == 1]
-            reports = [theorems._main2(n, s, k) for n in numerators]
-            failing = theorems._main2_failures(k, s, numerators, {})
+            reports = [verify_main2(n, s, k) for n in numerators]
+            failing = main2_chunk_failures(k, s, 100)
             if failing is None:
                 skipped += [r.preconditions_ok for r in reports]
                 continue
@@ -488,7 +496,7 @@ def test_fuzz_main2_sums_equal_the_single_tuple_kernel(monkeypatch):
                 fails_total = (lambda t, k, total=total:
                                [1] if t == total else trajectory(t, k))
                 monkeypatch.setattr(theorems, "_trajectory", fails_total)
-                failing = theorems._main2_failures(k, s, numerators, {})
+                failing = main2_chunk_failures(k, s, 100)
                 monkeypatch.setattr(theorems, "_trajectory", trajectory)
                 assert failing == [n for n, d in zip(numerators, sums) if d == total]
                 decided_by_sum += len(failing)
@@ -503,7 +511,7 @@ def test_main2_chunk_memo_is_keyed_by_base_and_p(monkeypatch):
     never used in another."""
     monkeypatch.setattr(theorems, "_trajectory", root_by_parity)
     bases, bound = range(3, 17), 100
-    reports = [theorems._main2(n, s, k)
+    reports = [verify_main2(n, s, k)
                for s in range(2, bound + 1)
                for k in bases
                for n in range(1, bound + 1) if math.gcd(n, s) == 1]
@@ -528,12 +536,27 @@ def test_main2_chunk_divides_each_unit_cycle_once(monkeypatch, k):
     monkeypatch.setattr(theorems, "divmod", counting, raising=False)
     denominators = range(2, 400)
     theorems._run_main2_chunk(denominators, [k], 50)
-    p_of = {s: theorems._main2_setup(s, k)[1] for s in denominators
-            if theorems._main2_setup(s, k)[2] is not None}
+    setups = {s: theorems._main2_setup(s, k) for s in denominators}
+    p_of = {s: split[1] for s, (split, ok) in setups.items() if ok}
     assert max(collections.Counter(p_of.values()).values()) >= 4
     units = sorted((rem, p) for p in set(p_of.values())
                    for rem in range(1, p) if math.gcd(rem, p) == 1)
     assert sorted(divided) == units
+
+
+def test_main2_chunk_finds_each_order_once(monkeypatch):
+    """T = ord_p(k) depends on (k, p) alone: a README-scale chunk looks it
+    up once for each of its 481 distinct (k, p), not once per (k, s)."""
+    calls = []
+    order = theorems.multiplicative_order
+
+    def counting(k, p):
+        calls.append((k, p))
+        return order(k, p)
+
+    monkeypatch.setattr(theorems, "multiplicative_order", counting)
+    theorems._run_main2_chunk(range(2, 101), range(2, 17), 100)
+    assert len(calls) == len(set(calls)) == 481
 
 
 def test_main2_fake_root_failing_one_cycle_fails_its_numerators(monkeypatch):
@@ -586,7 +609,7 @@ def test_main2_sweep_kernel_matches_the_single_tuple_kernel(case):
         with pytest.MonkeyPatch.context() as mp:
             if fake:
                 mp.setattr(theorems, "_trajectory", fake)
-            reports = [theorems._main2(n, s, k)
+            reports = [verify_main2(n, s, k)
                        for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
             got = theorems._run_main2_chunk([s], [k], n_bound)
         tested = [r for r in reports if r.preconditions_ok]
@@ -601,7 +624,7 @@ def test_fuzz_main2_reports_every_failure_in_order(monkeypatch, workers):
     monkeypatch.setattr(theorems, "_trajectory", lambda n, k: [1])
     bases, bound = range(2, 7), 9
     reports = [
-        theorems._main2(n, s, k)
+        verify_main2(n, s, k)
         for k in bases
         for n in range(1, bound + 1)
         for s in range(2, bound + 1)
