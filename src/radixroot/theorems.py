@@ -242,18 +242,21 @@ def _smooth_values(k: int, bound: int) -> list[int]:
     return sorted(values)
 
 
-def _run_main1_chunk(numerators, bases, bound: int, terms_max: int):
-    """Run the ``fuzz_main1`` tuples (k, r, a/b) of each numerator a.
+def _run_main1_chunk(cofactors, bases, bound: int, terms_max: int):
+    """Run the ``fuzz_main1`` tuples (k, r, a/b) whose numerator a has
+    k-coprime part c, for each cofactor c of the chunk.
 
     The proper divisors, and k^rho0 / b for each b, are found once per
     base per chunk.  A tuple's verdict depends on b only through
     n_0 = a * k^rho0 / b without its trailing base-k zeros (see
-    ``_main1``), and b and b*k always share it, so the b of one (k, a)
-    are grouped by that n_0 and each group runs the kernel once per r;
-    every b of a failing group is listed with the group's witness.  The
-    calls of one (k, a) reach the same stripped n_j again across r and
-    n_0, so they share one memo of roots, dropped with that (k, a).  Each
-    (k, r) keeps one memo of verdicts for the whole chunk, small because
+    ``_main1``).  b and each step k/r are k-smooth, so the k-coprime part
+    of n_0 and of every n_j is c: only numerators a = c * s, with s
+    k-smooth, share an n_0 or a root.  In each base k coprime to c, the
+    pairs (a, b) with b k-smooth and gcd(s, b) = 1 are grouped by n_0 and
+    each group runs the kernel once per r; every (a, b) of a failing
+    group is listed with the group's witness.  The calls of one (k, c)
+    share one memo of roots, dropped with that (k, c).  Each (k, r) keeps
+    one memo of verdicts for the whole chunk, small because
     R_j = R_0 * (k/r)^j mod k-1: true roots give at most k-1 tuples.
     """
     tables = [(k, [(r, {}) for r in divisors(k)[1:-1]],
@@ -261,24 +264,29 @@ def _run_main1_chunk(numerators, bases, bound: int, terms_max: int):
               for k in bases if len(divisors(k)) > 2]
     failed = tested = 0
     failures = []
-    for a in numerators:
+    for c in cofactors:
         for k, proper, smooth in tables:
-            groups: dict[int, list[int]] = {}  # n_0 without trailing zeros -> its b
-            for b, scale in smooth:
-                if math.gcd(a, b) == 1:
-                    n0 = a * scale
-                    while n0 % k == 0:
-                        n0 //= k
-                    groups.setdefault(n0, []).append(b)
+            if math.gcd(c, k) != 1:
+                continue
+            groups: dict[int, list[tuple[int, int]]] = {}  # stripped n_0 -> its (a, b)
+            for s, _ in smooth:
+                if c * s > bound:
+                    break
+                for b, scale in smooth:
+                    if math.gcd(s, b) == 1:
+                        n0 = s * scale  # c is a unit mod k: it adds no trailing zero
+                        while n0 % k == 0:
+                            n0 //= k
+                        groups.setdefault(c * n0, []).append((c * s, b))
             tested += len(proper) * sum(map(len, groups.values()))
             memo: dict[int, int] = {}
             for r, verdicts in proper:
-                for n0, dens in groups.items():
+                for n0, pairs in groups.items():
                     witness = _main1(n0, r, k, terms_max, memo, verdicts)[2]
                     if witness is not None:
-                        failed += len(dens)
+                        failed += len(pairs)
                         failures += ({"base": k, "r": r, "num": a, "den": b, "witness": witness}
-                                     for b in dens)
+                                     for a, b in pairs)
     return tested, failed, 0, 0, failures
 
 
@@ -400,15 +408,16 @@ def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummar
     """Run contiguous slices of ``items``, cut at equal ``cost`` (see
     ``_slices``), through ``runner`` in at most ``workers`` processes, this
     one included and one per usable CPU at most, and merge the counts.
-    This process runs the first slice while ``workers - 1`` children run
-    the rest, so one slice (one worker, or fewer than 2 * workers items)
-    starts no child; a child's exception is raised here, and every child is
-    joined before this returns or raises.  Failures are sorted by their
-    values in field order, whatever ``workers``."""
+    Empty slices are dropped; this process runs the first slice left while
+    one child each runs the rest, so one slice (one worker, fewer than
+    2 * workers items, or all the cost in one slice) starts no child.  A
+    child's exception is raised here, and every child is joined before
+    this returns or raises.  Failures are sorted by their values in field
+    order, whatever ``workers``."""
     workers = min(workers, _cpu_count())
     if len(items) < 2 * workers:
         workers = 1
-    first, *rest = _slices(items, workers, cost)
+    first, *rest = [part for part in _slices(items, workers, cost) if part] or [items]
     children = []
     try:
         for part in rest:
@@ -443,16 +452,23 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
     """Check main1 for every (k, r, a/b) tuple in range: k in ``bases``,
     every divisor r of k with 2 <= r < k, and every reduced a/b with
     a <= bound and k-smooth b <= bound, for j = 0..terms_max, with the
-    kernel ``verify_main1`` uses.  A failure is listed by
-    (base, r, num, den, witness), sorted by (base, r, num, den) whatever
-    the number of workers.
+    kernel ``verify_main1`` uses.  The work items are the cofactors
+    c = 1..bound: c owns, in each base coprime to it, the numerators whose
+    k-coprime part is c (see ``_run_main1_chunk``).  A failure is listed
+    by (base, r, num, den, witness), sorted by (base, r, num, den)
+    whatever the number of workers.
     """
     bases = [_require_int(k, "base", 2) for k in bases]
     _require_int(bound, "bound", 0, PreconditionError)
     _require_int(terms_max, "terms", 1, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
     runner = partial(_run_main1_chunk, bases=bases, bound=bound, terms_max=terms_max)
-    return _run_chunked(runner, range(1, bound + 1), workers)
+    smooth = [(k, _smooth_values(k, bound)) for k in bases if len(divisors(k)) > 2]
+    # A cofactor c costs, in each composite base k coprime to it, one pass
+    # over the k-smooth b and one over its numerators c * s <= bound.
+    return _run_chunked(runner, range(1, bound + 1), workers, cost=lambda c: sum(
+        len(values) + bisect_right(values, bound // c) for k, values in smooth
+        if math.gcd(c, k) == 1))
 
 
 def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSummary:

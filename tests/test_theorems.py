@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -132,16 +133,16 @@ def test_main1_splits_the_denominator_once(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     # The chunk runner splits each k-smooth b once per base per chunk,
-    # however many numerators and divisors share it.
+    # however many cofactors and divisors share it.
     bases, bound = range(4, 13), 12
     per_chunk = [(b, k) for k in bases if len(divisors(k)) > 2
                  for b in theorems._smooth_values(k, bound)]
-    numerators = range(1, bound + 1)
-    assert (theorems._run_main1_chunk(numerators, bases, bound, 5)[:2]
+    cofactors = range(1, bound + 1)
+    assert (theorems._run_main1_chunk(cofactors, bases, bound, 5)[:2]
             == (len(main1_tuples(bases, bound)), 0))
     assert calls == per_chunk
     calls.clear()
-    for chunk in (numerators[:5], numerators[5:]):
+    for chunk in (cofactors[:5], cofactors[5:]):
         theorems._run_main1_chunk(chunk, bases, bound, 5)
     assert calls == per_chunk + per_chunk
 
@@ -312,13 +313,14 @@ def test_fuzz_main1_is_deterministic_and_worker_invariant():
     assert one == again == parallel
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_fuzz_main1_reports_every_failure_in_order(monkeypatch, workers):
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_fuzz_main1_reports_every_failure_in_order(monkeypatch, in_process_children, workers):
     # A fake root of n % k fails many tuples and differs between bases for
-    # one n, so a memo of roots kept past its (k, a), into the next base of
-    # the same numerator, reports wrong failures.
+    # one n, so a memo of roots kept past its (k, c), into the next base of
+    # the same cofactor, reports wrong failures.  Under every cut, each
+    # (k, r, a, b) is owned by exactly one cofactor of one slice.
     monkeypatch.setattr(theorems, "_trajectory", lambda n, k: [n % k])
-    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
     bases, bound, terms = range(4, 13), 12, 3
     expected = []
     for k, r, a, b in main1_tuples(bases, bound):
@@ -332,14 +334,17 @@ def test_fuzz_main1_reports_every_failure_in_order(monkeypatch, workers):
     assert summary.tested == len(main1_tuples(bases, bound))
 
 
-def test_fuzz_main1_verdict_memo_is_scoped_to_one_base_and_divisor(monkeypatch):
+def test_fuzz_main1_verdict_memo_is_scoped_to_one_base_and_divisor(monkeypatch,
+                                                                   in_process_children):
     # A fake root of n % 101 % k breaks the law, so README scale gives
     # thousands of distinct root tuples and failures.  One tuple of roots
     # can have different verdicts under another r or in another base, so a
     # memo of verdicts keyed without r, or kept across bases, reports
     # wrong failures; verify_main1 starts from an empty memo for each tuple.
+    # The memo of roots is kept per (k, c), and every worker count cuts the
+    # cofactors c differently.
     monkeypatch.setattr(theorems, "_trajectory", lambda n, k: [n % 101 % k])
-    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
     bases, bound, terms = range(2, 17), 120, 5
     expected = []
     tuples = set()
@@ -349,7 +354,7 @@ def test_fuzz_main1_verdict_memo_is_scoped_to_one_base_and_divisor(monkeypatch):
         if not report.passed:
             expected.append({"base": k, "r": r, "num": a, "den": b, "witness": report.witness})
     assert len(tuples) > 4000 and len(expected) > 15000
-    for workers in (1, 2):
+    for workers in (1, 2, 3, 4):
         summary = fuzz_main1(bases, bound, terms, workers=workers)
         assert summary.tested == 15970
         assert summary.failures == tuple(expected)
@@ -361,13 +366,20 @@ def without_trailing_zeros(n, k):
     return n
 
 
+def coprime_part(a, k):
+    """a without its primes that divide k."""
+    while (g := math.gcd(a, k)) > 1:
+        a //= g
+    return a
+
+
 def test_fuzz_main1_reduces_each_distinct_n_once(monkeypatch):
     # README scale: the 15,970 tuples reach 95,820 values
     # n_j = a * k^rho0 / b * (k/r)^j.  Stripped of their trailing base-k
-    # zeros, which leaves every digit sum alone, 12,150 of them are
-    # distinct per (k, a); each of those is reduced once.  The tuples have
-    # 11,020 distinct (k, r, a, n_0) with n_0 stripped the same way, and
-    # the kernel runs once for each.
+    # zeros, which leaves every digit sum alone, 6,198 of them are
+    # distinct per (k, c), c the k-coprime part of a; each of those is
+    # reduced once.  The tuples have 8,016 distinct (k, r, n_0) with n_0
+    # stripped the same way, and the kernel runs once for each.
     calls, kernel_calls = [], []
 
     def counting(n, k):
@@ -386,11 +398,12 @@ def test_fuzz_main1_reduces_each_distinct_n_once(monkeypatch):
     distinct, groups = set(), set()
     for k, r, a, b in main1_tuples(range(2, 17), 120):
         rho0 = next(e for e in range(b) if k**e % b == 0)
-        distinct.update((k, a, without_trailing_zeros(a * k**rho0 // b * (k // r)**j, k))
+        c = coprime_part(a, k)
+        distinct.update((k, c, without_trailing_zeros(a * k**rho0 // b * (k // r)**j, k))
                         for j in range(6))
-        groups.add((k, r, a, without_trailing_zeros(a * k**rho0 // b, k)))
-    assert len(calls) == len(distinct) == 12150
-    assert len(kernel_calls) == len(groups) == 11020
+        groups.add((k, r, without_trailing_zeros(a * k**rho0 // b, k)))
+    assert len(calls) == len(distinct) == 6198
+    assert len(kernel_calls) == len(groups) == 8016
 
 
 def test_fuzz_main1_lists_every_den_of_a_shared_n0(monkeypatch):
@@ -408,7 +421,7 @@ def test_fuzz_main1_lists_every_den_of_a_shared_n0(monkeypatch):
 def test_sweeps_hand_plain_ranges_at_a_large_bound(monkeypatch):
     # At bound 3000 a list of every (k, r, a, b) tuple would hold 833,928
     # entries, about 65 MiB, before the first verdict; the sweeps hand
-    # over one range of numerators or denominators instead.
+    # over one range of cofactors or denominators instead.
     handed = []
 
     def recording(runner, items, workers, cost=None):
@@ -759,18 +772,37 @@ def test_cpu_count_falls_back_without_affinity(monkeypatch):
     assert theorems._cpu_count() == 1
 
 
+def main1_cost(bases, bound):
+    """The cost of each cofactor c = 1..bound, counted from scratch: in each
+    composite base k coprime to c, its k-smooth b <= bound plus its
+    k-smooth s <= bound // c."""
+    smooth = {k: [b for b in range(1, bound + 1) if coprime_part(b, k) == 1]
+              for k in bases if len(divisors(k)) > 2}
+    return {c: sum(len(values) + sum(s <= bound // c for s in values)
+                   for k, values in smooth.items() if math.gcd(c, k) == 1)
+            for c in range(1, bound + 1)}
+
+
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_main1_chunks_share_the_work_evenly(monkeypatch, in_process_children, workers):
-    # Every numerator runs in every base, so contiguous slices of numerators
-    # cost about the same; round-robin units split by parity (12,606
-    # against 3,364 tuples for two workers).
+    # Every cofactor c lands in one non-empty chunk, in order, and each
+    # chunk costs less than one cofactor more or less than an even share.
+    # Cofactors are not even in tuples: c = 1 alone owns every k-smooth
+    # numerator of every base.
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
     calls = recording(monkeypatch, "_run_main1_chunk")
-    summary = fuzz_main1(range(2, 17), 120, 5, workers=workers)
-    tested = [result[0] for _, result in calls]
-    assert len(in_process_children) == workers - 1 and len(tested) == workers
-    assert sum(tested) == summary.tested == 15970
-    assert max(tested) <= 1.02 * min(tested)
+    for bases, bound in (range(2, 17), 120), (range(2, 37), 300):
+        calls.clear()
+        in_process_children.clear()
+        summary = fuzz_main1(bases, bound, 5, workers=workers)
+        chunks = [chunk for chunk, _ in calls]
+        assert len(chunks) == workers and all(chunks) and in_process_children == chunks[1:]
+        assert [c for chunk in chunks for c in chunk] == list(range(1, bound + 1))
+        cost = main1_cost(bases, bound)
+        costs = [sum(cost[c] for c in chunk) for chunk in chunks]
+        share = sum(costs) / workers
+        assert all(abs(chunk_cost - share) < max(cost.values()) for chunk_cost in costs)
+        assert summary == fuzz_main1(bases, bound, 5)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -899,6 +931,57 @@ def test_slices_cut_where_the_cumulative_cost_splits_evenly():
     # Slice i ends after the longest prefix costing at most i/parts of the
     # total, so a costly item starts the next slice.
     assert theorems._slices([1, 1, 9, 1, 1, 1], 2, lambda x: x) == [[1, 1], [9, 1, 1, 1]]
+
+
+def test_run_chunked_starts_no_child_for_an_empty_slice(monkeypatch, in_process_children):
+    # c = 1 costs as much as 100 others, so even quarters of the cost leave
+    # the first two slices empty: this process runs the first non-empty
+    # slice, and one child the other.
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
+    items = list(range(1, 51))
+
+    def cost(c):
+        return 100 if c == 1 else 1
+
+    assert [len(part) for part in theorems._slices(items, 4, cost)] == [0, 0, 12, 38]
+    chunks = []
+
+    def runner(chunk):
+        chunks.append(chunk)
+        return count_chunk(chunk)
+
+    assert theorems._run_chunked(runner, items, 4, cost).tested == 50
+    assert chunks == [items[:12], items[12:]] and in_process_children == [items[12:]]
+
+
+def test_main1_sweeps_deal_no_empty_slice(monkeypatch, in_process_children):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
+    calls = recording(monkeypatch, "_run_main1_chunk")
+    # c = 1 costs more than a quarter of the total, so the cut is 0, 4, 4
+    # and 4 cofactors: three slices run, this process taking c = 1..4.
+    summary = fuzz_main1(range(4, 13), 12, 3, workers=4)
+    assert [chunk for chunk, _ in calls] == [range(1, 5), range(5, 9), range(9, 13)]
+    assert in_process_children == [range(5, 9), range(9, 13)]
+    assert summary == fuzz_main1(range(4, 13), 12, 3)
+    # No composite base: every cofactor costs 0, and the sweep runs serially.
+    calls.clear()
+    in_process_children.clear()
+    assert fuzz_main1([2, 3, 5, 7], 50, workers=2).tested == 0
+    assert [chunk for chunk, _ in calls] == [range(1, 51)] and in_process_children == []
+
+
+def test_main1_chunk_drops_the_tables_of_each_cofactor():
+    # The memo of roots and the groups of one (k, c) are dropped when that
+    # (k, c) is done.  Kept per base for the whole chunk, the roots alone
+    # would reach about 6.6 MiB here.
+    tracemalloc.start()
+    try:
+        result = theorems._run_main1_chunk(range(1, 301), range(2, 37), 300, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[:2] == (228818, 0)
+    assert peak < 2**20
 
 
 def test_fuzz_rejects_bad_worker_count():
