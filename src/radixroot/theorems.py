@@ -227,41 +227,38 @@ class FuzzSummary:
     failures: tuple[dict, ...]
 
 
-def _smooth_values(k: int, bound: int) -> list[int]:
-    """All products of primes of k that are <= bound, ascending."""
-    primes = factorize(k).primes()
-    values = {1}
-    frontier = [1]
-    while frontier:
-        v = frontier.pop()
-        for p in primes:
-            w = v * p
-            if w <= bound and w not in values:
-                values.add(w)
-                frontier.append(w)
-    return sorted(values)
+def _main1_tables(bases, bound: int) -> list:
+    """For each composite base k of ``bases``: k, its proper divisors, and
+    (b, k^rho0 / b) for each k-smooth b <= bound, ascending in b."""
+    tables = []
+    for k in (k for k in bases if len(divisors(k)) > 2):
+        values = [1]  # each product of primes of k that is <= bound, once
+        for p in factorize(k).primes():
+            for v in values:  # this walks what it appends too: every power of p
+                if v * p <= bound:
+                    values.append(v * p)
+        tables.append((k, divisors(k)[1:-1],
+                       [(b, _scaled(1, k, _smooth_split(b, k))) for b in sorted(values)]))
+    return tables
 
 
-def _run_main1_chunk(cofactors, bases, bound: int, terms_max: int):
-    """Run the ``fuzz_main1`` tuples (k, r, a/b) whose numerator a has
-    k-coprime part c, for each cofactor c of the chunk.
+def _run_main1_chunk(cofactors, tables, bound: int, terms_max: int):
+    """Run the ``fuzz_main1`` tuples (k, r, a/b) of the bases of ``tables``
+    whose numerator a has k-coprime part c, for each cofactor c of the chunk.
 
-    The proper divisors, and k^rho0 / b for each b, are found once per
-    base per chunk.  A tuple's verdict depends on b only through
-    n_0 = a * k^rho0 / b without its trailing base-k zeros (see
-    ``_main1``).  b and each step k/r are k-smooth, so the k-coprime part
-    of n_0 and of every n_j is c: only numerators a = c * s, with s
-    k-smooth, share an n_0 or a root.  In each base k coprime to c, the
-    pairs (a, b) with b k-smooth and gcd(s, b) = 1 are grouped by n_0 and
-    each group runs the kernel once per r; every (a, b) of a failing
-    group is listed with the group's witness.  The calls of one (k, c)
-    share one memo of roots, dropped with that (k, c).  Each (k, r) keeps
-    one memo of verdicts for the whole chunk, small because
-    R_j = R_0 * (k/r)^j mod k-1: true roots give at most k-1 tuples.
+    A tuple's verdict depends on b only through n_0 = a * k^rho0 / b
+    without its trailing base-k zeros (see ``_main1``).  b and each step
+    k/r are k-smooth, so the k-coprime part of n_0 and of every n_j is c:
+    only numerators a = c * s, with s k-smooth, share an n_0 or a root.
+    In each base k coprime to c, the pairs (a, b) with b k-smooth and
+    gcd(s, b) = 1 are grouped by n_0 and each group runs the kernel once
+    per r; every (a, b) of a failing group is listed with the group's
+    witness.  The calls of one (k, c) share one memo of roots, dropped
+    with that (k, c).  Each (k, r) keeps one memo of verdicts for the
+    whole chunk, small because R_j = R_0 * (k/r)^j mod k-1: true roots
+    give at most k-1 tuples.
     """
-    tables = [(k, [(r, {}) for r in divisors(k)[1:-1]],
-               [(b, _scaled(1, k, _smooth_split(b, k))) for b in _smooth_values(k, bound)])
-              for k in bases if len(divisors(k)) > 2]
+    tables = [(k, [(r, {}) for r in proper], smooth) for k, proper, smooth in tables]
     failed = tested = 0
     failures = []
     for c in cofactors:
@@ -375,7 +372,10 @@ def _slices(items, parts: int, cost) -> list:
     ``cost``.  Slice i ends after the longest prefix that costs at most
     i/parts of the total, so each slice's cost is within one item's cost of
     an even share.  With unit costs slice i is
-    items[i*n//parts:(i+1)*n//parts]."""
+    items[i*n//parts:(i+1)*n//parts].  One part is ``items`` itself, and
+    ``cost`` is then never called."""
+    if parts == 1:
+        return [items]
     prefix = list(accumulate(map(cost, items)))
     cuts = [0, *(bisect_right(prefix, i * prefix[-1] // parts) for i in range(1, parts)),
             len(items)]
@@ -462,13 +462,13 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
     _require_int(bound, "bound", 0, PreconditionError)
     _require_int(terms_max, "terms", 1, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
-    runner = partial(_run_main1_chunk, bases=bases, bound=bound, terms_max=terms_max)
-    smooth = [(k, _smooth_values(k, bound)) for k in bases if len(divisors(k)) > 2]
+    tables = _main1_tables(bases, bound)  # built once; forked children inherit it
+    runner = partial(_run_main1_chunk, tables=tables, bound=bound, terms_max=terms_max)
     # A cofactor c costs, in each composite base k coprime to it, one pass
     # over the k-smooth b and one over its numerators c * s <= bound.
     return _run_chunked(runner, range(1, bound + 1), workers, cost=lambda c: sum(
-        len(values) + bisect_right(values, bound // c) for k, values in smooth
-        if math.gcd(c, k) == 1))
+        len(smooth) + bisect_right(smooth, bound // c, key=lambda pair: pair[0])
+        for k, _, smooth in tables if math.gcd(c, k) == 1))
 
 
 def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSummary:

@@ -333,9 +333,14 @@ CLI_GOLDEN = [
     (["verify", "main1", "--q", "9/7", "--r", "2", "--base", "10", "--terms", "5"], 2,
      lambda out: out == ""),
     (["fuzz", "main1", "--bases", "2..16", "--bound", "120", "--terms", "5"], 0,
-     lambda out: "failed=0" in out),
+     lambda out: out == "tested=15970 skipped=0 degenerate=0 failed=0\n"),
+    (["fuzz", "main1", "--bases", "2..16", "--bound", "120", "--terms", "5", "--workers", "2"],
+     0, lambda out: out == "tested=15970 skipped=0 degenerate=0 failed=0\n"),
     (["fuzz", "main2", "--bases", "2..16", "--n-bound", "100", "--s-bound", "100"], 0,
-     lambda out: "failed=0" in out),
+     lambda out: out == "tested=58147 skipped=31658 degenerate=5687 failed=0\n"),
+    (["fuzz", "main2", "--bases", "2..16", "--n-bound", "100", "--s-bound", "100",
+      "--workers", "2"], 0,
+     lambda out: out == "tested=58147 skipped=31658 degenerate=5687 failed=0\n"),
     (["fuzz", "main1", "--bases", "3..3", "--bound", "0", "--terms", "5"], 0,
      lambda out: "tested=0" in out),
     (["magic", "2?99561", "--base", "10"], 0, lambda out: out.strip() == "4"),

@@ -238,6 +238,21 @@ def test_fuzz_negative_bounds_exit_2(capsys, argv):
     assert code == 2 and out == "" and "must be >=" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("main1", "--bases", "2..3", "--bound", "-1"), "bound must be >= 0, got -1"),
+        (("main1", "--bases", "1..3", "--bound", "5"), "bases must be >= 2, got 1"),
+        (("main2", "--bases", "5..3", "--n-bound", "5", "--s-bound", "5"),
+         "inverted base range '5..3'"),
+    ],
+)
+def test_fuzz_errors_exit_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, "fuzz", *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_fuzz_main2_json(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "main2", "--bases", "2..5",
                            "--n-bound", "8", "--s-bound", "8", "--json")

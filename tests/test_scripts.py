@@ -9,8 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from radixroot import fuzz_main1, fuzz_main2
-
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -39,43 +37,13 @@ def test_repetend_root_survey_takes_only_ascii_decimal_numerals():
     assert "invalid integer" in proc.stderr
 
 
-def test_run_exhaustive_checks_takes_only_ascii_decimal_numerals():
-    proc = run_script("run_exhaustive_checks.py", "--bases", "2..3", "--bound", "١٠",
-                      "--n-bound", "1_0")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "invalid integer" in proc.stderr
-
-
 @pytest.mark.parametrize("name, argv, message", [
     ("repetend_root_survey.py", ["--base", "1"], "base must be >= 2, got 1"),
-    ("run_exhaustive_checks.py", ["--bases", "2..3", "--bound", "-1"], "bound must be >= 0, got -1"),
-    ("run_exhaustive_checks.py", ["--bases", "1..3"], "bases must be >= 2, got 1"),
 ])
 def test_library_errors_exit_2_with_one_error_line(name, argv, message):
     proc = run_script(name, *argv)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {message}"]
-
-
-def test_run_exhaustive_checks():
-    proc = run_script(
-        "run_exhaustive_checks.py",
-        "--bases", "2..5", "--bound", "20", "--n-bound", "20", "--s-bound", "20",
-    )
-    assert proc.returncode == 0, proc.stderr
-    main1 = fuzz_main1(range(2, 6), 20, 5)
-    main2 = fuzz_main2(range(2, 6), 20, 20)
-    assert main1.failed == main2.failed == 0
-    lines = proc.stdout.splitlines()
-    timing = r" \(\d+\.\d\ds, \d+/s\)$"
-    assert re.fullmatch(
-        rf"main1  tested={main1.tested} failed=0 degenerate={main1.degenerate}{timing}", lines[0]
-    )
-    assert re.fullmatch(
-        rf"main2  tested={main2.tested} skipped={main2.skipped} failed=0"
-        rf" degenerate={main2.degenerate}{timing}",
-        lines[1],
-    )
 
 
 def test_code_size_totals_match_plain_line_counts():

@@ -116,7 +116,7 @@ def test_main1_roots_match_the_brute_force_oracle(case):
     assert [t.root for t in report.terms] == main1_roots_brute(num, den, r, k, terms)
 
 
-def test_main1_splits_the_denominator_once(monkeypatch):
+def test_main1_splits_the_denominator_once(monkeypatch, in_process_children):
     calls = []
     smooth_split = radix._smooth_split
 
@@ -132,19 +132,28 @@ def test_main1_splits_the_denominator_once(monkeypatch):
     verify_cor1(Rational(9), 5, 10)
     assert len(calls) == 1
     calls.clear()
-    # The chunk runner splits each k-smooth b once per base per chunk,
-    # however many cofactors and divisors share it.
+    # The sweep splits each k-smooth b once per base, however many
+    # cofactors, divisors and slices share it; the chunk runner splits none.
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
     bases, bound = range(4, 13), 12
-    per_chunk = [(b, k) for k in bases if len(divisors(k)) > 2
-                 for b in theorems._smooth_values(k, bound)]
-    cofactors = range(1, bound + 1)
-    assert (theorems._run_main1_chunk(cofactors, bases, bound, 5)[:2]
-            == (len(main1_tuples(bases, bound)), 0))
-    assert calls == per_chunk
+    per_sweep = [(b, k) for k in bases if len(divisors(k)) > 2
+                 for b in range(1, bound + 1) if coprime_part(b, k) == 1]
+    for workers in (1, 2):
+        calls.clear()
+        summary = fuzz_main1(bases, bound, 5, workers=workers)
+        assert (summary.tested, summary.failed) == (len(main1_tuples(bases, bound)), 0)
+        assert calls == per_sweep
+    assert len(in_process_children) == 1
     calls.clear()
+    tables = theorems._main1_tables(bases, bound)
+    assert calls == per_sweep
+    calls.clear()
+    cofactors = range(1, bound + 1)
+    assert (theorems._run_main1_chunk(cofactors, tables, bound, 5)[:2]
+            == (len(main1_tuples(bases, bound)), 0))
     for chunk in (cofactors[:5], cofactors[5:]):
-        theorems._run_main1_chunk(chunk, bases, bound, 5)
-    assert calls == per_chunk + per_chunk
+        theorems._run_main1_chunk(chunk, tables, bound, 5)
+    assert calls == []
 
 
 def test_main1_preconditions():
@@ -421,18 +430,26 @@ def test_fuzz_main1_lists_every_den_of_a_shared_n0(monkeypatch):
 def test_sweeps_hand_plain_ranges_at_a_large_bound(monkeypatch):
     # At bound 3000 a list of every (k, r, a, b) tuple would hold 833,928
     # entries, about 65 MiB, before the first verdict; the sweeps hand
-    # over one range of cofactors or denominators instead.
+    # over one range of cofactors or denominators instead.  main1's runner
+    # also holds one table per composite base: its proper divisors and
+    # its k-smooth b <= bound, each with one scale.
     handed = []
 
     def recording(runner, items, workers, cost=None):
-        handed.append((runner.keywords["bases"], items, workers))
+        handed.append((runner.keywords, items, workers))
         return theorems.FuzzSummary(0, 0, 0, 0, 0, ())
 
     monkeypatch.setattr(theorems, "_run_chunked", recording)
     fuzz_main1(range(2, 17), 3000, 5, workers=2)
     fuzz_main2(range(2, 17), 3000, 3000, workers=2)
-    bases = list(range(2, 17))
-    assert handed == [(bases, range(1, 3001), 2), (bases, range(2, 3001), 2)]
+    (main1, cofactors, workers1), (main2, denominators, workers2) = handed
+    assert (cofactors, workers1, denominators, workers2) == (range(1, 3001), 2, range(2, 3001), 2)
+    assert main2["bases"] == list(range(2, 17))
+    composite = [k for k in range(2, 17) if len(divisors(k)) > 2]
+    assert [(k, proper) for k, proper, _ in main1["tables"]] == [
+        (k, divisors(k)[1:-1]) for k in composite]
+    assert [[b for b, _ in smooth] for _, _, smooth in main1["tables"]] == [
+        [b for b in range(1, 3001) if coprime_part(b, k) == 1] for k in composite]
 
 
 def test_fuzz_main1_empty_ranges():
@@ -933,6 +950,27 @@ def test_slices_cut_where_the_cumulative_cost_splits_evenly():
     assert theorems._slices([1, 1, 9, 1, 1, 1], 2, lambda x: x) == [[1, 1], [9, 1, 1, 1]]
 
 
+def never_called(*args, **kwargs):
+    raise AssertionError(f"called with {args}")
+
+
+def test_serial_sweeps_never_call_their_cost(monkeypatch, in_process_children):
+    # One part needs no cut, so no item is costed: not with one worker,
+    # one usable CPU, or fewer than two items per worker.
+    assert theorems._slices(range(9), 1, never_called) == [range(9)]
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 1)
+    assert theorems._run_chunked(count_chunk, range(9), 1, never_called).tested == 9
+    assert theorems._run_chunked(count_chunk, range(9), 4, never_called).tested == 9
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
+    assert theorems._run_chunked(count_chunk, range(3), 2, never_called).tested == 3
+    assert in_process_children == []
+    # fuzz_main1's cost reads the k-smooth b of each base by bisection.
+    monkeypatch.setattr(theorems, "bisect_right", never_called)
+    assert fuzz_main1(range(2, 17), 120, 5).tested == 15970
+    with pytest.raises(AssertionError, match="^called with"):
+        fuzz_main1(range(2, 17), 120, 5, workers=2)
+
+
 def test_run_chunked_starts_no_child_for_an_empty_slice(monkeypatch, in_process_children):
     # c = 1 costs as much as 100 others, so even quarters of the cost leave
     # the first two slices empty: this process runs the first non-empty
@@ -974,9 +1012,10 @@ def test_main1_chunk_drops_the_tables_of_each_cofactor():
     # The memo of roots and the groups of one (k, c) are dropped when that
     # (k, c) is done.  Kept per base for the whole chunk, the roots alone
     # would reach about 6.6 MiB here.
+    tables = theorems._main1_tables(range(2, 37), 300)
     tracemalloc.start()
     try:
-        result = theorems._run_main1_chunk(range(1, 301), range(2, 37), 300, 5)
+        result = theorems._run_main1_chunk(range(1, 301), tables, 300, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
