@@ -8,7 +8,7 @@ magnitude ceiling.  All values are immutable and every function is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import lru_cache, wraps
 from itertools import product
 
@@ -187,11 +187,51 @@ def is_coprime(a: int, b: int) -> bool:
     return gcd(a, b) == 1
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class _Record:
+    """Base of the result records: immutable values whose fields are their
+    ``__slots__``, in declaration order, as ==, hash, repr, pickle and match
+    read them.  Records built on every request have a faster ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._fields = operator.attrgetter(*cls.__slots__)  # no descriptor: self._fields(self)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):  # by name: each field the args leave out
+            if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            args += tuple(kwargs[name] for name in names[len(args):])
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Factorization(_Record):
     """Prime factorization as ((prime, exponent), ...) with primes ascending."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors",)
 
     def value(self) -> int:
         n = 1
@@ -262,8 +302,7 @@ def _coerced(op):
     return method
 
 
-@dataclass(frozen=True, slots=True)
-class Rational:
+class Rational(_Record):
     """A reduced nonnegative fraction num/den with den >= 1.
 
     Negative values are rejected: the whole library works on nonnegative
@@ -271,16 +310,16 @@ class Rational:
     downstream precondition literal.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        _require_int(self.num, "num")
-        _require_int(self.den, "den", 1)
-        g = math.gcd(self.num, self.den)
-        if g > 1:
-            object.__setattr__(self, "num", self.num // g)
-            object.__setattr__(self, "den", self.den // g)
+    def __init__(self, num: int, den: int = 1):
+        _require_int(num, "num")
+        _require_int(den, "den", 1)
+        g = math.gcd(num, den)
+        if g > 1:  # a coprime pair, however long, is stored as given
+            num, den = num // g, den // g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def is_zero(self) -> bool:

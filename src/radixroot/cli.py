@@ -8,8 +8,7 @@ the library and returns ``(result, text, passed)``, with ``passed`` None
 for commands that check nothing.  ``main`` alone turns that into output
 and an exit code: the text, or with ``--json`` the document {"command",
 "inputs", "result", "pass"}, where "pass" is present only when ``passed``
-is not None.  One rule writes every result record: a dataclass field by
-field, in declaration order.
+is not None.  One rule writes every result record: its ``__slots__``, in declaration order.
 
 Exit codes: 0 = success / check verified, 1 = check violation found,
 2 = usage, parse, or precondition error, 141 (128 + SIGPIPE) = the reader
@@ -28,7 +27,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 from . import digroot, modring, radix, theorems
 from .arith import Rational
@@ -85,15 +83,14 @@ def _integer(text: str) -> int:
 
 
 def _field_dict(report, *skip: str) -> dict:
-    """A result dataclass's fields in declaration order, the JSON key order.
-    Shallow, unlike ``dataclasses.asdict``: json writes tuples as arrays,
-    and a deep copy of a long repetend costs more than computing it."""
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in skip}
+    """A result record's fields, its ``__slots__``, in declaration order:
+    the JSON key order.  Shallow: ``_json_default`` writes nested records."""
+    return {name: getattr(report, name) for name in report.__slots__ if name not in skip}
 
 
 def _json_default(obj) -> dict:
     """How json writes what it cannot: a Rational as two decimal strings,
-    any other dataclass field by field."""
+    any other result record field by field."""
     if isinstance(obj, Rational):
         return {"num": str(obj.num), "den": str(obj.den)}
     return _field_dict(obj)

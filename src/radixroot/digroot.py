@@ -5,9 +5,7 @@ exponent: the root of q is the root of k^rho0 * q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import Rational, _digit_sum, _require_digits, _require_int
+from .arith import Rational, _digit_sum, _Record, _require_digits, _require_int
 from .radix import _scaled, _terminating_split
 
 
@@ -44,8 +42,7 @@ def additive_persistence(n: int, k: int) -> int:
     return len(_trajectory(n, k)) - 1
 
 
-@dataclass(frozen=True, slots=True)
-class DigitRootResult:
+class DigitRootResult(_Record):
     """Digital root plus the reduction chain that produced it.
 
     ``trajectory`` lists the successive digit sums (empty when the input
@@ -53,9 +50,12 @@ class DigitRootResult:
     length equals ``persistence``.
     """
 
-    root: int
-    persistence: int
-    trajectory: tuple[int, ...]
+    __slots__ = ("root", "persistence", "trajectory")
+
+    def __init__(self, root: int, persistence: int, trajectory: tuple[int, ...]):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "persistence", persistence)
+        object.__setattr__(self, "trajectory", trajectory)
 
 
 def _root_result(n: int, k: int) -> DigitRootResult:

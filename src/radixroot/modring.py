@@ -10,25 +10,23 @@ equality stays a falsifiable cross-check rather than a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .arith import _decimal_text, _require_int, factorize
+from .arith import _decimal_text, _Record, _require_int, factorize
 from .errors import DomainError
 
 
-@dataclass(frozen=True, slots=True)
-class ResidueClass:
+class ResidueClass(_Record):
     """The canonical representative of an integer mod n, with 0 <= value < n."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        n = _require_int(self.modulus, "modulus", 2)
-        if _require_int(self.value, "residue value") >= n:
-            raise DomainError(
-                f"residue value {_decimal_text(self.value)} not in [0, {_decimal_text(n - 1)}]"
-            )
+    def __init__(self, value: int, modulus: int):
+        n = _require_int(modulus, "modulus", 2)
+        if _require_int(value, "residue value") >= n:
+            raise DomainError(f"residue value {_decimal_text(value)} not in "
+                              f"[0, {_decimal_text(n - 1)}]")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
 
     def __add__(self, other: "ResidueClass") -> "ResidueClass":
         return res_add(self, other)
@@ -98,12 +96,14 @@ def orbit_of(n: int, x: int) -> int:
     return _orbit_label(n, ResidueClass(x, n).value)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(_Record):
     """The partition of residues mod n into gcd-classes, keyed by divisor."""
 
-    modulus: int
-    classes: dict[int, tuple[int, ...]]
+    __slots__ = ("modulus", "classes")
+
+    def __init__(self, modulus: int, classes: dict[int, tuple[int, ...]]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "classes", classes)
 
 
 def orbit_partition(n: int) -> OrbitPartition:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -26,6 +25,7 @@ from .arith import (
     _BLOCK_CAP,
     _BYTE_OF_VALUE,
     Rational,
+    _Record,
     _decimal_text,
     _digit_blocks,
     _digits_of,
@@ -76,8 +76,7 @@ class Kind(str, enum.Enum):
     REPEATING = "repeating"
 
 
-@dataclass(frozen=True, slots=True)
-class RadixClassification:
+class RadixClassification(_Record):
     """Terminating/repeating verdict for a rational in one base.
 
     ``rho0`` is the minimum exponent (terminating) or the length of the
@@ -85,9 +84,12 @@ class RadixClassification:
     length, 0 for terminating values.
     """
 
-    kind: Kind
-    rho0: int
-    period: int
+    __slots__ = ("kind", "rho0", "period")
+
+    def __init__(self, kind: Kind, rho0: int, period: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rho0", rho0)
+        object.__setattr__(self, "period", period)
 
     @property
     def is_terminating(self) -> bool:
@@ -170,8 +172,7 @@ def min_exponent(q: Rational, k: int) -> int:
     return _terminating_split(q, k)[2]
 
 
-@dataclass(frozen=True, slots=True)
-class PositionalRepr:
+class PositionalRepr(_Record):
     """Digits of a nonnegative rational in one base, most significant first.
 
     ``frac_digits`` holds the non-repeating fractional prefix and
@@ -183,18 +184,15 @@ class PositionalRepr:
     earlier, so each value has one spelling of each form.
     """
 
-    base: int
-    int_digits: tuple[int, ...]
-    frac_digits: tuple[int, ...] = ()
-    repetend: tuple[int, ...] = ()
+    __slots__ = ("base", "int_digits", "frac_digits", "repetend")
 
-    def __post_init__(self):
-        k = _require_int(self.base, "base", 2)
-        for name in ("int_digits", "frac_digits", "repetend"):
-            object.__setattr__(self, name, _require_digits(getattr(self, name), k))
-        broken = _noncanonical(self.int_digits, self.frac_digits, self.repetend)
+    def __init__(self, base: int, int_digits: tuple, frac_digits: tuple = (), repetend: tuple = ()):
+        k = _require_int(base, "base", 2)
+        digits = [_require_digits(d, k) for d in (int_digits, frac_digits, repetend)]
+        broken = _noncanonical(*digits)
         if broken:
             raise DomainError(broken[0])
+        _Record.__init__(self, base, *digits)
 
     @property
     def period(self) -> int:
@@ -205,8 +203,7 @@ def _trusted(base: int, int_digits: tuple, frac_digits: tuple, repetend: tuple =
     """A PositionalRepr from digit tuples already known to be in range and
     canonical, without repeating the public constructor's checks."""
     r = object.__new__(PositionalRepr)
-    for name, value in zip(PositionalRepr.__slots__, (base, int_digits, frac_digits, repetend)):
-        object.__setattr__(r, name, value)
+    _Record.__init__(r, base, int_digits, frac_digits, repetend)
     return r
 
 

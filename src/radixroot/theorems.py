@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 
-from .arith import Rational, _decimal_text, _require_int, divisors, factorize
+from .arith import Rational, _decimal_text, _Record, _require_int, divisors, factorize
 from .digroot import _digit_sum, _trajectory
 from .errors import DomainError, PreconditionError
 from .modring import _orbit_label
@@ -95,24 +94,18 @@ def _main1(n0: int, r: int, k: int, terms_max: int, memo: dict[int, int],
     return (roots, *verdict)
 
 
-@dataclass(frozen=True, slots=True)
-class Main1Term:
-    j: int
-    value: Rational
-    root: int
-    orbit_label: int
+class Main1Term(_Record):
+    __slots__ = ("j", "value", "root", "orbit_label")
+
+    def __init__(self, j: int, value: Rational, root: int, orbit_label: int):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "orbit_label", orbit_label)
 
 
-@dataclass(frozen=True, slots=True)
-class Main1Report:
-    base: int
-    q: Rational
-    r: int
-    terms: tuple[Main1Term, ...]
-    orbit_delta: int
-    congruence_ok: bool
-    passed: bool
-    witness: int | None
+class Main1Report(_Record):
+    __slots__ = ("base", "q", "r", "terms", "orbit_delta", "congruence_ok", "passed", "witness")
 
 
 def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
@@ -125,16 +118,8 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
         Main1Term(j, Rational(q.num, q.den * r**j), root, _orbit_label(k - 1, root))
         for j, root in enumerate(roots)
     )
-    return Main1Report(
-        base=k,
-        q=q,
-        r=r,
-        terms=terms,
-        orbit_delta=terms[0].orbit_label,
-        congruence_ok=congruence_ok,
-        passed=witness is None,
-        witness=witness,
-    )
+    return Main1Report(k, q, r, terms, terms[0].orbit_label, congruence_ok, witness is None,
+                       witness)
 
 
 def verify_cor1(q: Rational, r: int, k: int) -> bool:
@@ -146,19 +131,9 @@ def verify_cor1(q: Rational, r: int, k: int) -> bool:
     return root1 % (k - 1) == 0
 
 
-@dataclass(frozen=True, slots=True)
-class Main2Report:
-    base: int
-    n: int
-    s: int
-    smooth_part: int
-    p_part: int
-    preconditions_ok: bool
-    repetend: tuple[int, ...]
-    repetend_root: int | None
-    t_doubleprime_divisible: bool
-    passed: bool
-    reason: str | None = None
+class Main2Report(_Record):
+    __slots__ = ("base", "n", "s", "smooth_part", "p_part", "preconditions_ok", "repetend",
+                 "repetend_root", "t_doubleprime_divisible", "passed", "reason")
 
 
 def _t_doubleprime_residue(s: int, k: int, rho0: int, period: int) -> int:
@@ -205,26 +180,16 @@ def verify_main2(n: int, s: int, k: int) -> Main2Report:
         root = _trajectory(sum(repetend), k)[-1]
         residue = _t_doubleprime_residue(s, k, rho0, len(repetend))
         divisible = n * residue % (s * (k - 1)) == 0
-    return Main2Report(
-        base=k, n=n, s=s, smooth_part=smooth, p_part=p,
-        preconditions_ok=ok, repetend=repetend, repetend_root=root,
-        t_doubleprime_divisible=divisible,
-        passed=ok and root % (k - 1) == 0 and divisible, reason=reason,
-    )
+    return Main2Report(k, n, s, smooth, p, ok, repetend, root, divisible,
+                       ok and root % (k - 1) == 0 and divisible, reason)
 
 
-@dataclass(frozen=True)
-class FuzzSummary:
+class FuzzSummary(_Record):
     """Counts of one sweep: ``tested`` = ``passed`` + ``failed``; ``skipped``
     tuples fail main2's preconditions; ``degenerate`` tested tuples are in
     base 2, where k-1 = 1.  main1 always reports skipped = degenerate = 0."""
 
-    tested: int
-    passed: int
-    failed: int
-    skipped: int
-    degenerate: int
-    failures: tuple[dict, ...]
+    __slots__ = ("tested", "passed", "failed", "skipped", "degenerate", "failures")
 
 
 def _main1_tables(bases, bound: int) -> list:
@@ -494,9 +459,11 @@ def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSumma
     return _run_chunked(runner, range(2, s_bound + 1), workers, cost=lambda s: n_bound + 4 * s)
 
 
-@dataclass(frozen=True, slots=True)
-class MagicDigitResult:
-    candidates: tuple[int, ...]
+class MagicDigitResult(_Record):
+    __slots__ = ("candidates",)
+
+    def __init__(self, candidates: tuple[int, ...]):
+        object.__setattr__(self, "candidates", candidates)
 
     @property
     def ambiguous(self) -> bool:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,14 +9,25 @@ from hypothesis import strategies as st
 
 from radixroot import (
     DomainError,
+    FuzzSummary,
+    OrbitPartition,
     Rational,
+    classify,
+    digital_root,
     divisors,
     factorize,
     gcd,
     is_coprime,
+    orbit_partition,
     pow_rational,
+    residue,
+    solve_missing_digit,
+    to_repeating,
     totient,
+    verify_main1,
+    verify_main2,
 )
+from radixroot.arith import _Record
 
 from oracles import divisors_brute, factorize_brute, gcd_brute, totient_brute
 
@@ -174,3 +187,56 @@ def test_pow_rational():
     assert pow_rational(7, 0) == Rational(1)
     with pytest.raises(DomainError):
         pow_rational(0, 2)
+
+
+# One record of each public record type, as the library returns it.  The
+# FuzzSummary has a failure, so that it holds a dict, as OrbitPartition does.
+RECORDS = [
+    factorize(360), Rational(6, 4), classify(Rational(1, 14), 10),
+    to_repeating(Rational(1, 14), 10), digital_root(7205, 10), residue(10, 7),
+    orbit_partition(6), verify_main1(Rational(1, 2), 2, 10, 2).terms[1],
+    verify_main1(Rational(1, 2), 2, 10, 2), verify_main2(1, 3, 10),
+    FuzzSummary(2, 1, 1, 0, 0, ({"base": 10, "n": 1, "s": 7},)), solve_missing_digit("1?", 10),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_immutable_values(record):
+    cls, names = type(record), type(record).__slots__
+    values = tuple(getattr(record, name) for name in names)
+    twin = cls(*values)
+    assert twin == record and twin is not record
+    assert cls(**dict(zip(names, values))) == record
+    assert cls(values[0], **dict(zip(names[1:], values[1:]))) == record
+    for args, kwargs in (((*values, values[0]), {}), (values, {names[0]: values[0]}), ((), {})):
+        with pytest.raises(TypeError):  # a field too many, one given twice, none
+            cls(*args, **kwargs)
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == values
+    if cls in (FuzzSummary, OrbitPartition):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
+    # Another record type with the same fields, and a tuple of the values.
+    lookalike = type("Lookalike", (_Record,), {"__slots__": names})(*values)
+    assert lookalike != record and record != lookalike and record != values
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record
+    if cls is Rational:  # unpickling goes through the constructor, which reduces
+        raw = object.__new__(Rational)
+        for name, value in (("num", 6), ("den", 4)):
+            object.__setattr__(raw, name, value)
+        assert pickle.loads(pickle.dumps(raw)) == Rational(3, 2)
+    assert cls.__match_args__ == names
+    match record:
+        case cls(first) if first is values[0]:
+            pass
+        case _:
+            pytest.fail(f"{cls.__name__} does not match by position")

@@ -606,20 +606,24 @@ def run_fresh(code):
 
 def test_importing_the_library_loads_no_cli():
     # A fresh interpreter, as perfbench's setup_s measures it: the library
-    # alone must not pay for the CLI's parser and JSON writer.
-    out = run_fresh("print(sorted({'radixroot.cli', 'argparse', 'json'} & set(sys.modules)))")
+    # alone must not pay for the CLI's parser and JSON writer, nor for
+    # dataclasses, which loads inspect, ast and dis.
+    out = run_fresh("print(sorted({'radixroot.cli', 'argparse', 'json', 'dataclasses', 'inspect'}"
+                    " & set(sys.modules)))")
     assert out == "[]\n"
 
 
 def test_serial_work_loads_no_process_pool():
     # Only a sweep that opens a pool may load it: queries, serial sweeps and
-    # the CLI stay clear of concurrent.futures and multiprocessing.
+    # the CLI stay clear of concurrent.futures and multiprocessing, and of
+    # dataclasses and inspect too.
     out = run_fresh(
         "from radixroot import Rational, classify, to_repeating, fuzz_main1, fuzz_main2\n"
         "classify(Rational(1, 7), 10); to_repeating(Rational(1, 7), 10)\n"
         "fuzz_main1(range(2, 7), 10, 3); fuzz_main2(range(2, 7), 10, 10)\n"
         "import radixroot.cli; radixroot.cli.main(['classify', '1/7', '--base', '10'])\n"
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect'}"
+        " & set(sys.modules)))")
     assert out.splitlines() == ["repeating rho0=0 period=6", "[]"]
 
 
