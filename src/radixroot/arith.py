@@ -325,10 +325,6 @@ class Rational(_Record):
     def is_zero(self) -> bool:
         return self.num == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.den == 1
-
     @_coerced
     def __add__(self, other: "Rational | int") -> "Rational":
         return Rational(self.num * other.den + other.num * self.den, self.den * other.den)

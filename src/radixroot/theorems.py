@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from functools import partial
-from itertools import accumulate
+from functools import cache, partial
+from itertools import accumulate, islice, repeat
 
 from .arith import Rational, _decimal_text, _Record, _require_int, divisors, factorize
 from .digroot import _digit_sum, _trajectory
@@ -136,23 +136,15 @@ class Main2Report(_Record):
                  "repetend_root", "t_doubleprime_divisible", "passed", "reason")
 
 
-def _t_doubleprime_residue(s: int, k: int, rho0: int, period: int) -> int:
-    """k^rho0 * (k^period - 1) mod s*(k-1), without the k^period bignum.
+def _t_doubleprime_residue(s: int, k: int, power: int, period: int) -> int:
+    """power * (k^period - 1) mod s*(k-1), for power = k^rho0, without the
+    k^period bignum.
 
     n * k^rho0 * (k^period - 1) / s is a natural number divisible by k-1
     exactly when n times this residue is 0 mod s*(k-1).
     """
     modulus = s * (k - 1)
-    return pow(k, rho0, modulus) * (pow(k, period, modulus) - 1) % modulus
-
-
-def _main2_setup(s: int, k: int) -> tuple[tuple[int, int, int], bool]:
-    """The split (smooth, p, rho0) of s, and whether (k, s) meets main2's
-    preconditions: p >= 2 and gcd(p, k-1) = 1.  n/s then has the repetend
-    of rem/p, rem = _scaled(n, k, split) mod p, and T = ord_p(k)."""
-    split = _smooth_split(s, k)
-    p = split[1]
-    return split, p != 1 and math.gcd(p, k - 1) == 1
+    return power * (pow(k, period, modulus) - 1) % modulus
 
 
 def verify_main2(n: int, s: int, k: int) -> Main2Report:
@@ -166,8 +158,9 @@ def verify_main2(n: int, s: int, k: int) -> Main2Report:
     _require_int(s, "s", 2, PreconditionError)
     if math.gcd(n, s) != 1:
         raise DomainError(f"{_decimal_text(n)}/{_decimal_text(s)} is not an irreducible fraction")
-    split, ok = _main2_setup(s, k)
-    smooth, p, rho0 = split
+    # n/s has the repetend of rem/p, rem = _scaled(n, k, split) mod p.
+    smooth, p, rho0 = split = _smooth_split(s, k)
+    ok = p != 1 and math.gcd(p, k - 1) == 1
     repetend, root, divisible, reason = (), None, False, None
     if p == 1:
         reason = (f"{_decimal_text(n)}/{_decimal_text(s)} terminates in base "
@@ -178,7 +171,7 @@ def verify_main2(n: int, s: int, k: int) -> Main2Report:
     else:
         repetend = _repetend(_scaled(n, k, split) % p, p, k)
         root = _trajectory(sum(repetend), k)[-1]
-        residue = _t_doubleprime_residue(s, k, rho0, len(repetend))
+        residue = _t_doubleprime_residue(s, k, k**rho0, len(repetend))
         divisible = n * residue % (s * (k - 1)) == 0
     return Main2Report(k, n, s, smooth, p, ok, repetend, root, divisible,
                        ok and root % (k - 1) == 0 and divisible, reason)
@@ -192,24 +185,25 @@ class FuzzSummary(_Record):
     __slots__ = ("tested", "passed", "failed", "skipped", "degenerate", "failures")
 
 
-def _main1_tables(bases, bound: int) -> list:
-    """For each composite base k of ``bases``: k, its proper divisors, and
-    (b, k^rho0 / b) for each k-smooth b <= bound, ascending in b."""
+def _smooth_tables(bases, bound: int) -> list:
+    """For each base k of ``bases``: k and (m, k^rho0 / m) for each k-smooth
+    m <= bound, ascending in m, with k^rho0 the least power of k that m
+    divides."""
     tables = []
-    for k in (k for k in bases if len(divisors(k)) > 2):
+    for k in bases:
         values = [1]  # each product of primes of k that is <= bound, once
         for p in factorize(k).primes():
             for v in values:  # this walks what it appends too: every power of p
                 if v * p <= bound:
                     values.append(v * p)
-        tables.append((k, divisors(k)[1:-1],
-                       [(b, _scaled(1, k, _smooth_split(b, k))) for b in sorted(values)]))
+        tables.append((k, [(m, _scaled(1, k, _smooth_split(m, k))) for m in sorted(values)]))
     return tables
 
 
 def _run_main1_chunk(cofactors, tables, bound: int, terms_max: int):
-    """Run the ``fuzz_main1`` tuples (k, r, a/b) of the bases of ``tables``
-    whose numerator a has k-coprime part c, for each cofactor c of the chunk.
+    """Run the ``fuzz_main1`` tuples (k, r, a/b) of the bases of ``tables``,
+    every proper divisor r of k, whose numerator a has k-coprime part c, for
+    each cofactor c of the chunk.
 
     A tuple's verdict depends on b only through n_0 = a * k^rho0 / b
     without its trailing base-k zeros (see ``_main1``).  b and each step
@@ -223,7 +217,7 @@ def _run_main1_chunk(cofactors, tables, bound: int, terms_max: int):
     whole chunk, small because R_j = R_0 * (k/r)^j mod k-1: true roots
     give at most k-1 tuples.
     """
-    tables = [(k, [(r, {}) for r in proper], smooth) for k, proper, smooth in tables]
+    tables = [(k, [(r, {}) for r in divisors(k)[1:-1]], smooth) for k, smooth in tables]
     failed = tested = 0
     failures = []
     for c in cofactors:
@@ -285,43 +279,51 @@ def _main2_cycles(k: int, p: int, period: int) -> bytearray | None:
     return table if 2 in table else None
 
 
-def _run_main2_chunk(denominators, bases, n_bound: int):
-    """Run the ``fuzz_main2`` tuples (k, n, s) of each denominator s.
+def _run_main2_chunk(coprimes, tables, n_bound: int, s_bound: int):
+    """Run the ``fuzz_main2`` tuples (k, n, s) of the bases of ``tables``
+    whose denominator s has k-coprime part p, for each p of the chunk.
 
-    n/s has the repetend of rem/p, rem = n * lift mod p, a unit, with
-    lift = k^rho0 / smooth mod p, so its verdict is its remainder cycle's
-    (see ``_main2_cycles``).  T = ord_p(k) and every cycle verdict depend
-    only on (k, p), and ``cycles`` keeps both by (k, p) for every
-    s = smooth * p of the chunk.  A (k, s) whose cycles all pass and whose
-    T'' residue is 0 fails no numerator, so none is looked at; otherwise n
-    fails on its cycle or on n * residue != 0 mod s*(k-1).
+    In each base k coprime to p, those s are m * p <= s_bound with m
+    k-smooth, and k^rho0 = m * scale for m's entry (m, scale) of the table.
+    p = 1 owns only terminating s, which are skipped.  n/s has the
+    repetend of rem/p, rem = n * scale mod p, a unit, so its verdict is its
+    remainder cycle's (see ``_main2_cycles``).  T = ord_p(k) and every
+    cycle verdict depend only on (k, p): they are found once, for s = p,
+    and dropped with that (k, p).  The numerators of each s are counted
+    once per chunk.  A (k, s) whose cycles all pass and whose T'' residue
+    is 0 fails no numerator, so none is listed; otherwise n fails on its
+    cycle or on n * residue != 0 mod s*(k-1).
     """
     tested = failed = skipped = degenerate = 0
     failures = []
-    cycles = {}  # (k, p) -> (T, _main2_cycles(k, p, T)), for the whole chunk
-    for s in denominators:
-        numerators = [n for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
-        for k in bases:
-            split, ok = _main2_setup(s, k)
-            if not ok:
-                skipped += len(numerators)
+    coprime_count = cache(lambda s: list(map(math.gcd, range(1, n_bound + 1), repeat(s))).count(1))
+    for p in coprimes:
+        for k, smooth in tables:
+            if math.gcd(p, k) != 1:
                 continue
-            tested += len(numerators)
-            if k == 2:
-                degenerate += len(numerators)
-            _, p, rho0 = split
-            if (k, p) not in cycles:
+            ok = p != 1 and math.gcd(p, k - 1) == 1
+            if ok:
                 period = multiplicative_order(k, p)
-                cycles[k, p] = period, _main2_cycles(k, p, period)
-            period, table = cycles[k, p]
-            residue = _t_doubleprime_residue(s, k, rho0, period)
-            if table is None and not residue:
-                continue
-            lift, modulus = _scaled(1, k, split) % p, s * (k - 1)
-            failing = [n for n in numerators
-                       if n * residue % modulus or table is not None and table[n * lift % p] == 2]
-            failed += len(failing)
-            failures += ({"base": k, "n": n, "s": s} for n in failing)
+                table = _main2_cycles(k, p, period)
+            for m, scale in islice(smooth, p == 1, None):  # p = 1 owns s = m >= 2 only
+                s = m * p
+                if s > s_bound:
+                    break
+                count = coprime_count(s)
+                if not ok:
+                    skipped += count
+                    continue
+                tested += count
+                if k == 2:
+                    degenerate += count
+                residue = _t_doubleprime_residue(s, k, m * scale, period)
+                if table is None and not residue:
+                    continue
+                lift, modulus = scale % p, s * (k - 1)
+                failing = [n for n in range(1, n_bound + 1) if math.gcd(n, s) == 1 and (
+                    n * residue % modulus or table is not None and table[n * lift % p] == 2)]
+                failed += len(failing)
+                failures += ({"base": k, "n": n, "s": s} for n in failing)
     return tested, failed, skipped, degenerate, failures
 
 
@@ -427,36 +429,38 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
     _require_int(bound, "bound", 0, PreconditionError)
     _require_int(terms_max, "terms", 1, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
-    tables = _main1_tables(bases, bound)  # built once; forked children inherit it
+    # Built once; the costs and every slice read them, and forked children inherit them.
+    tables = _smooth_tables([k for k in bases if len(divisors(k)) > 2], bound)
     runner = partial(_run_main1_chunk, tables=tables, bound=bound, terms_max=terms_max)
     # A cofactor c costs, in each composite base k coprime to it, one pass
     # over the k-smooth b and one over its numerators c * s <= bound.
     return _run_chunked(runner, range(1, bound + 1), workers, cost=lambda c: sum(
         len(smooth) + bisect_right(smooth, bound // c, key=lambda pair: pair[0])
-        for k, _, smooth in tables if math.gcd(c, k) == 1))
+        for k, smooth in tables if math.gcd(c, k) == 1))
 
 
 def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSummary:
     """Check main2 for every reduced n/s with n <= n_bound and
     2 <= s <= s_bound, in each base k of ``bases``: the root of the digit
     sum of its real repetend, and T''.  A tuple that fails main2's
-    preconditions is counted as skipped.  Failures are listed by
-    (base, n, s) whatever the number of workers.
+    preconditions is counted as skipped.  The work items are the coprime
+    parts p = 1..s_bound: p owns, in each base coprime to it, the
+    denominators whose k-coprime part is p (see ``_run_main2_chunk``).
+    Failures are listed by (base, n, s) whatever the number of workers.
     """
     bases = [_require_int(k, "base", 2) for k in bases]
     _require_int(n_bound, "n_bound", 0, PreconditionError)
     _require_int(s_bound, "s_bound", 0, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
-    runner = partial(_run_main2_chunk, bases=bases, n_bound=n_bound)
-    # A denominator s costs its list of numerators and one setup per base,
-    # plus phi(p) long-division steps in each base where its coprime part p
-    # is new to the slice, which is mostly where s = p.  Those steps
-    # dominate and grow with s.  Weighting s by 4 evens the two slices at
-    # README scale (n_bound = s_bound = 100) and leaves them within about
-    # 20% at n_bound = 300, s_bound = 1000, where a later slice also
-    # redivides the small p of its s = smooth * p, which no weight per s
-    # can see.
-    return _run_chunked(runner, range(2, s_bound + 1), workers, cost=lambda s: n_bound + 4 * s)
+    tables = _smooth_tables(bases, s_bound)  # as in fuzz_main1
+    runner = partial(_run_main2_chunk, tables=tables, n_bound=n_bound, s_bound=s_bound)
+    # A coprime part p costs, in each base k coprime to it, one pass over
+    # its s = m * p <= s_bound, plus p long-division steps where (k, p) is
+    # tested.
+    return _run_chunked(runner, range(1, s_bound + 1), workers, cost=lambda p: sum(
+        bisect_right(smooth, s_bound // p, key=lambda pair: pair[0])
+        + (p if p > 1 and math.gcd(p, k - 1) == 1 else 0)
+        for k, smooth in tables if math.gcd(p, k) == 1))
 
 
 class MagicDigitResult(_Record):
@@ -468,10 +472,6 @@ class MagicDigitResult(_Record):
     @property
     def ambiguous(self) -> bool:
         return len(self.candidates) > 1
-
-    @property
-    def digit(self) -> int:
-        return self.candidates[0]
 
 
 def solve_missing_digit(pattern: str, k: int) -> MagicDigitResult:

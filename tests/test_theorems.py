@@ -132,27 +132,37 @@ def test_main1_splits_the_denominator_once(monkeypatch, in_process_children):
     verify_cor1(Rational(9), 5, 10)
     assert len(calls) == 1
     calls.clear()
-    # The sweep splits each k-smooth b once per base, however many
-    # cofactors, divisors and slices share it; the chunk runner splits none.
+    # Each sweep splits each k-smooth m once per base, however many items,
+    # divisors and slices share it; the chunk runners split none.  main1
+    # runs only the composite bases, main2 every base.
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
     bases, bound = range(4, 13), 12
-    per_sweep = [(b, k) for k in bases if len(divisors(k)) > 2
-                 for b in range(1, bound + 1) if coprime_part(b, k) == 1]
+    composite = [k for k in bases if len(divisors(k)) > 2]
+
+    def per_sweep(bases):
+        return [(m, k) for k in bases for m in range(1, bound + 1) if coprime_part(m, k) == 1]
+
     for workers in (1, 2):
         calls.clear()
         summary = fuzz_main1(bases, bound, 5, workers=workers)
         assert (summary.tested, summary.failed) == (len(main1_tuples(bases, bound)), 0)
-        assert calls == per_sweep
-    assert len(in_process_children) == 1
+        assert calls == per_sweep(composite)
+        calls.clear()
+        summary = fuzz_main2(bases, bound, bound, workers=workers)
+        assert summary.tested > 0 and summary.failed == 0
+        assert calls == per_sweep(bases)
+    assert len(in_process_children) == 2
     calls.clear()
-    tables = theorems._main1_tables(bases, bound)
-    assert calls == per_sweep
+    main1_tables = theorems._smooth_tables(composite, bound)
+    main2_tables = theorems._smooth_tables(bases, bound)
+    assert calls == per_sweep(composite) + per_sweep(bases)
     calls.clear()
-    cofactors = range(1, bound + 1)
-    assert (theorems._run_main1_chunk(cofactors, tables, bound, 5)[:2]
+    items = range(1, bound + 1)
+    assert (theorems._run_main1_chunk(items, main1_tables, bound, 5)[:2]
             == (len(main1_tuples(bases, bound)), 0))
-    for chunk in (cofactors[:5], cofactors[5:]):
-        theorems._run_main1_chunk(chunk, tables, bound, 5)
+    for chunk in (items, items[:5], items[5:]):
+        theorems._run_main1_chunk(chunk, main1_tables, bound, 5)
+        theorems._run_main2_chunk(chunk, main2_tables, bound, bound)
     assert calls == []
 
 
@@ -277,7 +287,7 @@ def t_doubleprime_cases(draw):
 @example((2, 2, 3, 1, 1))   # 2 * 3 * 2 / 2 = 6 is
 def test_t_doubleprime_residue_matches_the_bignum_formula(case):
     n, s, k, rho0, period = case
-    residue = theorems._t_doubleprime_residue(s, k, rho0, period)
+    residue = theorems._t_doubleprime_residue(s, k, k**rho0, period)
     assert (n * residue % (s * (k - 1)) == 0) == t_doubleprime_bignum(n, s, k, rho0, period)
 
 
@@ -430,9 +440,9 @@ def test_fuzz_main1_lists_every_den_of_a_shared_n0(monkeypatch):
 def test_sweeps_hand_plain_ranges_at_a_large_bound(monkeypatch):
     # At bound 3000 a list of every (k, r, a, b) tuple would hold 833,928
     # entries, about 65 MiB, before the first verdict; the sweeps hand
-    # over one range of cofactors or denominators instead.  main1's runner
-    # also holds one table per composite base: its proper divisors and
-    # its k-smooth b <= bound, each with one scale.
+    # over one range of k-coprime parts instead.  Each runner also holds
+    # one table per base (main1: per composite base): its k-smooth
+    # m <= bound, each with k^rho0 / m.
     handed = []
 
     def recording(runner, items, workers, cost=None):
@@ -442,14 +452,17 @@ def test_sweeps_hand_plain_ranges_at_a_large_bound(monkeypatch):
     monkeypatch.setattr(theorems, "_run_chunked", recording)
     fuzz_main1(range(2, 17), 3000, 5, workers=2)
     fuzz_main2(range(2, 17), 3000, 3000, workers=2)
-    (main1, cofactors, workers1), (main2, denominators, workers2) = handed
-    assert (cofactors, workers1, denominators, workers2) == (range(1, 3001), 2, range(2, 3001), 2)
-    assert main2["bases"] == list(range(2, 17))
+    (main1, cofactors, workers1), (main2, coprimes, workers2) = handed
+    assert (cofactors, workers1, coprimes, workers2) == (range(1, 3001), 2, range(1, 3001), 2)
+    assert (main2["n_bound"], main2["s_bound"]) == (3000, 3000)
     composite = [k for k in range(2, 17) if len(divisors(k)) > 2]
-    assert [(k, proper) for k, proper, _ in main1["tables"]] == [
-        (k, divisors(k)[1:-1]) for k in composite]
-    assert [[b for b, _ in smooth] for _, _, smooth in main1["tables"]] == [
-        [b for b in range(1, 3001) if coprime_part(b, k) == 1] for k in composite]
+    assert [k for k, _ in main1["tables"]] == composite
+    assert [k for k, _ in main2["tables"]] == list(range(2, 17))
+    for k, smooth in main1["tables"] + main2["tables"]:
+        assert [m for m, _ in smooth] == [m for m in range(1, 3001) if coprime_part(m, k) == 1]
+        # Every k-smooth m <= 3000 divides k^12.
+        assert all(m * scale == k**min(e for e in range(13) if k**e % m == 0)
+                   for m, scale in smooth)
 
 
 def test_fuzz_main1_empty_ranges():
@@ -480,8 +493,8 @@ def root_by_parity(total, k):
 def test_fuzz_main2_worker_invariant(monkeypatch):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
     assert fuzz_main2(range(9, 12), 8, 8) == fuzz_main2(range(9, 12), 8, 8, workers=2)
-    # 8 denominators in contiguous slices of equal cost, 4 and 4, or 3, 2
-    # and 3: every chunk runs its denominators in all 5 bases.
+    # The coprime parts p = 1..9 in contiguous slices of equal cost: every
+    # chunk runs its parts in each of the 5 bases coprime to them.
     one = fuzz_main2(range(9, 14), 12, 9)
     assert one.tested > 0 and one.skipped > 0
     assert one == fuzz_main2(range(9, 14), 12, 9, workers=2)
@@ -494,11 +507,21 @@ def test_fuzz_main2_worker_invariant(monkeypatch):
     assert one == fuzz_main2(range(2, 17), 100, 100, workers=3)
 
 
+def one_denominator(k, s):
+    """The chunk and tables with which ``_run_main2_chunk(chunk, tables,
+    n_bound, s)`` runs the tuples of (k, s) alone: s's k-coprime part p,
+    and base k's table cut to m = s / p, after m = 1 when p = 1 (the
+    runner passes over m = 1 for p = 1)."""
+    p = coprime_part(s, k)
+    (_, smooth), = theorems._smooth_tables([k], s)
+    return [p], [(k, [(m, scale) for m, scale in smooth if m * p == s or m == p == 1])]
+
+
 def main2_chunk_failures(k, s, n_bound):
     """The sweep kernel over one (k, s): None when (k, s) fails main2's
     preconditions (n = 1 is always a numerator, so some tuple is skipped),
     else the failing n in order."""
-    _, _, skipped, _, failures = theorems._run_main2_chunk([s], [k], n_bound)
+    _, _, skipped, _, failures = theorems._run_main2_chunk(*one_denominator(k, s), n_bound, s)
     return None if skipped else [f["n"] for f in failures]
 
 
@@ -535,9 +558,9 @@ def test_fuzz_main2_sums_equal_the_single_tuple_kernel(monkeypatch):
 
 
 def test_main2_chunk_memo_is_keyed_by_base_and_p(monkeypatch):
-    """One chunk of many denominators in many bases, with a fake root that
+    """One chunk of many coprime parts in many bases, with a fake root that
     fails tuples by their digit sums, gives the counts and failures of a
-    loop of the single-tuple kernel: a cycle verdict kept for one base is
+    loop of the single-tuple kernel: a cycle verdict found in one base is
     never used in another."""
     monkeypatch.setattr(theorems, "_trajectory", root_by_parity)
     bases, bound = range(3, 17), 100
@@ -548,15 +571,18 @@ def test_main2_chunk_memo_is_keyed_by_base_and_p(monkeypatch):
     tested = [r for r in reports if r.preconditions_ok]
     failures = [{"base": r.base, "n": r.n, "s": r.s} for r in tested if not r.passed]
     assert 10000 < len(failures) < len(tested) - 10000
-    got = theorems._run_main2_chunk(range(2, bound + 1), bases, bound)
-    assert got == (len(tested), len(failures), len(reports) - len(tested), 0, failures)
+    tables = theorems._smooth_tables(bases, bound)
+    got = theorems._run_main2_chunk(range(1, bound + 1), tables, bound, bound)
+    assert got[:4] == (len(tested), len(failures), len(reports) - len(tested), 0)
+    assert sorted(got[4], key=lambda f: tuple(f.values())) == sorted(
+        failures, key=lambda f: tuple(f.values()))
 
 
 @pytest.mark.parametrize("k", [3, 10, 16])
 def test_main2_chunk_divides_each_unit_cycle_once(monkeypatch, k):
     """A chunk divides every unit remainder mod p once, one long-division
-    step each, for each p its denominators reach, however many
-    s = smooth * p share that p."""
+    step each, for each tested p it holds, however many s = smooth * p
+    share that p."""
     divided = []
 
     def counting(a, b):
@@ -564,19 +590,19 @@ def test_main2_chunk_divides_each_unit_cycle_once(monkeypatch, k):
         return divmod(a, b)
 
     monkeypatch.setattr(theorems, "divmod", counting, raising=False)
-    denominators = range(2, 400)
-    theorems._run_main2_chunk(denominators, [k], 50)
-    setups = {s: theorems._main2_setup(s, k) for s in denominators}
-    p_of = {s: split[1] for s, (split, ok) in setups.items() if ok}
+    bound = 399
+    theorems._run_main2_chunk(range(1, bound + 1), theorems._smooth_tables([k], bound), 50, bound)
+    p_of = {s: p for s in range(2, bound + 1)
+            if (p := coprime_part(s, k)) != 1 and math.gcd(p, k - 1) == 1}
     assert max(collections.Counter(p_of.values()).values()) >= 4
     units = sorted((rem, p) for p in set(p_of.values())
                    for rem in range(1, p) if math.gcd(rem, p) == 1)
     assert sorted(divided) == units
 
 
-def test_main2_chunk_finds_each_order_once(monkeypatch):
-    """T = ord_p(k) depends on (k, p) alone: a README-scale chunk looks it
-    up once for each of its 481 distinct (k, p), not once per (k, s)."""
+def counting_orders(monkeypatch):
+    """Record each (k, p) that ``theorems`` looks up ``multiplicative_order``
+    for."""
     calls = []
     order = theorems.multiplicative_order
 
@@ -585,8 +611,30 @@ def test_main2_chunk_finds_each_order_once(monkeypatch):
         return order(k, p)
 
     monkeypatch.setattr(theorems, "multiplicative_order", counting)
-    theorems._run_main2_chunk(range(2, 101), range(2, 17), 100)
+    return calls
+
+
+def test_main2_chunk_finds_each_order_once(monkeypatch):
+    """T = ord_p(k) depends on (k, p) alone: a README-scale chunk looks it
+    up once for each of its 481 distinct tested (k, p), not once for each
+    of the 810 tested (k, s)."""
+    calls = counting_orders(monkeypatch)
+    tables = theorems._smooth_tables(range(2, 17), 100)
+    theorems._run_main2_chunk(range(1, 101), tables, 100, 100)
     assert len(calls) == len(set(calls)) == 481
+
+
+def test_fuzz_main2_finds_each_order_once_per_sweep(monkeypatch, in_process_children):
+    """Each (k, p) belongs to one item p, so a README-scale sweep looks up
+    each of its 481 orders once, in one process or in two.  Two slices of
+    denominators looked up 611: the later slice met many p again."""
+    calls = counting_orders(monkeypatch)
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    for workers in (1, 2):
+        calls.clear()
+        assert fuzz_main2(range(2, 17), 100, 100, workers=workers).tested == 58147
+        assert len(calls) == len(set(calls)) == 481
+    assert len(in_process_children) == 1
 
 
 def test_main2_fake_root_failing_one_cycle_fails_its_numerators(monkeypatch):
@@ -606,12 +654,12 @@ def test_main2_fake_root_failing_one_cycle_fails_its_numerators(monkeypatch):
     trajectory = theorems._trajectory
     monkeypatch.setattr(theorems, "_trajectory",
                         lambda t, k: [1] if t == 45 else trajectory(t, k))
-    denominators = [p * m for m in (1, 2, 4, 5, 8, 10)]
+    denominators = [p * m for m in (1, 2, 4, 5, 8, 10)]  # every s = smooth * 79 <= 790
     expected = [{"base": k, "n": n, "s": s}
                 for s in denominators for n in range(1, bound + 1)
                 if math.gcd(n, s) == 1 and cycle_of(n, s) == failing_cycle]
     assert {f["s"] for f in expected} == set(denominators)
-    got = theorems._run_main2_chunk(denominators, [k], bound)
+    got = theorems._run_main2_chunk([p], theorems._smooth_tables([k], 10 * p), bound, 10 * p)
     assert got[4] == expected and got[1] == len(expected) < got[0]
 
 
@@ -641,7 +689,7 @@ def test_main2_sweep_kernel_matches_the_single_tuple_kernel(case):
                 mp.setattr(theorems, "_trajectory", fake)
             reports = [verify_main2(n, s, k)
                        for n in range(1, n_bound + 1) if math.gcd(n, s) == 1]
-            got = theorems._run_main2_chunk([s], [k], n_bound)
+            got = theorems._run_main2_chunk(*one_denominator(k, s), n_bound, s)
         tested = [r for r in reports if r.preconditions_ok]
         failures = [{"base": k, "n": r.n, "s": s} for r in tested if not r.passed]
         assert got == (len(tested), len(failures), len(reports) - len(tested),
@@ -744,10 +792,10 @@ def recording(monkeypatch, name):
 
 def test_run_chunked_opens_one_worker_per_chunk(monkeypatch, in_process_children):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 8)
-    # 11 denominators cut at equal cost make 5 chunks of 3, 2, 2, 2 and 2:
+    # 12 coprime parts cut at equal cost make 5 chunks of 3, 3, 2, 2 and 2:
     # this process runs the first, and one child each of the other four.
     summary = fuzz_main2(range(5, 6), 10, 12, workers=5)
-    assert in_process_children == [range(5, 7), range(7, 9), range(9, 11), range(11, 13)]
+    assert in_process_children == [range(4, 7), range(7, 9), range(9, 11), range(11, 13)]
     assert summary == fuzz_main2(range(5, 6), 10, 12)
 
 
@@ -822,24 +870,32 @@ def test_main1_chunks_share_the_work_evenly(monkeypatch, in_process_children, wo
         assert summary == fuzz_main1(bases, bound, 5)
 
 
+def main2_cost(bases, s_bound):
+    """The cost of each coprime part p = 1..s_bound, counted from scratch:
+    in each base k coprime to p, its k-smooth m <= s_bound // p, plus p
+    when p > 1 and gcd(p, k-1) = 1, where (k, p) is tested."""
+    return {p: sum(sum(coprime_part(m, k) == 1 for m in range(1, s_bound // p + 1))
+                   + (p if p > 1 and math.gcd(p, k - 1) == 1 else 0)
+                   for k in bases if math.gcd(p, k) == 1)
+            for p in range(1, s_bound + 1)}
+
+
 @pytest.mark.parametrize("workers", [2, 3, 4])
 @pytest.mark.parametrize("bases, n_bound, s_bound", [(range(2, 17), 100, 100), ([10], 300, 1000)])
 def test_main2_chunks_are_cut_at_equal_cost(monkeypatch, in_process_children, workers, bases,
                                             n_bound, s_bound):
-    # A denominator s costs n_bound + 4 * s.  Every denominator lands in one
-    # non-empty chunk, in order, and each chunk costs less than one
-    # denominator more or less than an even share.  Two chunks can then
-    # differ by almost two denominators: 7,164 against 7,956 with 4 workers
-    # at s <= 100, where s = 100 costs 500.
+    # Every coprime part p lands in one non-empty chunk, in order, and each
+    # chunk costs less than one part more or less than an even share.
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
     calls = recording(monkeypatch, "_run_main2_chunk")
     summary = fuzz_main2(bases, n_bound, s_bound, workers=workers)
     chunks = [chunk for chunk, _ in calls]
     assert len(chunks) == workers and all(chunks) and in_process_children == chunks[1:]
-    assert [s for chunk in chunks for s in chunk] == list(range(2, s_bound + 1))
-    costs = [sum(n_bound + 4 * s for s in chunk) for chunk in chunks]
+    assert [p for chunk in chunks for p in chunk] == list(range(1, s_bound + 1))
+    cost = main2_cost(bases, s_bound)
+    costs = [sum(cost[p] for p in chunk) for chunk in chunks]
     share = sum(costs) / workers
-    assert all(abs(cost - share) < n_bound + 4 * s_bound for cost in costs)
+    assert all(abs(chunk_cost - share) < max(cost.values()) for chunk_cost in costs)
     assert summary == fuzz_main2(bases, n_bound, s_bound)
 
 
@@ -1012,7 +1068,7 @@ def test_main1_chunk_drops_the_tables_of_each_cofactor():
     # The memo of roots and the groups of one (k, c) are dropped when that
     # (k, c) is done.  Kept per base for the whole chunk, the roots alone
     # would reach about 6.6 MiB here.
-    tables = theorems._main1_tables(range(2, 37), 300)
+    tables = theorems._smooth_tables([k for k in range(2, 37) if len(divisors(k)) > 2], 300)
     tracemalloc.start()
     try:
         result = theorems._run_main1_chunk(range(1, 301), tables, 300, 5)
