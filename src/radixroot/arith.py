@@ -243,50 +243,77 @@ class Factorization(_Record):
         return tuple(p for p, _ in self.factors)
 
 
-# typed: else factorize(2.0) or factorize(True) would hit the entry of 2 or 1.
-@lru_cache(maxsize=4096, typed=True)
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division (2, 3, then a 6k+-1 wheel)."""
-    _require_int(n, "n", 1)
+def _valuation(n: int, prime: int) -> tuple[int, int]:
+    """(e, n // prime^e), e the exponent of prime in n >= 1: divide by prime,
+    prime^2, prime^4, ... while they divide, then step back down the same
+    squares, so prime^e costs O(log e) divisions, not e."""
+    squares = []
+    square = prime
+    while n % square == 0:
+        n //= square
+        squares.append(square)
+        square *= square
+    e = (1 << len(squares)) - 1
+    for i in range(len(squares) - 1, -1, -1):
+        if n % squares[i] == 0:
+            n //= squares[i]
+            e += 1 << i
+    return e, n
+
+
+@lru_cache(maxsize=4096)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1, primes ascending, by trial
+    division (2, 3, then a 6k+-1 wheel)."""
     factors = []
     for p in (2, 3):
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+            e, n = _valuation(n, p)
             factors.append((p, e))
     p = 5
     while p * p <= n:
         for q in (p, p + 2):
             if n % q == 0:
-                e = 0
-                while n % q == 0:
-                    n //= q
-                    e += 1
+                e, n = _valuation(n, q)
                 factors.append((q, e))
         p += 6
     if n > 1:
         factors.append((n, 1))
-    return Factorization(tuple(factors))
+    return tuple(factors)
 
 
-def divisors(n: int) -> tuple[int, ...]:
+def _divisors(n: int) -> tuple[int, ...]:
     """All divisors of n >= 1, ascending."""
-    _require_int(n, "n", 1)
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in _factor(n):
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return tuple(sorted(divs))
 
 
-def totient(n: int) -> int:
-    """Euler's totient, via the factorization formula."""
-    _require_int(n, "n", 1)
+def _totient(n: int) -> int:
+    """Euler's totient of n >= 1, via the factorization formula."""
     phi = n
-    for p, _ in factorize(n).factors:
+    for p, _ in _factor(n):
         phi = phi // p * (p - 1)
     return phi
+
+
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division (2, 3, then a 6k+-1 wheel)."""
+    return Factorization(_factor(_require_int(n, "n", 1)))
+
+
+factorize.cache_info = _factor.cache_info  # the hit ratio of the cache behind it
+
+
+def divisors(n: int) -> tuple[int, ...]:
+    """All divisors of n >= 1, ascending."""
+    return _divisors(_require_int(n, "n", 1))
+
+
+def totient(n: int) -> int:
+    """Euler's totient, via the factorization formula."""
+    return _totient(_require_int(n, "n", 1))
 
 
 def _coerced(op):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import _decimal_text, _Record, _require_int, factorize
+from .arith import _decimal_text, _factor, _Record, _require_int
 from .errors import DomainError
 
 
@@ -120,7 +120,7 @@ def unit_group_is_cyclic(n: int) -> bool:
     _require_int(n, "modulus", 2)
     if n in (2, 4):
         return True
-    factors = factorize(n).factors
+    factors = _factor(n)
     if len(factors) == 1:
         p, _ = factors[0]
         return p != 2

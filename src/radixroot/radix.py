@@ -29,12 +29,13 @@ from .arith import (
     _decimal_text,
     _digit_blocks,
     _digits_of,
+    _factor,
     _int_of,
     _int_of_text,
     _require_digits,
     _require_int,
-    factorize,
-    totient,
+    _totient,
+    _valuation,
 )
 from .errors import DomainError, ParseError
 
@@ -98,26 +99,13 @@ class RadixClassification(_Record):
 
 def _smooth_split(den: int, k: int) -> tuple[int, int, int]:
     """Split den into (smooth, p, rho0): the largest divisor made of primes
-    of k, the coprime remainder, and min {r : smooth | k^r}."""
+    of k, the coprime remainder, and min {r : smooth | k^r}.  Only the
+    primes of gcd(den, k) are needed, so k itself is never factored."""
     p = den
     rho0 = 0
-    for prime, e_k in factorize(k).factors:
-        if p % prime:
-            continue
-        # Divide by prime, prime^2, prime^4, ... while they divide, then step
-        # back down the same squares: O(log e) divisions for prime^e, not e.
-        squares = []
-        square = prime
-        while p % square == 0:
-            p //= square
-            squares.append(square)
-            square *= square
-        e = (1 << len(squares)) - 1
-        for i in range(len(squares) - 1, -1, -1):
-            if p % squares[i] == 0:
-                p //= squares[i]
-                e += 1 << i
-        rho0 = max(rho0, -(-e // e_k))
+    for prime, _ in _factor(math.gcd(den, k)):
+        e, p = _valuation(p, prime)
+        rho0 = max(rho0, -(-e // _valuation(k, prime)[0]))
     return den // p, p, rho0
 
 
@@ -128,23 +116,30 @@ def _scaled(num: int, k: int, split: tuple[int, int, int]) -> int:
     return num * (k**rho0 // smooth)
 
 
-# typed, as for factorize: (10, 7.0) must not hit the entry of (10, 7).
-@lru_cache(maxsize=4096, typed=True)
-def multiplicative_order(k: int, p: int) -> int:
-    """Smallest T >= 1 with k^T = 1 mod p; requires gcd(k, p) = 1, p >= 2.
+@lru_cache(maxsize=4096)
+def _order(k: int, p: int) -> int:
+    """Smallest T >= 1 with k^T = 1 mod p, for p >= 2 and gcd(k, p) = 1.
 
     Starts from totient(p) and strips prime factors while the power still
     fixes 1, which visits only divisors of the totient.
     """
+    t = _totient(p)
+    for prime, _ in _factor(t):
+        while t % prime == 0 and pow(k, t // prime, p) == 1:
+            t //= prime
+    return t
+
+
+def multiplicative_order(k: int, p: int) -> int:
+    """Smallest T >= 1 with k^T = 1 mod p; requires gcd(k, p) = 1, p >= 2."""
     _require_int(k, "base", 2)
     _require_int(p, "modulus", 2)
     if math.gcd(k, p) != 1:
         raise DomainError(f"{_decimal_text(k)} and {_decimal_text(p)} are not coprime")
-    t = totient(p)
-    for prime, _ in factorize(t).factors:
-        while t % prime == 0 and pow(k, t // prime, p) == 1:
-            t //= prime
-    return t
+    return _order(k, p)
+
+
+multiplicative_order.cache_info = _order.cache_info  # the hit ratio of the cache behind it
 
 
 def classify(q: Rational, k: int) -> RadixClassification:
@@ -153,7 +148,7 @@ def classify(q: Rational, k: int) -> RadixClassification:
     smooth, p, rho0 = _smooth_split(q.den, k)
     if p == 1:
         return RadixClassification(Kind.TERMINATING, rho0, 0)
-    return RadixClassification(Kind.REPEATING, rho0, multiplicative_order(k, p))
+    return RadixClassification(Kind.REPEATING, rho0, _order(k, p))
 
 
 def _terminating_split(q: Rational, k: int) -> tuple[int, int, int]:
@@ -236,7 +231,7 @@ def _string_period(digits: tuple[int, ...]) -> int:
     entries; slicing would copy the whole tuple twice first.
     """
     t = len(digits)
-    for q, _ in factorize(t).factors:
+    for q, _ in _factor(t):
         while t % q == 0 and all(map(operator.eq, islice(digits, t // q, None), digits)):
             t //= q
     return t
@@ -259,7 +254,7 @@ def _repetend(rem: int, p: int, k: int) -> tuple[int, ...]:
     k^m * p, and a last block of T mod m digits is rem * k^(T mod m) // p.
     Larger bases take one digit per divmod, with operands below k * p.
     """
-    t = multiplicative_order(k, p)
+    t = _order(k, p)
     if k * k > _BLOCK_CAP:
         out = []
         for _ in range(t):

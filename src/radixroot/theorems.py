@@ -20,12 +20,11 @@ from bisect import bisect_right
 from functools import cache, partial
 from itertools import accumulate, islice, repeat
 
-from .arith import Rational, _decimal_text, _Record, _require_int, divisors, factorize
+from .arith import Rational, _decimal_text, _divisors, _factor, _Record, _require_int
 from .digroot import _digit_sum, _trajectory
 from .errors import DomainError, PreconditionError
 from .modring import _orbit_label
-from .radix import (_repetend, _scaled, _smooth_split, _terminating_split, _tokenize,
-                    multiplicative_order)
+from .radix import _order, _repetend, _scaled, _smooth_split, _terminating_split, _tokenize
 
 
 def verify_lemma_dr(q: Rational, k: int) -> bool:
@@ -192,7 +191,7 @@ def _smooth_tables(bases, bound: int) -> list:
     tables = []
     for k in bases:
         values = [1]  # each product of primes of k that is <= bound, once
-        for p in factorize(k).primes():
+        for p, _ in _factor(k):
             for v in values:  # this walks what it appends too: every power of p
                 if v * p <= bound:
                     values.append(v * p)
@@ -217,7 +216,7 @@ def _run_main1_chunk(cofactors, tables, bound: int, terms_max: int):
     whole chunk, small because R_j = R_0 * (k/r)^j mod k-1: true roots
     give at most k-1 tuples.
     """
-    tables = [(k, [(r, {}) for r in divisors(k)[1:-1]], smooth) for k, smooth in tables]
+    tables = [(k, [(r, {}) for r in _divisors(k)[1:-1]], smooth) for k, smooth in tables]
     failed = tested = 0
     failures = []
     for c in cofactors:
@@ -303,7 +302,7 @@ def _run_main2_chunk(coprimes, tables, n_bound: int, s_bound: int):
                 continue
             ok = p != 1 and math.gcd(p, k - 1) == 1
             if ok:
-                period = multiplicative_order(k, p)
+                period = _order(k, p)
                 table = _main2_cycles(k, p, period)
             for m, scale in islice(smooth, p == 1, None):  # p = 1 owns s = m >= 2 only
                 s = m * p
@@ -430,7 +429,7 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
     _require_int(terms_max, "terms", 1, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
     # Built once; the costs and every slice read them, and forked children inherit them.
-    tables = _smooth_tables([k for k in bases if len(divisors(k)) > 2], bound)
+    tables = _smooth_tables([k for k in bases if len(_divisors(k)) > 2], bound)
     runner = partial(_run_main1_chunk, tables=tables, bound=bound, terms_max=terms_max)
     # A cofactor c costs, in each composite base k coprime to it, one pass
     # over the k-smooth b and one over its numerators c * s <= bound.

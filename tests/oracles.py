@@ -134,6 +134,18 @@ def smooth_split_brute(den: int, base: int) -> tuple[int, int, int]:
     return smooth, p, rho0
 
 
+def smooth_split_by_gcd(den: int, base: int) -> tuple[int, int, int]:
+    """(smooth, p, rho0) without factoring base: divide p by gcd(p, base),
+    one division at a time, until they are coprime.  Each division takes
+    min(e, e_base) from the exponent e of each prime of base, so their
+    count is the largest ceil(e / e_base), which is rho0."""
+    p, rho0 = den, 0
+    while (g := math.gcd(p, base)) > 1:
+        p //= g
+        rho0 += 1
+    return den // p, p, rho0
+
+
 def main1_roots_brute(num: int, den: int, r: int, k: int, terms: int) -> list[int]:
     """Digital roots of num/(den * r^j) in base k for j = 0..terms: reduce
     the fraction, step rho up until k^rho times it is an integer, then sum

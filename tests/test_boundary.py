@@ -2,8 +2,12 @@
 int, never a bool or a float, at or above its bound, and a rejected value
 raises that parameter's library error with the value printed in full."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import radixroot
 from radixroot import (
     DomainError,
     PositionalRepr,
@@ -156,3 +160,31 @@ def test_messages_print_integers_past_the_str_limit():
         PositionalRepr(10, (10**5000,))
     huge_base = PositionalRepr(10**5000, (10**4999, 7))
     assert format_repr(huge_base) == "[1" + "0" * 4999 + ",7]_1" + "0" * 5000
+
+
+def test_private_functions_call_no_public_function():
+    """Validation runs once, at the public name: no private function of the
+    package (a leading underscore, dunders aside) calls a public function
+    (one named in ``radixroot.__all__``), whether by name or through a
+    module of the package, as ``radix.classify``."""
+    package = Path(radixroot.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    public = {name for name in radixroot.__all__
+              if callable(getattr(radixroot, name)) and not isinstance(getattr(radixroot, name), type)}
+
+    def callee(call):
+        f = call.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in modules:
+            return f.attr
+        return f.id if isinstance(f, ast.Name) else None
+
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and not node.name.endswith("__"):
+                callers += [f"{path.name}: {node.name} calls {callee(call)}"
+                            for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and callee(call) in public]
+    assert callers == []
+    assert {"classify", "factorize", "multiplicative_order", "totient"} <= public

@@ -103,6 +103,27 @@ def test_termination_only_commands_reject_a_huge_prime_denominator_at_once(argv)
     assert f"dividing {10**29 + 319} do not divide 10" in proc.stderr
 
 
+PRIME = 10**29 + 319
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["digroot", "7", "--base", str(PRIME)], ["root=7 persistence=0 trajectory=[]"]),
+    (["classify", "1/3", "--base", str(PRIME)], ["repeating rho0=0 period=2"]),
+    (["repr", "1/2", "--base", str(PRIME - 1)], [f"[0.{(PRIME - 1) // 2}]_{PRIME - 1}"]),
+    (["verify", "main1", "--q", "1", "--r", "2", "--base", str(2 * PRIME)],
+     ["main1: PASS", f"  base={2 * PRIME} q=1 r=2 orbit_delta=1 congruence_ok=True",
+      "  j=0 value=1 root=1 orbit=1", f"  j=1 value=1/2 root={PRIME} orbit=1"]),
+])
+def test_commands_answer_at_once_in_a_base_trial_division_cannot_factor(argv, lines):
+    # The base is the prime 10^29 + 319, or P - 1 (largest prime 22 digits)
+    # or 2P: the split factors gcd(den, base), never the base, so each
+    # command is immediate.  The timeout turns a hang into a failure.
+    proc = subprocess.run([sys.executable, "-m", "radixroot", *argv],
+                          capture_output=True, text=True, env=child_env(), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:len(lines)] == lines
+
+
 def test_values_past_the_int_string_limit_render_in_both_modes(capsys):
     literal = "[1" + "0" * 20000 + "]_2"
     decimal = "".join(map(str, digits_brute(2**20000, 10)))

@@ -35,7 +35,7 @@ from radixroot import (
     verify_lemma_dr,
     verify_main1,
 )
-from radixroot import arith, radix
+from radixroot import arith, modring, radix, theorems
 from radixroot.arith import _BLOCK_CAP, _INT_LEAF, _SPLIT_BITS, _digit_blocks
 from radixroot.digroot import _digit_sum
 from radixroot.radix import _digits_of, _int_of, _repetend, _smooth_split, _string_period, _tokenize
@@ -48,6 +48,7 @@ from oracles import (
     long_division_digits,
     multiplicative_order_brute,
     smooth_split_brute,
+    smooth_split_by_gcd,
     string_period_brute,
     tokenize_brute,
 )
@@ -113,13 +114,16 @@ def test_termination_checks_never_order_or_factor_the_denominator(monkeypatch):
     def fail(*args):
         raise AssertionError(f"termination check computed {args}")
 
-    def factor_base_only(n):
-        return factorize(n) if n == 10 else fail(n)
+    factor = arith._factor
 
-    monkeypatch.setattr(radix, "multiplicative_order", fail)
-    for module in (arith, radix):
-        monkeypatch.setattr(module, "totient", fail)
-        monkeypatch.setattr(module, "factorize", factor_base_only)
+    def factor_base_divisors_only(n):
+        return factor(n) if 10 % n == 0 else fail(n)
+
+    for module in (arith, radix, theorems, modring):
+        for name, patch in (("_order", fail), ("_totient", fail),
+                            ("_factor", factor_base_divisors_only)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, patch)
     checks = [
         lambda: min_exponent(q, 10),
         lambda: to_finite(q, 10),
@@ -193,18 +197,35 @@ def test_multiplicative_order_matches_brute_force(k, p):
 
 
 def test_number_theory_caches_are_bounded():
-    for cached in (factorize, multiplicative_order, _digit_blocks):
+    for cached in (arith._factor, radix._order, _digit_blocks):
         assert cached.cache_parameters()["maxsize"] is not None
         assert cached.cache_info().maxsize == cached.cache_parameters()["maxsize"]
 
 
+# A 12-digit prime: trial division of a base m * Q would take ~10^5 steps.
+Q = 100_000_000_003
+
+
 @settings(max_examples=60)
-@given(st.integers(2, 60), st.lists(st.integers(0, 2000), min_size=3, max_size=3), st.integers(1, 10**6))
-def test_smooth_split_matches_one_division_at_a_time(k, exponents, cofactor):
+@given(st.integers(2, 60), st.booleans(), st.lists(st.integers(0, 2000), min_size=4, max_size=4),
+       st.integers(1, 10**6))
+def test_smooth_split_matches_one_division_at_a_time(m, times_q, exponents, cofactor):
+    k = m * Q if times_q else m
     den = cofactor
-    for prime, e in zip(factorize(k).primes(), exponents):
+    for prime, e in zip([*factorize(m).primes(), *[Q] * times_q], exponents):
         den *= prime**e
-    assert _smooth_split(den, k) == smooth_split_brute(den, k)
+    factored = []
+    factor = radix._factor
+    radix._factor = lambda n: factored.append(n) or factor(n)
+    try:
+        split = _smooth_split(den, k)
+    finally:
+        radix._factor = factor
+    assert split == smooth_split_by_gcd(den, k)
+    if not times_q:
+        assert split == smooth_split_brute(den, k)
+    # Only primes of den can matter: k itself is factored only when it divides den.
+    assert all(math.gcd(den, k) % n == 0 for n in factored)
 
 
 def test_smooth_split_of_a_huge_prime_power():

@@ -601,16 +601,15 @@ def test_main2_chunk_divides_each_unit_cycle_once(monkeypatch, k):
 
 
 def counting_orders(monkeypatch):
-    """Record each (k, p) that ``theorems`` looks up ``multiplicative_order``
-    for."""
+    """Record each (k, p) that ``theorems`` looks up ``radix._order`` for."""
     calls = []
-    order = theorems.multiplicative_order
+    order = theorems._order
 
     def counting(k, p):
         calls.append((k, p))
         return order(k, p)
 
-    monkeypatch.setattr(theorems, "multiplicative_order", counting)
+    monkeypatch.setattr(theorems, "_order", counting)
     return calls
 
 
