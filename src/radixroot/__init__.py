@@ -4,12 +4,10 @@ structure of residues mod n under multiplication by units, and
 exhaustive verifiers for two digital-root invariance laws.
 """
 
-from .arith import Factorization, Rational, divisors, factorize, gcd, is_coprime, pow_rational, totient
+from .arith import Factorization, Rational, divisors, factorize, gcd, pow_rational, totient
 from .digroot import (
     DigitRootResult,
-    additive_persistence,
     digit_sum,
-    digit_sum_iter,
     digit_sum_of_digits,
     digital_root,
     tf_digit_sum,
@@ -24,8 +22,6 @@ from .modring import (
     orbit,
     orbit_of,
     orbit_partition,
-    res_add,
-    res_mul,
     residue,
     unit_group_is_cyclic,
     units,

@@ -183,10 +183,6 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def is_coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1
-
-
 class _Record:
     """Base of the result records: immutable values whose fields are their
     ``__slots__``, in declaration order, as ==, hash, repr, pickle and match

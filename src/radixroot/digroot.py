@@ -25,23 +25,6 @@ def digit_sum(n: int, k: int) -> int:
     return _digit_sum(n, k)
 
 
-def digit_sum_iter(n: int, k: int, times: int) -> int:
-    """n after ``times`` base-k digit sums.  A single digit is its own
-    digit sum, so the chain stops there however large ``times`` is."""
-    _require_int(k, "base", 2)
-    _require_int(n, "n")
-    _require_int(times, "times")
-    chain = _trajectory(n, k)
-    return chain[min(times, len(chain) - 1)]
-
-
-def additive_persistence(n: int, k: int) -> int:
-    """Number of digit-sum iterations needed to reach a single digit."""
-    _require_int(k, "base", 2)
-    _require_int(n, "n")
-    return len(_trajectory(n, k)) - 1
-
-
 class DigitRootResult(_Record):
     """Digital root plus the reduction chain that produced it.
 

@@ -29,10 +29,12 @@ class ResidueClass(_Record):
         object.__setattr__(self, "modulus", modulus)
 
     def __add__(self, other: "ResidueClass") -> "ResidueClass":
-        return res_add(self, other)
+        n = _require_same_modulus(self.modulus, other.modulus)
+        return ResidueClass((self.value + other.value) % n, n)
 
     def __mul__(self, other: "ResidueClass") -> "ResidueClass":
-        return res_mul(self, other)
+        n = _require_same_modulus(self.modulus, other.modulus)
+        return ResidueClass((self.value * other.value) % n, n)
 
 
 def residue(x: int, n: int) -> ResidueClass:
@@ -46,16 +48,6 @@ def _require_same_modulus(m: int, n: int) -> int:
     if m != n:
         raise DomainError(f"modulus mismatch: {_decimal_text(m)} != {_decimal_text(n)}")
     return m
-
-
-def res_add(a: ResidueClass, b: ResidueClass) -> ResidueClass:
-    n = _require_same_modulus(a.modulus, b.modulus)
-    return ResidueClass((a.value + b.value) % n, n)
-
-
-def res_mul(a: ResidueClass, b: ResidueClass) -> ResidueClass:
-    n = _require_same_modulus(a.modulus, b.modulus)
-    return ResidueClass((a.value * b.value) % n, n)
 
 
 def additive_order(x: ResidueClass) -> int:
@@ -85,15 +77,9 @@ def orbit(n: int, x: ResidueClass) -> tuple[int, ...]:
     return tuple(sorted({g * x.value % n for g in _units(n)}))
 
 
-def _orbit_label(n: int, x: int) -> int:
-    """The divisor label of x's orbit mod n >= 2, unchecked: gcd(x, n),
-    which equals gcd(x mod n, n), so x needs no reduction first."""
-    return math.gcd(x, n)
-
-
 def orbit_of(n: int, x: int) -> int:
     """The divisor label of the orbit containing x, i.e. gcd(x, n)."""
-    return _orbit_label(n, ResidueClass(x, n).value)
+    return math.gcd(ResidueClass(x, n).value, n)
 
 
 class OrbitPartition(_Record):

