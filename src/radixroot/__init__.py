@@ -4,6 +4,8 @@ structure of residues mod n under multiplication by units, and
 exhaustive verifiers for two digital-root invariance laws.
 """
 
+from types import ModuleType as _Module
+
 from .arith import Factorization, Rational, divisors, factorize, gcd, pow_rational, totient
 from .digroot import (
     DigitRootResult,
@@ -56,4 +58,5 @@ from .theorems import (
     verify_main2,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Not the submodules, which the imports bind too: radixroot.arith stays an attribute.
+__all__ = [name for name in dir() if name[0] != "_" and not isinstance(globals()[name], _Module)]

@@ -38,7 +38,8 @@ def _require_digits(digits, k: int) -> tuple[int, ...]:
 
 
 # Numbers below 2^_SPLIT_BITS take one divmod per digit; larger ones are
-# first split by k^(2^i).  A pick: cutoffs of 250 to 2,000 bits timed alike.
+# spelled by format() in bases 2, 8 and 16, and first split by k^(2^i) in
+# others.  A pick: cutoffs of 250 to 2,000 bits timed alike.
 _SPLIT_BITS = 500
 
 
@@ -56,11 +57,14 @@ def _digits_of(n: int, k: int, width: int = 1, powers: list[int] | None = None,
     """Base-k digits of n >= 0, most significant first, left-padded with
     zeros to ``width`` digits: [0] for n = 0.
 
-    Large n is split as hi * k^(2^i) + lo, each power computed once per
-    call (``powers``), so the cost is that of a few full-size divisions
-    rather than one per digit.  Every call takes n < powers[i]^2.
+    Large n is spelled by format() in bases 2, 8 and 16, and split as
+    hi * k^(2^i) + lo in others, each power computed once per call
+    (``powers``), so the cost is that of a few full-size divisions rather
+    than one per digit.  Every call takes n < powers[i]^2.
     """
     if n >> _SPLIT_BITS:
+        if k in _FORMAT_SPEC:
+            return list(format(n, _FORMAT_SPEC[k]).zfill(width).encode().translate(_VALUE_OF_BYTE))
         if powers is None:
             powers = _square_powers(n, k)
             i = len(powers) - 1
@@ -117,6 +121,12 @@ ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # Digit value -> byte, for bytes.translate to spell a whole string of digits
 # of a base up to 36 at once.
 _BYTE_OF_VALUE = ALPHABET.encode().ljust(256, b"\0")
+_DIGIT_VALUES = {ch: i for i, upper in enumerate(ALPHABET) for ch in (upper, upper.lower())}
+# Byte -> digit value, also of format()'s lowercase a-f.  Bytes that spell
+# no digit read as _NOT_A_DIGIT, which no base up to 36 has.
+_NOT_A_DIGIT = 255
+_VALUE_OF_BYTE = bytes(_DIGIT_VALUES.get(chr(b), _NOT_A_DIGIT) for b in range(256))
+_FORMAT_SPEC = {2: "b", 8: "o", 16: "x"}  # the bases format() spells in linear time
 # int() reads at most this many characters at once in a base that is not
 # a power of two: sys.int_info.str_digits_check_threshold, the lowest
 # nonzero int-string limit, so no setting of the limit rejects a leaf.

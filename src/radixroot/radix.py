@@ -24,6 +24,9 @@ from .arith import (
     ALPHABET,
     _BLOCK_CAP,
     _BYTE_OF_VALUE,
+    _DIGIT_VALUES,
+    _FORMAT_SPEC,
+    _VALUE_OF_BYTE,
     Rational,
     _Record,
     _decimal_text,
@@ -39,11 +42,6 @@ from .arith import (
 )
 from .errors import DomainError, ParseError
 
-_DIGIT_VALUES = {ch: i for i, upper in enumerate(ALPHABET) for ch in (upper, upper.lower())}
-# Byte -> digit value, for _tokenize (arith._BYTE_OF_VALUE writes one).
-# Bytes that spell no digit read as _NOT_A_DIGIT, which no base up to 36 has.
-_NOT_A_DIGIT = 255
-_VALUE_OF_BYTE = bytes(_DIGIT_VALUES.get(chr(b), _NOT_A_DIGIT) for b in range(256))
 _DIGIT_BYTES = bytes(range(len(ALPHABET)))
 # Bases from 37 up to this one keep a table of their digits' names; the
 # table holds one name per digit of the base, so larger bases do without.
@@ -249,12 +247,16 @@ def _repetend(rem: int, p: int, k: int) -> tuple[int, ...]:
     """Repetend of rem/p in base k (0 < rem < p, gcd(p, k) = 1): the
     T = ord_p(k) digits of remainder long division.
 
-    Bases up to 32 take m digits per divmod, m from arith._digit_blocks,
+    Bases 2, 8 and 16 format() rem * (k^T - 1) / p, exact as p | k^T - 1.
+    Other bases up to 32 take m digits per divmod, m from arith._digit_blocks,
     whose table spells each quotient below k^m; the operands stay below
     k^m * p, and a last block of T mod m digits is rem * k^(T mod m) // p.
     Larger bases take one digit per divmod, with operands below k * p.
     """
     t = _order(k, p)
+    if k in _FORMAT_SPEC:  # k^T - 1 by a shift: k = 2^b
+        text = format(rem * ((1 << (k.bit_length() - 1) * t) - 1) // p, _FORMAT_SPEC[k])
+        return tuple(text.zfill(t).encode().translate(_VALUE_OF_BYTE))
     if k * k > _BLOCK_CAP:
         out = []
         for _ in range(t):
@@ -292,7 +294,7 @@ def to_repeating(q: Rational, k: int) -> PositionalRepr:
     """The infinite base-k representation of q > 0, with explicit repetend.
 
     For a repeating rational this is the canonical form, its repetend
-    found by long division in O(T) steps.  For a terminating rational it
+    found in O(T) time as _repetend describes.  For a terminating rational it
     is the alternate form that trades the last digit down and repeats
     k-1 forever, e.g. [4.25]_6 -> [4.24(5)]_6.
     """

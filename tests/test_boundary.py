@@ -189,12 +189,12 @@ def test_public_surface_is_pinned():
         "DigitRootResult", "DomainError", "Factorization", "FuzzSummary", "Kind",
         "MagicDigitResult", "Main1Report", "Main1Term", "Main2Report", "OrbitPartition",
         "ParseError", "PositionalRepr", "PreconditionError", "RadixClassification", "Rational",
-        "ResidueClass", "additive_order", "arith", "classify", "convert", "digit_sum",
-        "digit_sum_of_digits", "digital_root", "digroot", "divisors", "errors", "factorize",
-        "format_repr", "fuzz_main1", "fuzz_main2", "gcd", "gcd_class", "min_exponent", "modring",
+        "ResidueClass", "additive_order", "classify", "convert", "digit_sum",
+        "digit_sum_of_digits", "digital_root", "divisors", "factorize",
+        "format_repr", "fuzz_main1", "fuzz_main2", "gcd", "gcd_class", "min_exponent",
         "multiplicative_order", "orbit", "orbit_of", "orbit_partition", "parse", "period",
-        "pow_rational", "radix", "residue", "solve_missing_digit", "tf_digit_sum",
-        "tf_digital_root", "theorems", "to_finite", "to_repeating", "totient",
+        "pow_rational", "residue", "solve_missing_digit", "tf_digit_sum",
+        "tf_digital_root", "to_finite", "to_repeating", "totient",
         "unit_group_is_cyclic", "units", "value_of", "verify_cor1", "verify_lemma_dr",
         "verify_main1", "verify_main2",
     ]

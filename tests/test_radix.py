@@ -36,7 +36,7 @@ from radixroot import (
     verify_main1,
 )
 from radixroot import arith, modring, radix, theorems
-from radixroot.arith import _BLOCK_CAP, _INT_LEAF, _SPLIT_BITS, _digit_blocks
+from radixroot.arith import _BLOCK_CAP, _FORMAT_SPEC, _INT_LEAF, _SPLIT_BITS, _digit_blocks
 from radixroot.digroot import _digit_sum
 from radixroot.radix import _digits_of, _int_of, _repetend, _smooth_split, _string_period, _tokenize
 
@@ -278,6 +278,24 @@ def test_split_digit_kernels_match_brute_near_split_points(n_k, pad):
     assert _digit_sum(n, k) == sum(digits)
 
 
+@pytest.mark.parametrize("limit", [sys.int_info.default_max_str_digits,
+                                   sys.int_info.str_digits_check_threshold])
+@pytest.mark.parametrize("k", sorted(_FORMAT_SPEC))
+def test_format_spelled_digits_match_brute_at_the_split(k, limit):
+    """Bases 2, 8 and 16 switch to format() at 2^_SPLIT_BITS, under either
+    int-string limit."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for n in (2**_SPLIT_BITS - 1, 2**_SPLIT_BITS, 2**_SPLIT_BITS + 1):
+            digits = digits_brute(n, k)
+            assert _digits_of(n, k) == digits
+            assert _digits_of(n, k, len(digits) + 7) == [0] * 7 + digits
+            assert _digit_sum(n, k) == sum(digits)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_digit_conversion_edges():
     assert _int_of((1,) + (0,) * 5000, 3) == 3**5000
     assert _int_of((2,) * 5000, 3) == 3**5000 - 1
@@ -394,13 +412,16 @@ def test_repetend_matches_schoolbook_long_division(case):
     assert _repetend(rem, p, k) == tuple(repetend) * (t // len(repetend))
 
 
-# (base, prime p, ord_p(base)): for each base, periods congruent to 0, 1 and
-# m - 1 modulo its block width m, so that the last block is full, one digit
-# long and one digit short.
+# (base, prime p, ord_p(base)): for each base that reads blocks, periods
+# congruent to 0, 1 and m - 1 modulo its block width m, so that the last
+# block is full, one digit long and one digit short.  Bases 2 and 16 spell
+# the closed form instead; their rows keep them checked at those periods.
 BLOCK_REMAINDERS = [
     (2, 61, 60), (2, 103, 51), (2, 79, 39),
     (3, 19, 18), (3, 431, 43), (3, 47, 23),
+    (4, 41, 10), (4, 13, 6), (4, 19, 9),
     (10, 19, 18), (10, 17, 16), (10, 71, 35),
+    (12, 5, 4), (12, 23, 11),
     (16, 97, 12), (16, 11, 5),
     (32, 13, 12), (32, 23, 11),
 ]
@@ -408,7 +429,7 @@ BLOCK_REMAINDERS = [
 
 def test_block_remainder_cases_cover_every_last_block():
     assert 32 * 32 <= _BLOCK_CAP < 33 * 33
-    for k in (2, 3, 10, 16, 32):
+    for k in (3, 4, 10, 12, 32):
         m = len(_digit_blocks(k)[0])
         assert {t % m for base, _, t in BLOCK_REMAINDERS if base == k} == {0, 1, m - 1}
 
@@ -418,6 +439,17 @@ def test_repetend_ends_with_a_short_block(k, p, t):
     assert multiplicative_order_brute(k, p) == t
     for rem in range(1, p):
         assert _repetend(rem, p, k) == closed_form_repetend(rem, p, k)
+        # The closed form is what bases 2, 8 and 16 run: check them by division too.
+        if k in _FORMAT_SPEC:
+            assert list(_repetend(rem, p, k)) == long_division_digits(rem, p, k)[2]
+
+
+@pytest.mark.parametrize("k", sorted(_FORMAT_SPEC))
+def test_closed_form_repetend_past_one_limb_matches_long_division(k):
+    p = 2**31 - 1  # a prime above one 30-bit limb; k is a power of 2
+    assert multiplicative_order_brute(k, p) == 31
+    for rem in (1, 12345, 2**30 + 7, p - 1):
+        assert list(_repetend(rem, p, k)) == long_division_digits(rem, p, k)[2]
 
 
 @pytest.mark.parametrize("k", range(2, 33))
