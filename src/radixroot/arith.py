@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, wraps
-from itertools import product
+from itertools import islice, product
 
 from .errors import DomainError
 
@@ -43,38 +43,60 @@ def _require_digits(digits, k: int) -> tuple[int, ...]:
 _SPLIT_BITS = 500
 
 
-def _square_powers(n: int, k: int) -> list[int]:
-    """k, k^2, k^4, ... up to the first k^(2^i) whose square exceeds n."""
-    powers = [k]
-    # Square while the bit lengths allow the square to be <= n.
-    while 2 * powers[-1].bit_length() - 1 <= n.bit_length():
-        powers.append(powers[-1] * powers[-1])
-    return powers
+def _twos(k: int) -> int:
+    """The exponent b of 2 in k >= 1, so that k = o << b with o odd and
+    k^h = o^h << b*h: a power of k is a power of its odd part, shifted."""
+    return (k & -k).bit_length() - 1
 
 
-def _digits_of(n: int, k: int, width: int = 1, powers: list[int] | None = None,
+def _power(k: int, e: int) -> int:
+    """k**e, as the odd part's power shifted: fewer bits to multiply."""
+    b = (k & -k).bit_length() - 1  # _twos(k), inline: short powers are common
+    return (k >> b) ** e << b * e
+
+
+def _odd_ladder(k: int):
+    """The powers o, o^2, o^4, ... of k's odd part o, each the square of
+    the one before, without end: k^(2^i) is the i-th shifted by b * 2^i."""
+    o = k >> _twos(k)
+    while True:
+        yield o
+        o *= o
+
+
+def _digits_of(n: int, k: int, width: int = 1, ladder: list[int] | None = None,
                i: int = 0) -> list[int]:
     """Base-k digits of n >= 0, most significant first, left-padded with
     zeros to ``width`` digits: [0] for n = 0.
 
     Large n is spelled by format() in bases 2, 8 and 16, and split as
-    hi * k^(2^i) + lo in others, each power computed once per call
-    (``powers``), so the cost is that of a few full-size divisions rather
-    than one per digit.  Every call takes n < powers[i]^2.
+    hi * k^h + lo with h = 2^i in others, k^h being o^h << b*h for
+    k = o << b: n >> b*h is divided by o^h, and its low b*h bits go back
+    onto the remainder.  Each o^h is squared once per call (``ladder``),
+    so the cost is that of a few full-size divisions, by odd parts with
+    fewer bits than k^h, rather than one per digit.  Every call takes
+    n < k^(2h).
     """
     if n >> _SPLIT_BITS:
         if k in _FORMAT_SPEC:
             return list(format(n, _FORMAT_SPEC[k]).zfill(width).encode().translate(_VALUE_OF_BYTE))
-        if powers is None:
-            powers = _square_powers(n, k)
-            i = len(powers) - 1
+        b = _twos(k)
+        if ladder is None:  # up to the first k^(2^i) whose square exceeds n
+            ladder = []
+            for i, power in enumerate(_odd_ladder(k)):
+                ladder.append(power)
+                if 2 * (power.bit_length() + (b << i)) - 1 > n.bit_length():
+                    break
         if i >= 0:
             half = 1 << i
-            if n < powers[i] and width <= half:  # no digit at or above k^half
-                return _digits_of(n, k, width, powers, i - 1)
-            hi, lo = divmod(n, powers[i])
-            return (_digits_of(hi, k, width - half, powers, i - 1)
-                    + _digits_of(lo, k, half, powers, i - 1))
+            shift = b * half
+            top = n >> shift
+            if top < ladder[i] and width <= half:  # no digit at or above k^half
+                return _digits_of(n, k, width, ladder, i - 1)
+            hi, lo = divmod(top, ladder[i])
+            lo = lo << shift | n & ((1 << shift) - 1)
+            return (_digits_of(hi, k, width - half, ladder, i - 1)
+                    + _digits_of(lo, k, half, ladder, i - 1))
     out = []
     while n:
         n, d = divmod(n, k)
@@ -138,23 +160,21 @@ _INT_LEAF = 640
 _HORNER_DIGITS = 64
 
 
-def _joined(digits, k: int, leaf: int, read, powers: list[int] | None = None) -> int:
+def _joined(digits, k: int, leaf: int, read, ladder: list[int] | None = None) -> int:
     """``read(digits, k)`` for at most ``leaf`` digits.  Longer strings are
-    hi * k^(2^i) + lo, with lo the last 2^i digits and 2^i the largest power
-    of two below the length, as _digits_of splits; each k^(2^i) is squared
-    from the one below once per call (``powers``)."""
+    hi * k^h + lo, with lo the last h = 2^i digits and h the largest power
+    of two below the length, as _digits_of splits; k^h is joined as the
+    odd part's o^h, squared once per call (``ladder``), shifted by b*h."""
     if len(digits) <= leaf:
         return read(digits, k)
     i = (len(digits) - 1).bit_length() - 1
-    if powers is None:
-        powers = [k]
-        while len(powers) <= i:
-            powers.append(powers[-1] * powers[-1])
-    return (_joined(digits[:-(1 << i)], k, leaf, read, powers) * powers[i]
-            + _joined(digits[-(1 << i):], k, leaf, read, powers))
+    if ladder is None:
+        ladder = list(islice(_odd_ladder(k), i + 1))
+    return ((_joined(digits[:-(1 << i)], k, leaf, read, ladder) * ladder[i] << (_twos(k) << i))
+            + _joined(digits[-(1 << i):], k, leaf, read, ladder))
 
 
-def _int_of_text(text: str | bytes, k: int) -> int:
+def _int_of_text(text: str | bytes | bytearray, k: int) -> int:
     """The integer spelled by ``text``, a nonempty string of base-k digit
     characters with 2 <= k <= 36, whatever the int-string limit: int() reads
     power-of-two bases whole in linear time, others in _INT_LEAF leaves."""
@@ -167,7 +187,7 @@ def _int_of(digits, k: int) -> int:
     """The integer whose base-k digits, most significant first, are
     ``digits`` (a sequence of digit values); 0 for no digits."""
     if k <= 36:
-        return _int_of_text(bytes(digits).translate(_BYTE_OF_VALUE), k) if digits else 0
+        return _int_of_text(bytearray(digits).translate(_BYTE_OF_VALUE), k) if digits else 0
     if len(digits) > _HORNER_DIGITS:
         return _joined(digits, k, _HORNER_DIGITS, _int_of)
     n = 0

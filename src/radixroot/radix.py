@@ -35,6 +35,7 @@ from .arith import (
     _factor,
     _int_of,
     _int_of_text,
+    _power,
     _require_digits,
     _require_int,
     _totient,
@@ -48,6 +49,11 @@ _DIGIT_BYTES = bytes(range(len(ALPHABET)))
 _NAMED_BASES = 1024
 # Error messages quote at most this many characters of the input.
 _ECHO_CHARS = 60
+# Base-10 repetends are spelled this many digits per format() call.  str()
+# of an int is quadratic, and blocks of 128 to 200 digits timed alike (640
+# took 1.5 times as long); 640, the lowest int-string limit, is the most
+# any setting of the limit lets format() write.
+_DECIMAL_BLOCK = 160
 
 
 def _decimal(text: str) -> int | None:
@@ -247,16 +253,28 @@ def _repetend(rem: int, p: int, k: int) -> tuple[int, ...]:
     """Repetend of rem/p in base k (0 < rem < p, gcd(p, k) = 1): the
     T = ord_p(k) digits of remainder long division.
 
-    Bases 2, 8 and 16 format() rem * (k^T - 1) / p, exact as p | k^T - 1.
-    Other bases up to 32 take m digits per divmod, m from arith._digit_blocks,
-    whose table spells each quotient below k^m; the operands stay below
-    k^m * p, and a last block of T mod m digits is rem * k^(T mod m) // p.
-    Larger bases take one digit per divmod, with operands below k * p.
+    Bases 2, 8, 10 and 16 take w digits per divmod, v = rem * k^w // p,
+    spelled by format() and zero-padded to w digits.  format() is linear
+    in bases 2^b, so w = T there: one block, the closed form
+    rem * (k^T - 1) / p, exact as p | k^T - 1.  Base 10 takes blocks of
+    _DECIMAL_BLOCK digits.  Other bases up to 32 take m digits per divmod,
+    m from arith._digit_blocks, whose table spells each quotient below k^m.
+    Either way the operands stay below k^w * p, and a last block of
+    T mod w digits is rem * k^(T mod w) // p.  Larger bases take one digit
+    per divmod, with operands below k * p.
     """
     t = _order(k, p)
-    if k in _FORMAT_SPEC:  # k^T - 1 by a shift: k = 2^b
-        text = format(rem * ((1 << (k.bit_length() - 1) * t) - 1) // p, _FORMAT_SPEC[k])
-        return tuple(text.zfill(t).encode().translate(_VALUE_OF_BYTE))
+    if k in _FORMAT_SPEC or k == 10:
+        spec, w = (_FORMAT_SPEC[k], t) if k in _FORMAT_SPEC else ("d", min(t, _DECIMAL_BLOCK))
+        full, tail = divmod(t, w)
+        power = _power(k, w)
+        text = []
+        for _ in range(full):
+            v, rem = divmod(rem * power, p)
+            text.append(format(v, spec).zfill(w))
+        if tail:
+            text.append(format(rem * k**tail // p, spec).zfill(tail))
+        return tuple("".join(text).encode().translate(_VALUE_OF_BYTE))
     if k * k > _BLOCK_CAP:
         out = []
         for _ in range(t):
@@ -266,13 +284,13 @@ def _repetend(rem: int, p: int, k: int) -> tuple[int, ...]:
     table = _digit_blocks(k)
     m, block = len(table[0]), len(table)  # m digits, k^m values
     full, tail = divmod(t, m)
-    blocks = []
+    out = bytearray()
     for _ in range(full):
         v, rem = divmod(rem * block, p)
-        blocks.append(table[v])
+        out += table[v]
     if tail:
-        blocks.append(table[rem * k**tail // p][m - tail:])
-    return tuple(b"".join(blocks))
+        out += table[rem * k**tail // p][m - tail:]
+    return tuple(out)
 
 
 def _expand(num: int, k: int, split: tuple[int, int, int], infinite: bool) -> PositionalRepr:
@@ -321,10 +339,10 @@ def value_of(r: PositionalRepr) -> Rational:
     """Exact value of a representation, via the k^T - 1 closed form."""
     k = r.base
     head = _int_of(r.int_digits + r.frac_digits, k)
-    shift = k ** len(r.frac_digits)
+    shift = _power(k, len(r.frac_digits))
     if not r.repetend:
         return Rational(head, shift)
-    cycle = k ** len(r.repetend) - 1
+    cycle = _power(k, len(r.repetend)) - 1
     return Rational(head * cycle + _int_of(r.repetend, k), shift * cycle)
 
 
@@ -347,7 +365,7 @@ def _digit_names(base: int) -> tuple[tuple[str, ...], dict[str, int]]:
 def _join_digits(digits, base: int) -> str:
     """Digits as text, spelled as the module docstring describes."""
     if base <= 36:
-        return bytes(digits).translate(_BYTE_OF_VALUE).decode("ascii")
+        return bytearray(digits).translate(_BYTE_OF_VALUE).decode("ascii")
     if base <= _NAMED_BASES:
         names = _digit_names(base)[0]
         return ",".join([names[d] for d in digits])

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,9 +37,17 @@ from radixroot import (
     verify_main1,
 )
 from radixroot import arith, modring, radix, theorems
-from radixroot.arith import _BLOCK_CAP, _FORMAT_SPEC, _INT_LEAF, _SPLIT_BITS, _digit_blocks
+from radixroot.arith import _BLOCK_CAP, _FORMAT_SPEC, _INT_LEAF, _SPLIT_BITS, _digit_blocks, _power
 from radixroot.digroot import _digit_sum
-from radixroot.radix import _digits_of, _int_of, _repetend, _smooth_split, _string_period, _tokenize
+from radixroot.radix import (
+    _DECIMAL_BLOCK,
+    _digits_of,
+    _int_of,
+    _repetend,
+    _smooth_split,
+    _string_period,
+    _tokenize,
+)
 
 from oracles import (
     TokenizeBruteError,
@@ -268,7 +277,16 @@ def naturals_near_split_points(draw):
     return max(k ** (2**i) + draw(st.integers(-2, 2)), 0), k
 
 
+# A base far above a machine word with five factors of 2: its odd part's
+# powers are joined and divided by, shifted by 5 bits per digit.
+HUGE_EVEN = (2**64 + 13) << 5
+
+
 @settings(max_examples=150)
+@example((HUGE_EVEN**256 - 1, HUGE_EVEN), 0)
+@example((HUGE_EVEN**256, HUGE_EVEN), 3)
+@example((HUGE_EVEN**256 + 1, HUGE_EVEN), 0)
+@example((2 ** (4 * _SPLIT_BITS) + 3, HUGE_EVEN), 2)
 @given(naturals_near_split_points(), st.integers(0, 40))
 def test_split_digit_kernels_match_brute_near_split_points(n_k, pad):
     n, k = n_k
@@ -305,6 +323,10 @@ def test_digit_conversion_edges():
     digits = (5,) + (0,) * 97 + (1, 7)
     assert _digits_of(n, huge) == list(digits)
     assert _int_of(digits, huge) == n
+    # Joins, splits and value_of take k^e as o^e << b*e for k = o << b.
+    for k in range(2, 71):
+        for e in range(301):
+            assert _power(k, e) == k**e
 
 
 @st.composite
@@ -340,6 +362,9 @@ LONGEST = _INT_LEAF * 32 + 2
 @example(((7,) * LONGEST, 8))
 @example(((15,) * LONGEST, 16))
 @example(((31,) * LONGEST, 32))
+@example(((HUGE_EVEN - 1,) * 1025, HUGE_EVEN))
+@example(((1,) + (0,) * 64, HUGE_EVEN))
+@example((tuple(range(HUGE_EVEN - 129, HUGE_EVEN)), HUGE_EVEN))
 @given(digit_strings_near_leaf_splits())
 def test_int_of_matches_brute_around_leaf_splits(digits_k):
     digits, k = digits_k
@@ -367,6 +392,7 @@ def test_conversions_are_exact_under_the_lowest_int_string_limit(lowest_int_stri
     q = Rational(1, 65029)
     r = to_repeating(q, 10)
     assert r.period == 65028
+    assert list(r.repetend) == long_division_digits(1, 65029, 10)[2]
     assert value_of(r) == q
     assert radix._decimal("9" * 4999 + "8") == 10**5000 - 2
 
@@ -412,15 +438,18 @@ def test_repetend_matches_schoolbook_long_division(case):
     assert _repetend(rem, p, k) == tuple(repetend) * (t // len(repetend))
 
 
-# (base, prime p, ord_p(base)): for each base that reads blocks, periods
+# (base, p, ord_p(base)): for each base that reads blocks, periods
 # congruent to 0, 1 and m - 1 modulo its block width m, so that the last
 # block is full, one digit long and one digit short.  Bases 2 and 16 spell
 # the closed form instead; their rows keep them checked at those periods.
+# Base 10's blocks are _DECIMAL_BLOCK digits wide; its periods below that
+# are one short block alone, and 3007 = 31 * 97 is composite.
 BLOCK_REMAINDERS = [
     (2, 61, 60), (2, 103, 51), (2, 79, 39),
     (3, 19, 18), (3, 431, 43), (3, 47, 23),
     (4, 41, 10), (4, 13, 6), (4, 19, 9),
     (10, 19, 18), (10, 17, 16), (10, 71, 35),
+    (10, 3007, 480), (10, 1283, 641), (10, 1279, 639),
     (12, 5, 4), (12, 23, 11),
     (16, 97, 12), (16, 11, 5),
     (32, 13, 12), (32, 23, 11),
@@ -429,9 +458,12 @@ BLOCK_REMAINDERS = [
 
 def test_block_remainder_cases_cover_every_last_block():
     assert 32 * 32 <= _BLOCK_CAP < 33 * 33
-    for k in (3, 4, 10, 12, 32):
+    for k in (3, 4, 12, 32):
         m = len(_digit_blocks(k)[0])
         assert {t % m for base, _, t in BLOCK_REMAINDERS if base == k} == {0, 1, m - 1}
+    m = _DECIMAL_BLOCK
+    assert {t % m for base, _, t in BLOCK_REMAINDERS if base == 10 and t > m} == {0, 1, m - 1}
+    assert m <= sys.int_info.str_digits_check_threshold  # no limit rejects a block
 
 
 @pytest.mark.parametrize("k, p, t", BLOCK_REMAINDERS)
@@ -439,9 +471,12 @@ def test_repetend_ends_with_a_short_block(k, p, t):
     assert multiplicative_order_brute(k, p) == t
     for rem in range(1, p):
         assert _repetend(rem, p, k) == closed_form_repetend(rem, p, k)
-        # The closed form is what bases 2, 8 and 16 run: check them by division too.
-        if k in _FORMAT_SPEC:
-            assert list(_repetend(rem, p, k)) == long_division_digits(rem, p, k)[2]
+        # Bases 2, 8 and 16 run the closed form, and base 10 runs format()
+        # too: check them by division as well.  A reducible rem/p repeats
+        # its minimal repetend t / length times.
+        if k in _FORMAT_SPEC or k == 10:
+            repetend = long_division_digits(rem, p, k)[2]
+            assert _repetend(rem, p, k) == tuple(repetend) * (t // len(repetend))
 
 
 @pytest.mark.parametrize("k", sorted(_FORMAT_SPEC))
@@ -468,6 +503,8 @@ ROUND_TRIP_PERIODS = [
     (2, 12011, 12010), (10, 12011, 12010), (16, 24019, 12009),
     (2, 65011, 65010), (10, 65029, 65028), (16, 128047, 64023),
     (36, 128033, 64016), (40, 65033, 65032), (60, 65003, 65002),
+    # the longest base-10 and base-40 shapes of the big-inputs benchmark
+    (10, 65657, 65656), (40, 72271, 36135),
 ]
 
 
@@ -479,6 +516,26 @@ def test_long_repetends_round_trip_through_text(k, p, t):
     assert parse(format_repr(r)) == r
     assert value_of(parse(format_repr(r))) == q
     assert list(r.repetend) == long_division_digits(1, p, k)[2]
+
+
+@pytest.mark.parametrize("limit", [sys.int_info.default_max_str_digits,
+                                   sys.int_info.str_digits_check_threshold])
+@pytest.mark.parametrize("k, p, t", [(7, 100003, 100002), (10, 1000171, 1000170)])
+def test_long_repetend_costs_a_bounded_number_of_bytes_per_digit(k, p, t, limit):
+    """Digits are gathered in one bytearray, or in 160-digit text blocks in
+    base 10, not in one object per few digits: the tuple of T small ints
+    (8 bytes a digit) dominates the peak."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    tracemalloc.start()
+    try:
+        r = to_repeating(Rational(1, p), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.set_int_max_str_digits(old)
+    assert r.period == t
+    assert peak < 12 * t
 
 
 def test_long_repetend_round_trips_through_comma_notation():
