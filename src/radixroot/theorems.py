@@ -14,6 +14,7 @@ For k = 2 the modulus k-1 collapses to 1 and every congruence holds:
 
 from __future__ import annotations
 
+import _thread
 import math
 import os
 from bisect import bisect_right
@@ -348,26 +349,110 @@ def _slices(items, parts: int, cost) -> list:
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _send_slice(runner, part, writer) -> None:
-    """A child's whole work: send (True, runner(part)) or (False, the
-    exception it raised) through ``writer``."""
+def _serve(conn, parent_end) -> None:
+    """A worker's loop: for each (runner, part) read from ``conn``, send
+    back (True, runner(part)) or (False, the exception it raised).  It
+    returns when the pipe reads EOF: once the parent closes its end or
+    dies."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt and ends it
+    parent_end.close()  # a copy kept here would hide the parent's death
+    while True:
+        try:
+            runner, part = conn.recv()
+        except EOFError:
+            return
+        try:
+            outcome = True, runner(part)
+        except BaseException as exc:  # the parent reads it and raises it
+            outcome = False, exc
+        conn.send(outcome)
+
+
+class _Worker:
+    """A daemon child process that runs ``_serve`` on one duplex pipe."""
+
+    def __init__(self):
+        # Imported here: a process that never sweeps in parallel should not load them.
+        from multiprocessing import Pipe, Process
+        self.conn, child_end = Pipe()
+        self.process = Process(target=_serve, args=(child_end, self.conn), daemon=True)
+        self.process.start()
+        child_end.close()  # the worker holds the only copy, so its death reads as EOF
+
+    def result(self):
+        """The (ok, value) the worker sent for its slice."""
+        try:
+            return self.conn.recv()
+        except EOFError:  # killed, or its outcome would not pickle
+            self.process.join()
+            raise RuntimeError(f"a sweep process exited with code {self.process.exitcode} "
+                               "before sending its result") from None
+
+    def release(self) -> None:
+        """Make the worker idle again, or end it when one per usable CPU but
+        one already is."""
+        with _idle_lock:
+            kept = len(_idle) < _cpu_count() - 1
+            if kept:
+                _idle.append(self)
+        if not kept:
+            self.end()
+
+    def end(self) -> None:
+        self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+# The workers alive between pooled sweeps.  A busy worker is in no list
+# but its sweep's, so no two sweeps share a pipe.
+_idle: list[_Worker] = []
+_idle_lock = _thread.allocate_lock()
+
+
+def _end_idle_workers() -> None:
+    """End every idle worker: the next pooled sweep forks fresh ones."""
+    with _idle_lock:
+        idle = _idle[:]
+        _idle.clear()
+    for worker in idle:
+        worker.end()
+
+
+def _forget_workers() -> None:
+    """In a forked child: the parent's workers and its lock are not its own."""
+    global _idle_lock
+    _idle_lock = _thread.allocate_lock()
+    for worker in _idle:
+        worker.conn.close()
+    _idle.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _start_slice(runner, part) -> _Worker:
+    """Send (runner, part) to an idle worker, replacing any that died while
+    idle, or to a new one when none is idle; return that worker."""
+    while True:
+        with _idle_lock:
+            if not _idle:
+                # Forked under the lock, so that no other new worker
+                # inherits this one's end of the pipe and hides its death.
+                worker = _Worker()
+                break
+            worker = _idle.pop()
+        if worker.process.is_alive():
+            break
+        worker.end()
     try:
-        outcome = True, runner(part)
-    except BaseException as exc:  # the parent reads it and raises it
-        outcome = False, exc
-    writer.send(outcome)
-
-
-def _start_slice(runner, part):
-    """Start a child process that runs ``_send_slice``; return the child
-    and the reading end of its one-way pipe."""
-    # Imported here: a process that never sweeps in parallel should not load them.
-    from multiprocessing import Pipe, Process
-    reader, writer = Pipe(duplex=False)
-    child = Process(target=_send_slice, args=(runner, part, writer))
-    child.start()
-    writer.close()  # the child holds the only writer, so its death reads as EOF
-    return child, reader
+        worker.conn.send((runner, part))
+    except BaseException:
+        worker.end()
+        raise
+    return worker
 
 
 def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummary:
@@ -375,40 +460,44 @@ def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummar
     ``_slices``), through ``runner`` in at most ``workers`` processes, this
     one included and one per usable CPU at most, and merge the counts.
     Empty slices are dropped; this process runs the first slice left while
-    one child each runs the rest, so one slice (one worker, fewer than
-    2 * workers items, or all the cost in one slice) starts no child.  A
-    child's exception is raised here, and every child is joined before
-    this returns or raises.  Failures are sorted by their values in field
-    order, whatever ``workers``."""
+    one pooled worker each runs the rest, so one slice (one worker, fewer
+    than 2 * workers items, or all the cost in one slice) uses no worker.
+
+    Workers are daemon child processes kept between sweeps: a sweep takes
+    idle ones and forks one only when none is idle, and at most one per
+    usable CPU but one stays idle after it.  ``runner`` and each slice
+    reach a worker pickled, so ``runner`` must pickle by reference to
+    module-level code.  A worker runs the library as it was when it was
+    forked: code patched into this process later does not reach it until
+    ``_end_idle_workers`` makes the next sweep fork anew.  Workers ignore
+    SIGINT, exit when this process does, and exit on EOF if it dies.
+
+    Any exception, a worker's included, ends this sweep's workers and
+    every idle one before it is raised here.  Failures are sorted by their
+    values in field order, whatever ``workers``."""
     workers = min(workers, _cpu_count())
     if len(items) < 2 * workers:
         workers = 1
     first, *rest = [part for part in _slices(items, workers, cost) if part] or [items]
-    children = []
+    started = []
     try:
         for part in rest:
-            children.append(_start_slice(runner, part))
+            started.append(_start_slice(runner, part))
         results = [runner(first)]
-        for child, reader in children:
-            try:
-                ok, result = reader.recv()
-            except EOFError:  # killed, or its outcome would not pickle
-                child.join()
-                raise RuntimeError(f"a sweep process exited with code {child.exitcode} "
-                                   "before sending its result") from None
+        for worker in started:
+            ok, result = worker.result()
             if not ok:
                 raise result
             results.append(result)
     except BaseException:
-        # Their results are not wanted, and a child blocked on a full
-        # pipe would otherwise never exit.
-        for child, _ in children:
-            child.terminate()
+        # Their results are not wanted, a worker blocked on a full pipe
+        # would never finish, and a failed one is in an unknown state.
+        for worker in started:
+            worker.end()
+        _end_idle_workers()
         raise
-    finally:
-        for child, reader in children:
-            child.join()
-            reader.close()
+    for worker in started:
+        worker.release()
     tested, failed, skipped, degenerate = map(sum, zip(*(r[:4] for r in results)))
     failures = sorted((f for r in results for f in r[4]), key=lambda f: tuple(f.values()))
     return FuzzSummary(tested, tested - failed, failed, skipped, degenerate, tuple(failures))
@@ -428,7 +517,8 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
     _require_int(bound, "bound", 0, PreconditionError)
     _require_int(terms_max, "terms", 1, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
-    # Built once; the costs and every slice read them, and forked children inherit them.
+    # Built once; the costs and every slice read them, and the runner takes them to
+    # the workers.
     tables = _smooth_tables([k for k in bases if len(_divisors(k)) > 2], bound)
     runner = partial(_run_main1_chunk, tables=tables, bound=bound, terms_max=terms_max)
     # A cofactor c costs, in each composite base k coprime to it, one pass

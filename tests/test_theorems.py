@@ -3,7 +3,13 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from multiprocessing.connection import wait
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -507,7 +513,7 @@ def root_by_parity(total, k):
     return [k - 1 if total // (k - 1) % 2 else 1]
 
 
-def test_fuzz_main2_worker_invariant(monkeypatch):
+def test_fuzz_main2_worker_invariant(monkeypatch, patch_before_fork):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
     assert fuzz_main2(range(9, 12), 8, 8) == fuzz_main2(range(9, 12), 8, 8, workers=2)
     # The coprime parts p = 1..9 in contiguous slices of equal cost: every
@@ -516,8 +522,9 @@ def test_fuzz_main2_worker_invariant(monkeypatch):
     assert one.tested > 0 and one.skipped > 0
     assert one == fuzz_main2(range(9, 14), 12, 9, workers=2)
     assert one == fuzz_main2(range(9, 14), 12, 9, workers=3)
-    # At README scale, with a fake root that fails about half the tuples.
-    monkeypatch.setattr(theorems, "_trajectory", root_by_parity)
+    # At README scale, with a fake root that fails about half the tuples,
+    # run by workers forked after the patch.
+    patch_before_fork(theorems, "_trajectory", root_by_parity)
     one = fuzz_main2(range(2, 17), 100, 100)
     assert one.failed > 10000 and one.passed > 10000
     assert one == fuzz_main2(range(2, 17), 100, 100, workers=2)
@@ -713,9 +720,9 @@ def test_main2_sweep_kernel_matches_the_single_tuple_kernel(case):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_fuzz_main2_reports_every_failure_in_order(monkeypatch, workers):
+def test_fuzz_main2_reports_every_failure_in_order(patch_before_fork, workers):
     # Every root is 1, which is 0 mod k-1 only for k = 2.
-    monkeypatch.setattr(theorems, "_trajectory", lambda n, k: [1])
+    patch_before_fork(theorems, "_trajectory", lambda n, k: [1])
     bases, bound = range(2, 7), 9
     reports = [
         verify_main2(n, s, k)
@@ -733,12 +740,12 @@ def test_fuzz_main2_reports_every_failure_in_order(monkeypatch, workers):
     assert summary.tested - summary.failed == summary.degenerate  # only k = 2 passes
 
 
-def test_main2_reports_a_nonzero_t_doubleprime_residue(monkeypatch):
+def test_main2_reports_a_nonzero_t_doubleprime_residue(monkeypatch, patch_before_fork):
     # Under main2's preconditions p * (k-1) divides k^T - 1, so the real
     # T'' residue is always 0.  A fake residue of 1 is nonzero times every
     # n coprime to s, so every tested tuple must fail, in verify_main2 and
-    # in the sweep, whose children are forked after the patch.
-    monkeypatch.setattr(theorems, "_t_doubleprime_residue", lambda s, k, rho0, period: 1)
+    # in the sweep, whose workers are forked after the patch.
+    patch_before_fork(theorems, "_t_doubleprime_residue", lambda s, k, rho0, period: 1)
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
     bases, bound = range(2, 8), 12
     tested = [report
@@ -755,24 +762,36 @@ def test_main2_reports_a_nonzero_t_doubleprime_residue(monkeypatch):
         assert summary.failed == summary.tested == len(expected)
 
 
+@pytest.fixture
+def patch_before_fork(monkeypatch):
+    """``monkeypatch.setattr`` that first ends the idle sweep workers, so
+    that the pooled sweeps after the patch fork workers that run the
+    patched code.  Those workers are ended again before the patch is
+    undone, so that no later test meets them."""
+    def setattr(*args, **kwargs):
+        theorems._end_idle_workers()
+        monkeypatch.setattr(*args, **kwargs)
+
+    yield setattr
+    theorems._end_idle_workers()
+
+
 class InProcessChild:
-    """Stands in for a child and its pipe from ``_start_slice``: runs its
-    slice in this process when the parent reads its result, so that every
-    slice's runner call is seen here, the parent's first."""
+    """Stands in for a worker from ``_start_slice``: runs its slice in this
+    process when the parent reads its result, so that every slice's runner
+    call is seen here, the parent's first.  Releasing it puts nothing in
+    the pool."""
 
     def __init__(self, runner, part):
         self.runner, self.part = runner, part
 
-    def recv(self):
+    def result(self):
         return True, self.runner(self.part)
 
-    def terminate(self):
+    def release(self):
         pass
 
-    def join(self):
-        pass
-
-    def close(self):
+    def end(self):
         pass
 
 
@@ -784,11 +803,11 @@ def in_process_children(monkeypatch):
 
     def start(runner, part):
         started.append(part)
-        child = InProcessChild(runner, part)
-        return child, child
+        return InProcessChild(runner, part)
 
     monkeypatch.setattr(theorems, "_start_slice", start)
-    return started
+    yield started
+    assert not any(isinstance(worker, InProcessChild) for worker in theorems._idle)
 
 
 def recording(monkeypatch, name):
@@ -934,26 +953,46 @@ def fail_in_the_first_slice(chunk):
 
 
 def started_children(monkeypatch):
-    """Record each real child that ``_start_slice`` starts."""
+    """Record the process of each worker that ``_start_slice`` hands a slice."""
     children = []
     start = theorems._start_slice
 
     def record(runner, part):
-        child, reader = start(runner, part)
-        children.append(child)
-        return child, reader
+        worker = start(runner, part)
+        children.append(worker.process)
+        return worker
 
     monkeypatch.setattr(theorems, "_start_slice", record)
     return children
 
 
+def worker_pids():
+    return sorted(child.pid for child in multiprocessing.active_children())
+
+
+def assert_pooled_sweep_is_golden():
+    """A README-scale main2 sweep through the pool gives the golden counts."""
+    summary = fuzz_main2(range(2, 17), 100, 100, workers=2)
+    assert (summary.tested, summary.skipped, summary.degenerate, summary.failed) == (
+        58147, 31658, 5687, 0)
+
+
+def fill_the_pool(monkeypatch):
+    """Leave three idle workers, more than a failing call below takes, so
+    that its failure must end idle workers too."""
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
+    assert theorems._run_chunked(count_chunk, range(16), 4).tested == 16
+    assert len(multiprocessing.active_children()) == 3
+
+
 def test_run_chunked_raises_a_childs_exception(monkeypatch):
-    monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
+    fill_the_pool(monkeypatch)
     children = started_children(monkeypatch)
     with pytest.raises(DomainError, match=r"^no verdict for the slice from 3$"):
         theorems._run_chunked(fail_past_the_first_slice, range(9), 3)
     assert len(children) == 2 and not any(child.is_alive() for child in children)
     assert multiprocessing.active_children() == []
+    assert_pooled_sweep_is_golden()
 
 
 def time_out(signum, frame):
@@ -962,7 +1001,7 @@ def time_out(signum, frame):
 
 
 def test_run_chunked_joins_the_children_when_its_own_slice_raises(monkeypatch):
-    monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
+    fill_the_pool(monkeypatch)
     children = started_children(monkeypatch)
     # Joined while blocked in their sends, the children would never exit:
     # fail after 30 s instead of hanging, and end them.
@@ -981,6 +1020,7 @@ def test_run_chunked_joins_the_children_when_its_own_slice_raises(monkeypatch):
     assert len(children) == 2
     assert all(child.exitcode is not None for child in children)
     assert multiprocessing.active_children() == []
+    assert_pooled_sweep_is_golden()
 
 
 def exit_past_the_first_slice(chunk):
@@ -990,25 +1030,155 @@ def exit_past_the_first_slice(chunk):
 
 
 def test_run_chunked_reports_a_child_that_exits_without_a_result(monkeypatch):
-    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    fill_the_pool(monkeypatch)
     with pytest.raises(RuntimeError, match=r"^a sweep process exited with code 3 before "
                                            r"sending its result$"):
         theorems._run_chunked(exit_past_the_first_slice, range(8), 2)
     assert multiprocessing.active_children() == []
+    assert_pooled_sweep_is_golden()
 
 
-def test_pooled_sweeps_leave_no_child_running(monkeypatch):
+def test_a_worker_that_died_while_idle_is_replaced(monkeypatch):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    assert theorems._run_chunked(count_chunk, range(8), 2).tested == 8
+    (dead,) = multiprocessing.active_children()
+    dead.kill()
+    assert wait([dead.sentinel], 30)  # dead, and not yet reaped
+    assert_pooled_sweep_is_golden()
+    (worker,) = multiprocessing.active_children()
+    assert worker.pid != dead.pid and dead.exitcode == -signal.SIGKILL
+
+
+def test_a_second_pooled_sweep_forks_no_worker(monkeypatch):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
-    children = started_children(monkeypatch)
-    for workers in (2, 3):
-        started = len(children)
+    fuzz_main2(range(2, 11), 30, 30, workers=3)
+    pids = worker_pids()
+    assert len(pids) == 2
+    for workers in (2, 3, 2):
         fuzz_main1(range(2, 11), 30, 3, workers=workers)
-        assert multiprocessing.active_children() == []
         fuzz_main2(range(2, 11), 30, 30, workers=workers)
-        assert multiprocessing.active_children() == []
-        assert len(children) - started == 2 * (workers - 1)
-    assert theorems._run_chunked(count_chunk, range(9), 3).tested == 9
-    assert multiprocessing.active_children() == []
+        assert theorems._run_chunked(count_chunk, range(9), workers).tested == 9
+        assert worker_pids() == pids
+
+
+def test_the_pool_holds_at_most_one_worker_per_cpu_but_one(monkeypatch):
+    for cpus in (3, 2, 3, 2):
+        monkeypatch.setattr(theorems, "_cpu_count", lambda: cpus)
+        for _ in range(3):
+            assert theorems._run_chunked(count_chunk, range(40), 5000).tested == 40
+            assert len(worker_pids()) == cpus - 1
+
+
+def test_workers_ignore_sigint(monkeypatch):
+    # The parent handles an interrupt and ends its workers.
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    assert theorems._run_chunked(count_chunk, range(8), 2).tested == 8
+    (worker,) = multiprocessing.active_children()
+    os.kill(worker.pid, signal.SIGINT)
+    assert wait([worker.sentinel], 1) == []
+    assert_pooled_sweep_is_golden()
+    assert multiprocessing.active_children() == [worker]
+
+
+def pooled_sweep_and_its_workers(writer):
+    writer.send((fuzz_main2(range(2, 17), 100, 100, workers=2), worker_pids()))
+
+
+def test_a_forked_child_forks_its_own_workers(monkeypatch):
+    # A child forked from a process with idle workers must not share their
+    # pipes with its parent.
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    assert_pooled_sweep_is_golden()
+    pids = worker_pids()
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=pooled_sweep_and_its_workers, args=(writer,))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(60)
+        summary, child_pids = reader.recv()
+    finally:
+        reader.close()
+        child.join(30)
+    assert child.exitcode == 0
+    assert summary == fuzz_main2(range(2, 17), 100, 100)
+    assert len(child_pids) == 1 and not set(child_pids) & set(pids)
+    assert_pooled_sweep_is_golden()
+    assert worker_pids() == pids
+
+
+def test_concurrent_pooled_sweeps_never_share_a_worker(monkeypatch):
+    # Each thread sweeps its own bases, so results read from another
+    # thread's worker would not match the serial ones.
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
+    results = []
+
+    def sweep(bases):
+        for _ in range(3):
+            results.append((bases, fuzz_main2(bases, 30, 30, workers=3)))
+
+    # Daemon threads: a sweep hung on a shared pipe fails the test, not the run.
+    threads = [threading.Thread(target=sweep, args=(range(2, 6 + i),), daemon=True)
+               for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        for thread in threads:
+            thread.join(max(0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(results) == 12
+    assert all(summary == fuzz_main2(bases, 30, 30) for bases, summary in results)
+    assert len(worker_pids()) == 2
+
+
+def running(pid):
+    """Whether process ``pid`` exists and has not exited: a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+def pooled_sweep_in_a_fresh_process(then):
+    """Run a pooled README-scale sweep in a fresh interpreter that prints its
+    worker PIDs and then runs ``then``; wait until its output closes, which
+    its workers hold open too, and return the PIDs."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(theorems.__file__).parents[1])!r})\n"
+            "import multiprocessing\n"
+            "from radixroot import fuzz_main2, theorems\n"
+            "theorems._cpu_count = lambda: 2\n"
+            "fuzz_main2(range(2, 17), 100, 100, workers=2)\n"
+            "print(*[child.pid for child in multiprocessing.active_children()], flush=True)\n"
+            f"{then}\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=30)
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 1 and proc.stderr == ""
+    return proc.returncode, pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_process_that_ran_a_pooled_sweep_exits_and_ends_its_workers():
+    code, pids = pooled_sweep_in_a_fresh_process("")
+    assert code == 0 and not any(map(running, pids))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_the_workers_of_a_killed_process_exit():
+    # Killed, the process runs no exit handler; its worker reads EOF.
+    code, pids = pooled_sweep_in_a_fresh_process("import os, signal; "
+                                                 "os.kill(os.getpid(), signal.SIGKILL)")
+    assert code == -signal.SIGKILL
+    deadline = time.monotonic() + 5
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(running, pids))
 
 
 def test_slices_cut_where_the_cumulative_cost_splits_evenly():
