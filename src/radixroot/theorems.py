@@ -389,70 +389,51 @@ class _Worker:
             raise RuntimeError(f"a sweep process exited with code {self.process.exitcode} "
                                "before sending its result") from None
 
-    def release(self) -> None:
-        """Make the worker idle again, or end it when one per usable CPU but
-        one already is."""
-        with _idle_lock:
-            kept = len(_idle) < _cpu_count() - 1
-            if kept:
-                _idle.append(self)
-        if not kept:
-            self.end()
-
     def end(self) -> None:
         self.process.terminate()
         self.process.join()
         self.conn.close()
 
 
-# The workers alive between pooled sweeps.  A busy worker is in no list
-# but its sweep's, so no two sweeps share a pipe.
-_idle: list[_Worker] = []
-_idle_lock = _thread.allocate_lock()
+# The workers kept between pooled sweeps; worker i runs slice i + 1.  A
+# sweep holds the lock throughout, so no two share a pipe and no worker
+# forked for one inherits another's new pipe end and hides its death.
+_workers: list[_Worker] = []
+_workers_lock = _thread.allocate_lock()
 
 
-def _end_idle_workers() -> None:
-    """End every idle worker: the next pooled sweep forks fresh ones."""
-    with _idle_lock:
-        idle = _idle[:]
-        _idle.clear()
-    for worker in idle:
+def _end_workers(kept: int = 0) -> None:
+    """End every kept worker past the first ``kept``: the next pooled sweep
+    forks fresh ones.  It takes no lock: it runs under ``_workers_lock``,
+    or where no sweep runs."""
+    for worker in _workers[kept:]:
         worker.end()
+    del _workers[kept:]
 
 
 def _forget_workers() -> None:
     """In a forked child: the parent's workers and its lock are not its own."""
-    global _idle_lock
-    _idle_lock = _thread.allocate_lock()
-    for worker in _idle:
+    global _workers_lock
+    _workers_lock = _thread.allocate_lock()
+    for worker in _workers:
         worker.conn.close()
-    _idle.clear()
+    _workers.clear()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _start_slice(runner, part) -> _Worker:
-    """Send (runner, part) to an idle worker, replacing any that died while
-    idle, or to a new one when none is idle; return that worker."""
-    while True:
-        with _idle_lock:
-            if not _idle:
-                # Forked under the lock, so that no other new worker
-                # inherits this one's end of the pipe and hides its death.
-                worker = _Worker()
-                break
-            worker = _idle.pop()
-        if worker.process.is_alive():
-            break
-        worker.end()
-    try:
-        worker.conn.send((runner, part))
-    except BaseException:
-        worker.end()
-        raise
-    return worker
+def _start_slice(runner, part, i: int) -> _Worker:
+    """Send (runner, part) to kept worker i, forked when there is none and
+    replaced when it died since the last sweep; return that worker."""
+    if i == len(_workers):
+        _workers.append(_Worker())
+    elif not _workers[i].process.is_alive():
+        _workers[i].end()
+        _workers[i] = _Worker()
+    _workers[i].conn.send((runner, part))
+    return _workers[i]
 
 
 def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummary:
@@ -463,41 +444,43 @@ def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummar
     one pooled worker each runs the rest, so one slice (one worker, fewer
     than 2 * workers items, or all the cost in one slice) uses no worker.
 
-    Workers are daemon child processes kept between sweeps: a sweep takes
-    idle ones and forks one only when none is idle, and at most one per
-    usable CPU but one stays idle after it.  ``runner`` and each slice
-    reach a worker pickled, so ``runner`` must pickle by reference to
-    module-level code.  A worker runs the library as it was when it was
-    forked: code patched into this process later does not reach it until
-    ``_end_idle_workers`` makes the next sweep fork anew.  Workers ignore
-    SIGINT, exit when this process does, and exit on EOF if it dies.
+    Workers are daemon child processes kept between sweeps: worker i runs
+    slice i + 1 of every pooled sweep, and is forked by the first sweep
+    that needs it.  Pooled sweeps run one at a time, so this process never
+    holds more than one worker per usable CPU but one; a serial sweep
+    waits for none.  ``runner`` and each slice reach a worker pickled, so
+    ``runner`` must pickle by reference to module-level code.  A worker
+    runs the library as it was when it was forked: code patched into this
+    process later does not reach it until ``_end_workers`` makes the next
+    sweep fork anew.  Workers ignore SIGINT, exit when this process does,
+    and exit on EOF if it dies.
 
-    Any exception, a worker's included, ends this sweep's workers and
-    every idle one before it is raised here.  Failures are sorted by their
-    values in field order, whatever ``workers``."""
-    workers = min(workers, _cpu_count())
+    Any exception, a worker's included, ends every kept worker before it
+    is raised here.  Failures are sorted by their values in field order,
+    whatever ``workers``."""
+    cpus = _cpu_count()
+    workers = min(workers, cpus)
     if len(items) < 2 * workers:
         workers = 1
     first, *rest = [part for part in _slices(items, workers, cost) if part] or [items]
-    started = []
-    try:
-        for part in rest:
-            started.append(_start_slice(runner, part))
+    if not rest:
         results = [runner(first)]
-        for worker in started:
-            ok, result = worker.result()
-            if not ok:
-                raise result
-            results.append(result)
-    except BaseException:
-        # Their results are not wanted, a worker blocked on a full pipe
-        # would never finish, and a failed one is in an unknown state.
-        for worker in started:
-            worker.end()
-        _end_idle_workers()
-        raise
-    for worker in started:
-        worker.release()
+    else:
+        with _workers_lock:
+            try:
+                started = [_start_slice(runner, part, i) for i, part in enumerate(rest)]
+                results = [runner(first)]
+                for worker in started:
+                    ok, result = worker.result()
+                    if not ok:
+                        raise result
+                    results.append(result)
+            except BaseException:
+                # Their results are not wanted, a worker blocked on a full pipe would
+                # never finish, and a failed one is in an unknown state.
+                _end_workers()
+                raise
+            _end_workers(cpus - 1)
     tested, failed, skipped, degenerate = map(sum, zip(*(r[:4] for r in results)))
     failures = sorted((f for r in results for f in r[4]), key=lambda f: tuple(f.values()))
     return FuzzSummary(tested, tested - failed, failed, skipped, degenerate, tuple(failures))

@@ -764,35 +764,28 @@ def test_main2_reports_a_nonzero_t_doubleprime_residue(monkeypatch, patch_before
 
 @pytest.fixture
 def patch_before_fork(monkeypatch):
-    """``monkeypatch.setattr`` that first ends the idle sweep workers, so
+    """``monkeypatch.setattr`` that first ends the kept sweep workers, so
     that the pooled sweeps after the patch fork workers that run the
     patched code.  Those workers are ended again before the patch is
     undone, so that no later test meets them."""
     def setattr(*args, **kwargs):
-        theorems._end_idle_workers()
+        theorems._end_workers()
         monkeypatch.setattr(*args, **kwargs)
 
     yield setattr
-    theorems._end_idle_workers()
+    theorems._end_workers()
 
 
 class InProcessChild:
     """Stands in for a worker from ``_start_slice``: runs its slice in this
     process when the parent reads its result, so that every slice's runner
-    call is seen here, the parent's first.  Releasing it puts nothing in
-    the pool."""
+    call is seen here, the parent's first.  It is never put in the pool."""
 
     def __init__(self, runner, part):
         self.runner, self.part = runner, part
 
     def result(self):
         return True, self.runner(self.part)
-
-    def release(self):
-        pass
-
-    def end(self):
-        pass
 
 
 @pytest.fixture
@@ -801,13 +794,13 @@ def in_process_children(monkeypatch):
     children, in order."""
     started = []
 
-    def start(runner, part):
+    def start(runner, part, i):
         started.append(part)
         return InProcessChild(runner, part)
 
     monkeypatch.setattr(theorems, "_start_slice", start)
     yield started
-    assert not any(isinstance(worker, InProcessChild) for worker in theorems._idle)
+    assert not any(isinstance(worker, InProcessChild) for worker in theorems._workers)
 
 
 def recording(monkeypatch, name):
@@ -957,8 +950,8 @@ def started_children(monkeypatch):
     children = []
     start = theorems._start_slice
 
-    def record(runner, part):
-        worker = start(runner, part)
+    def record(runner, part, i):
+        worker = start(runner, part, i)
         children.append(worker.process)
         return worker
 
@@ -978,8 +971,8 @@ def assert_pooled_sweep_is_golden():
 
 
 def fill_the_pool(monkeypatch):
-    """Leave three idle workers, more than a failing call below takes, so
-    that its failure must end idle workers too."""
+    """Leave three kept workers, more than a failing call below uses, so
+    that its failure must end the workers it did not use too."""
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
     assert theorems._run_chunked(count_chunk, range(16), 4).tested == 16
     assert len(multiprocessing.active_children()) == 3
@@ -1084,12 +1077,9 @@ def pooled_sweep_and_its_workers(writer):
     writer.send((fuzz_main2(range(2, 17), 100, 100, workers=2), worker_pids()))
 
 
-def test_a_forked_child_forks_its_own_workers(monkeypatch):
-    # A child forked from a process with idle workers must not share their
-    # pipes with its parent.
-    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
-    assert_pooled_sweep_is_golden()
-    pids = worker_pids()
+def pooled_sweep_in_a_forked_child():
+    """Fork a child that runs a README-scale pooled sweep; its exit code,
+    summary and worker PIDs."""
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
     child = context.Process(target=pooled_sweep_and_its_workers, args=(writer,))
@@ -1101,7 +1091,20 @@ def test_a_forked_child_forks_its_own_workers(monkeypatch):
     finally:
         reader.close()
         child.join(30)
-    assert child.exitcode == 0
+        if child.is_alive():  # blocked on the lock: end it, or the run waits for it
+            child.kill()
+            child.join()
+    return child.exitcode, summary, child_pids
+
+
+def test_a_forked_child_forks_its_own_workers(monkeypatch):
+    # A child forked from a process with kept workers must not share their
+    # pipes with its parent.
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    assert_pooled_sweep_is_golden()
+    pids = worker_pids()
+    code, summary, child_pids = pooled_sweep_in_a_forked_child()
+    assert code == 0
     assert summary == fuzz_main2(range(2, 17), 100, 100)
     assert len(child_pids) == 1 and not set(child_pids) & set(pids)
     assert_pooled_sweep_is_golden()
@@ -1134,6 +1137,42 @@ def test_concurrent_pooled_sweeps_never_share_a_worker(monkeypatch):
     assert not any(thread.is_alive() for thread in threads) and len(results) == 12
     assert all(summary == fuzz_main2(bases, 30, 30) for bases, summary in results)
     assert len(worker_pids()) == 2
+
+
+def test_a_child_forked_during_a_sweep_forks_its_own_workers(monkeypatch):
+    # Held here, the lock stands for another thread's pooled sweep: a child
+    # forked meanwhile must not wait for a sweep that never ends in it.
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 2)
+    with theorems._workers_lock:
+        code, summary, child_pids = pooled_sweep_in_a_forked_child()
+    assert code == 0
+    assert summary == fuzz_main2(range(2, 17), 100, 100) and len(child_pids) == 1
+
+
+def sleep_chunk(chunk):
+    time.sleep(0.2)
+    return count_chunk(chunk)
+
+
+def test_concurrent_pooled_sweeps_never_run_more_workers_than_cpus_but_one(monkeypatch):
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
+    results = []
+
+    def sweep():
+        for _ in range(2):
+            results.append(theorems._run_chunked(sleep_chunk, range(9), 3).tested)
+
+    # Daemon threads: a sweep that hangs fails the test, not the run.
+    threads = [threading.Thread(target=sweep, daemon=True) for _ in range(3)]
+    for thread in threads:
+        thread.start()
+    peak = 0
+    deadline = time.monotonic() + 60
+    while any(thread.is_alive() for thread in threads) and time.monotonic() < deadline:
+        peak = max(peak, len(multiprocessing.active_children()))
+        time.sleep(0.01)
+    assert not any(thread.is_alive() for thread in threads) and results == [9] * 6
+    assert peak == 2
 
 
 def running(pid):
