@@ -108,9 +108,10 @@ def _digits_of(n: int, k: int, width: int = 1, ladder: list[int] | None = None,
 
 
 def _digit_sum(n: int, k: int) -> int:
-    """Sum of the base-k digits of n >= 0, split by _digits_of when large."""
+    """Sum of the base-k digits of n >= 0, split by _digits_of when large;
+    in base 2 that is the count of one bits."""
     if n >> _SPLIT_BITS:
-        return sum(_digits_of(n, k))
+        return n.bit_count() if k == 2 else sum(_digits_of(n, k))
     s = 0
     while n:
         n, d = divmod(n, k)

@@ -168,7 +168,7 @@ def verify_main2(n: int, s: int, k: int) -> Main2Report:
         reason = (f"gcd({_decimal_text(p)}, {_decimal_text(k - 1)}) = "
                   f"{_decimal_text(math.gcd(p, k - 1))} != 1")
     else:
-        repetend = _repetend(_scaled(n, k, split) % p, p, k)
+        repetend = _repetend(_scaled(n, k, split) % p, p, k, _order(k, p))
         root = _trajectory(sum(repetend), k)[-1]
         residue = _t_doubleprime_residue(s, k, k**rho0, len(repetend))
         divisible = n * residue % (s * (k - 1)) == 0

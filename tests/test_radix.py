@@ -314,6 +314,11 @@ def test_format_spelled_digits_match_brute_at_the_split(k, limit):
         sys.set_int_max_str_digits(old)
 
 
+def test_base_2_digit_sums_past_the_split_count_one_bits():
+    for n in (2**_SPLIT_BITS - 1, 2**_SPLIT_BITS, 2**_SPLIT_BITS + 1, 5**3000):
+        assert _digit_sum(n, 2) == sum(map(int, format(n, "b")))
+
+
 def test_digit_conversion_edges():
     assert _int_of((1,) + (0,) * 5000, 3) == 3**5000
     assert _int_of((2,) * 5000, 3) == 3**5000 - 1
@@ -435,7 +440,7 @@ def test_repetend_matches_schoolbook_long_division(case):
     # A reducible rem/p repeats its minimal repetend ord_p(k) / length times.
     repetend = long_division_digits(rem, p, k)[2]
     t = multiplicative_order_brute(k, p)
-    assert _repetend(rem, p, k) == tuple(repetend) * (t // len(repetend))
+    assert _repetend(rem, p, k, t) == tuple(repetend) * (t // len(repetend))
 
 
 # (base, p, ord_p(base)): for each base that reads blocks, periods
@@ -470,13 +475,13 @@ def test_block_remainder_cases_cover_every_last_block():
 def test_repetend_ends_with_a_short_block(k, p, t):
     assert multiplicative_order_brute(k, p) == t
     for rem in range(1, p):
-        assert _repetend(rem, p, k) == closed_form_repetend(rem, p, k)
+        assert _repetend(rem, p, k, t) == closed_form_repetend(rem, p, k)
         # Bases 2, 8 and 16 run the closed form, and base 10 runs format()
         # too: check them by division as well.  A reducible rem/p repeats
         # its minimal repetend t / length times.
         if k in _FORMAT_SPEC or k == 10:
             repetend = long_division_digits(rem, p, k)[2]
-            assert _repetend(rem, p, k) == tuple(repetend) * (t // len(repetend))
+            assert _repetend(rem, p, k, t) == tuple(repetend) * (t // len(repetend))
 
 
 @pytest.mark.parametrize("k", sorted(_FORMAT_SPEC))
@@ -484,7 +489,7 @@ def test_closed_form_repetend_past_one_limb_matches_long_division(k):
     p = 2**31 - 1  # a prime above one 30-bit limb; k is a power of 2
     assert multiplicative_order_brute(k, p) == 31
     for rem in (1, 12345, 2**30 + 7, p - 1):
-        assert list(_repetend(rem, p, k)) == long_division_digits(rem, p, k)[2]
+        assert list(_repetend(rem, p, k, 31)) == long_division_digits(rem, p, k)[2]
 
 
 @pytest.mark.parametrize("k", range(2, 33))
@@ -543,6 +548,136 @@ def test_long_repetend_round_trips_through_comma_notation():
     r = to_repeating(q, 40)
     assert r.period == 20022
     assert value_of(parse(format_repr(r))) == q
+
+
+def decimal_value_by_int(r: PositionalRepr) -> Fraction:
+    """Value of a base-10 representation, its digits read by int() with
+    the int-string limit lifted: no _int_of, no guess."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        head, cycle = (int("".join(map(str, digits)) or "0")
+                       for digits in (r.int_digits + r.frac_digits, r.repetend))
+    finally:
+        sys.set_int_max_str_digits(old)
+    shift = 10 ** len(r.frac_digits)
+    return Fraction(head, shift) + Fraction(cycle, shift * (10 ** r.period - 1))
+
+
+@pytest.fixture(params=[sys.int_info.default_max_str_digits,
+                        sys.int_info.str_digits_check_threshold])
+def int_string_limit(request):
+    """Each of the default and the lowest int-string limits, restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def unordered(*args):
+    raise AssertionError("value_of called _order")
+
+
+def test_value_of_falls_back_when_the_guess_spells_other_digits(int_string_limit, monkeypatch):
+    """One digit of 1/65657's repetend changed far from its start: the
+    leading digits still guess 1/65657, which divides 10^T - 1, but its
+    respelled digits differ, so the value is read from the digits."""
+    q = Rational(1, 65657)
+    digits = list(to_repeating(q, 10).repetend)
+    digits[40000] = (digits[40000] + 1) % 10
+    r = PositionalRepr(10, (0,), (), digits)  # the period stays minimal
+    assert r.period * 4 > radix._RESPELL_BITS
+    respelled = []
+    monkeypatch.setattr(radix, "_repetend", lambda *args: respelled.append(args) or _repetend(*args))
+    monkeypatch.setattr(radix, "_order", unordered)
+    v = value_of(r)
+    assert respelled == [(1, 65657, 10, 65656)]
+    assert fraction_of(v) == decimal_value_by_int(r) != Fraction(1, 65657)
+
+
+def test_value_of_reads_random_digits_whose_guess_fails(int_string_limit):
+    """40,000 random digits: a denominator near 10^40000, far past the guess."""
+    rng = random.Random(2021)
+    digits = [rng.randrange(10) for _ in range(40000)]
+    digits[-1] = 3
+    r = PositionalRepr(10, (4, 2), (7,), digits)
+    assert r.period * 4 > radix._RESPELL_BITS
+    v = value_of(r)
+    assert fraction_of(v) == decimal_value_by_int(r)
+    assert v.den.bit_length() > 40000 * 3
+
+
+@pytest.mark.parametrize("k, p", [(10, 65657), (40, 72271)])
+def test_value_of_proves_the_guess_without_ordering_it(k, p, monkeypatch):
+    """The fast path: no _order call (trial division of a guessed p's
+    totient could hang), and no digits read but the leading few."""
+    q = Rational(1, p)
+    r = to_repeating(q, k)
+    assert r.period * k.bit_length() > radix._RESPELL_BITS
+    read = []
+    monkeypatch.setattr(radix, "_order", unordered)
+    monkeypatch.setattr(radix, "_int_of",
+                        lambda digits, k: read.append(len(digits)) or _int_of(digits, k))
+    assert value_of(r) == q
+    assert max(read) < 40
+
+
+@pytest.mark.parametrize("lo, hi, den", [(0, 1, 7), (6, 7, 7), (3, 4, 7), (1, 3, 3), (7, 8, 2)])
+def test_least_fraction_examples(lo, hi, den):
+    num, q = radix._least_fraction(lo, hi, den)
+    assert math.gcd(num, q) == 1 and lo * q <= num * den <= hi * q
+    assert all(-(-lo * d // den) * den > hi * d for d in range(1, q))
+
+
+@given(st.integers(1, 60), st.integers(0, 180), st.integers(1, 30))
+def test_least_fraction_matches_the_least_denominator_by_search(den, lo, width):
+    hi = lo + width
+    # the first q with a multiple of 1/q in [lo/den, hi/den], and that multiple
+    q = next(d for d in itertools.count(1) if -(-lo * d // den) * den <= hi * d)
+    assert radix._least_fraction(lo, hi, den) == (-(-lo * q // den), q)
+
+
+@functools.cache
+def denominator_near_gate(k: int, above: bool, start: int) -> int:
+    """The first den > start coprime to k whose period T in base k puts
+    T * k.bit_length() within 1/16 of _RESPELL_BITS, above it or at most it."""
+    bits, gate = k.bit_length(), radix._RESPELL_BITS
+    lo, hi = (gate, gate * 17 // 16) if above else (gate * 15 // 16, gate)
+    den = start
+    while True:
+        den += 1
+        if math.gcd(den, k) == 1 and lo < multiplicative_order(k, den) * bits <= hi:
+            return den
+
+
+@st.composite
+def near_gate_rationals(draw):
+    """(q, k, above): k in 3..70, q with a period just above or just below
+    the respelling gate, and maybe an integer part and a fractional prefix."""
+    k = draw(st.integers(3, 70))
+    above = draw(st.booleans())
+    least = radix._RESPELL_BITS * 15 // 16 // k.bit_length()  # den > T >= least
+    den = denominator_near_gate(k, above, least + draw(st.integers(0, least)))
+    smooth = math.gcd(k**3, draw(st.integers(1, 1000)))
+    num = draw(st.integers(1, 50 * den * smooth).filter(lambda n: math.gcd(n, den) == 1))
+    return Rational(num, den * smooth), k, above
+
+
+@settings(max_examples=40)
+@given(near_gate_rationals())
+@example((Rational(1, 65657), 10, True))
+@example((Rational(123457, 27 * 65539), 3, True))  # T = 65538 in base 3, with a prefix
+@example((Rational(1, 65537), 3, False))  # T * 2 = 2^17: the last period below
+@example((Rational(1, 87383), 4, True))  # power-of-two bases read R by one int()
+@example((Rational(5, 8 * 37463), 64, True))
+@example((Rational(1, 52511), 16, True))
+@example((Rational(7, 20 * 21851), 40, True))  # a prefix above base 36
+@example((Rational(3, 81967), 4, False))
+def test_round_trip_on_both_sides_of_the_respelling_gate(case):
+    q, k, above = case
+    r = to_repeating(q, k)
+    assert (r.period * k.bit_length() > radix._RESPELL_BITS) == above
+    assert value_of(r) == q
 
 
 def test_value_of_examples():
