@@ -17,9 +17,8 @@ from __future__ import annotations
 import _thread
 import math
 import os
-from bisect import bisect_right
 from functools import cache, partial
-from itertools import accumulate, islice, repeat
+from itertools import islice, repeat
 
 from .arith import Rational, _decimal_text, _divisors, _factor, _Record, _require_int
 from .digroot import _digit_sum, _trajectory
@@ -334,19 +333,20 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _slices(items, parts: int, cost) -> list:
-    """Cut ``items`` into ``parts`` contiguous slices of about equal integer
-    ``cost``.  Slice i ends after the longest prefix that costs at most
-    i/parts of the total, so each slice's cost is within one item's cost of
-    an even share.  With unit costs slice i is
-    items[i*n//parts:(i+1)*n//parts].  One part is ``items`` itself, and
-    ``cost`` is then never called."""
+def _deal(items, parts: int) -> list:
+    """Deal ``items`` to ``parts`` slices in zigzag rounds (0, 1, ..., parts-1,
+    parts-1, ..., 0), each round starting one slice further on.  Every slice
+    gets an early and a late item per round, so a cost that rises or falls
+    along the items evens out; the shift keeps a slice from owning fixed
+    residues.  Slices keep the items' order and differ in length by at most
+    one.  One part is ``items`` itself."""
     if parts == 1:
         return [items]
-    prefix = list(accumulate(map(cost, items)))
-    cuts = [0, *(bisect_right(prefix, i * prefix[-1] // parts) for i in range(1, parts)),
-            len(items)]
-    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    slices = [[] for _ in range(parts)]
+    for j, item in enumerate(items):
+        i = j % (2 * parts)
+        slices[(min(i, 2 * parts - 1 - i) + j // (2 * parts)) % parts].append(item)
+    return slices
 
 
 def _serve(conn, parent_end) -> None:
@@ -427,22 +427,23 @@ if hasattr(os, "register_at_fork"):
 def _start_slice(runner, part, i: int) -> _Worker:
     """Send (runner, part) to kept worker i, forked when there is none and
     replaced when it died since the last sweep; return that worker."""
+    from multiprocessing.connection import wait
     if i == len(_workers):
         _workers.append(_Worker())
-    elif not _workers[i].process.is_alive():
+    # The sentinel reads EOF once a dying worker closed it; is_alive() may not yet.
+    elif wait([_workers[i].process.sentinel], 0):
         _workers[i].end()
         _workers[i] = _Worker()
     _workers[i].conn.send((runner, part))
     return _workers[i]
 
 
-def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummary:
-    """Run contiguous slices of ``items``, cut at equal ``cost`` (see
-    ``_slices``), through ``runner`` in at most ``workers`` processes, this
-    one included and one per usable CPU at most, and merge the counts.
-    Empty slices are dropped; this process runs the first slice left while
-    one pooled worker each runs the rest, so one slice (one worker, fewer
-    than 2 * workers items, or all the cost in one slice) uses no worker.
+def _run_chunked(runner, items, workers: int) -> FuzzSummary:
+    """Run slices of ``items``, dealt by ``_deal``, through ``runner`` in at
+    most ``workers`` processes, this one included and one per usable CPU at
+    most, and merge the counts.  This process runs the first slice while
+    one pooled worker each runs the rest.  Fewer than 2 * workers items
+    make one slice, which uses no worker; otherwise no slice is empty.
 
     Workers are daemon child processes kept between sweeps: worker i runs
     slice i + 1 of every pooled sweep, and is forked by the first sweep
@@ -462,7 +463,7 @@ def _run_chunked(runner, items, workers: int, cost=lambda item: 1) -> FuzzSummar
     workers = min(workers, cpus)
     if len(items) < 2 * workers:
         workers = 1
-    first, *rest = [part for part in _slices(items, workers, cost) if part] or [items]
+    first, *rest = _deal(items, workers)
     if not rest:
         results = [runner(first)]
     else:
@@ -500,15 +501,11 @@ def fuzz_main1(bases, bound: int, terms_max: int = 5, workers: int = 1) -> FuzzS
     _require_int(bound, "bound", 0, PreconditionError)
     _require_int(terms_max, "terms", 1, PreconditionError)
     _require_int(workers, "workers", 1, PreconditionError)
-    # Built once; the costs and every slice read them, and the runner takes them to
-    # the workers.
+    # Built once; every slice reads them, and the runner takes them to the workers.
     tables = _smooth_tables([k for k in bases if len(_divisors(k)) > 2], bound)
     runner = partial(_run_main1_chunk, tables=tables, bound=bound, terms_max=terms_max)
-    # A cofactor c costs, in each composite base k coprime to it, one pass
-    # over the k-smooth b and one over its numerators c * s <= bound.
-    return _run_chunked(runner, range(1, bound + 1), workers, cost=lambda c: sum(
-        len(smooth) + bisect_right(smooth, bound // c, key=lambda pair: pair[0])
-        for k, smooth in tables if math.gcd(c, k) == 1))
+    # With no composite base there is no work, and no cofactor to deal to a worker.
+    return _run_chunked(runner, range(1, bound + 1 if tables else 1), workers)
 
 
 def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSummary:
@@ -526,13 +523,7 @@ def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSumma
     _require_int(workers, "workers", 1, PreconditionError)
     tables = _smooth_tables(bases, s_bound)  # as in fuzz_main1
     runner = partial(_run_main2_chunk, tables=tables, n_bound=n_bound, s_bound=s_bound)
-    # A coprime part p costs, in each base k coprime to it, one pass over
-    # its s = m * p <= s_bound, plus p long-division steps where (k, p) is
-    # tested.
-    return _run_chunked(runner, range(1, s_bound + 1), workers, cost=lambda p: sum(
-        bisect_right(smooth, s_bound // p, key=lambda pair: pair[0])
-        + (p if p > 1 and math.gcd(p, k - 1) == 1 else 0)
-        for k, smooth in tables if math.gcd(p, k) == 1))
+    return _run_chunked(runner, range(1, s_bound + 1 if tables else 1), workers)
 
 
 class MagicDigitResult(_Record):

@@ -181,6 +181,17 @@ def test_rational_int_operands_and_str():
     assert str(Rational(8, 4)) == "2"
 
 
+def test_rational_other_operands_raise_type_error():
+    # No float and no text: the operators answer NotImplemented, and so
+    # does the other operand, which leaves Python's TypeError.
+    with pytest.raises(TypeError):
+        Rational(1, 2) + 0.5
+    with pytest.raises(TypeError):
+        0.5 * Rational(1, 2)
+    with pytest.raises(TypeError):
+        Rational(1, 2) / "2"
+
+
 def test_pow_rational():
     assert pow_rational(10, 3) == Rational(1000)
     assert pow_rational(10, -2) == Rational(1, 100)

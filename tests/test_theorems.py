@@ -468,7 +468,7 @@ def test_sweeps_hand_plain_ranges_at_a_large_bound(monkeypatch):
     # m <= bound, each with k^rho0 / m.
     handed = []
 
-    def recording(runner, items, workers, cost=None):
+    def recording(runner, items, workers):
         handed.append((runner.keywords, items, workers))
         return theorems.FuzzSummary(0, 0, 0, 0, 0, ())
 
@@ -516,8 +516,8 @@ def root_by_parity(total, k):
 def test_fuzz_main2_worker_invariant(monkeypatch, patch_before_fork):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 3)
     assert fuzz_main2(range(9, 12), 8, 8) == fuzz_main2(range(9, 12), 8, 8, workers=2)
-    # The coprime parts p = 1..9 in contiguous slices of equal cost: every
-    # chunk runs its parts in each of the 5 bases coprime to them.
+    # The coprime parts p = 1..9 dealt to two or three slices: every chunk
+    # runs its parts in each of the 5 bases coprime to them.
     one = fuzz_main2(range(9, 14), 12, 9)
     assert one.tested > 0 and one.skipped > 0
     assert one == fuzz_main2(range(9, 14), 12, 9, workers=2)
@@ -820,14 +820,14 @@ def recording(monkeypatch, name):
 
 def test_run_chunked_opens_one_worker_per_chunk(monkeypatch, in_process_children):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 8)
-    # 12 coprime parts cut at equal cost make 5 chunks of 3, 3, 2, 2 and 2:
-    # this process runs the first, and one child each of the other four.
+    # 12 coprime parts dealt to 5 make chunks of 2, 3, 3, 2 and 2: this
+    # process runs the first, [1, 10], and one child each of the other four.
     summary = fuzz_main2(range(5, 6), 10, 12, workers=5)
-    assert in_process_children == [range(4, 7), range(7, 9), range(9, 11), range(11, 13)]
+    assert in_process_children == [[2, 9, 11], [3, 8, 12], [4, 7], [5, 6]]
     assert summary == fuzz_main2(range(5, 6), 10, 12)
 
 
-def test_run_chunked_deals_contiguous_slices(monkeypatch, in_process_children):
+def test_run_chunked_deals_zigzag_rounds(monkeypatch, in_process_children):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 8)
     chunks = []
 
@@ -836,7 +836,7 @@ def test_run_chunked_deals_contiguous_slices(monkeypatch, in_process_children):
         return len(chunk), 0, 0, 0, []
 
     summary = theorems._run_chunked(runner, range(11), 5)
-    assert chunks == [range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 11)]
+    assert chunks == [[0, 9], [1, 8, 10], [2, 7], [3, 6], [4, 5]]
     assert in_process_children == chunks[1:]
     assert summary.tested == 11
 
@@ -865,6 +865,12 @@ def test_cpu_count_falls_back_without_affinity(monkeypatch):
     assert theorems._cpu_count() == 1
 
 
+def assert_even_shares(costs):
+    """Each of ``costs`` is within a quarter of an even share of their sum."""
+    share = sum(costs) / len(costs)
+    assert all(abs(cost - share) <= share / 4 for cost in costs), (costs, share)
+
+
 def main1_cost(bases, bound):
     """The cost of each cofactor c = 1..bound, counted from scratch: in each
     composite base k coprime to c, its k-smooth b <= bound plus its
@@ -878,10 +884,9 @@ def main1_cost(bases, bound):
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_main1_chunks_share_the_work_evenly(monkeypatch, in_process_children, workers):
-    # Every cofactor c lands in one non-empty chunk, in order, and each
-    # chunk costs less than one cofactor more or less than an even share.
-    # Cofactors are not even in tuples: c = 1 alone owns every k-smooth
-    # numerator of every base.
+    # Every cofactor c lands in one non-empty chunk, and each chunk's cost
+    # is within a quarter of an even share.  Cofactors are not even in
+    # tuples: c = 1 alone owns every k-smooth numerator of every base.
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
     calls = recording(monkeypatch, "_run_main1_chunk")
     for bases, bound in (range(2, 17), 120), (range(2, 37), 300):
@@ -890,11 +895,9 @@ def test_main1_chunks_share_the_work_evenly(monkeypatch, in_process_children, wo
         summary = fuzz_main1(bases, bound, 5, workers=workers)
         chunks = [chunk for chunk, _ in calls]
         assert len(chunks) == workers and all(chunks) and in_process_children == chunks[1:]
-        assert [c for chunk in chunks for c in chunk] == list(range(1, bound + 1))
+        assert sorted(c for chunk in chunks for c in chunk) == list(range(1, bound + 1))
         cost = main1_cost(bases, bound)
-        costs = [sum(cost[c] for c in chunk) for chunk in chunks]
-        share = sum(costs) / workers
-        assert all(abs(chunk_cost - share) < max(cost.values()) for chunk_cost in costs)
+        assert_even_shares([sum(cost[c] for c in chunk) for chunk in chunks])
         assert summary == fuzz_main1(bases, bound, 5)
 
 
@@ -912,18 +915,16 @@ def main2_cost(bases, s_bound):
 @pytest.mark.parametrize("bases, n_bound, s_bound", [(range(2, 17), 100, 100), ([10], 300, 1000)])
 def test_main2_chunks_are_cut_at_equal_cost(monkeypatch, in_process_children, workers, bases,
                                             n_bound, s_bound):
-    # Every coprime part p lands in one non-empty chunk, in order, and each
-    # chunk costs less than one part more or less than an even share.
+    # Every coprime part p lands in one non-empty chunk, and each chunk's
+    # cost is within a quarter of an even share.
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
     calls = recording(monkeypatch, "_run_main2_chunk")
     summary = fuzz_main2(bases, n_bound, s_bound, workers=workers)
     chunks = [chunk for chunk, _ in calls]
     assert len(chunks) == workers and all(chunks) and in_process_children == chunks[1:]
-    assert [p for chunk in chunks for p in chunk] == list(range(1, s_bound + 1))
+    assert sorted(p for chunk in chunks for p in chunk) == list(range(1, s_bound + 1))
     cost = main2_cost(bases, s_bound)
-    costs = [sum(cost[p] for p in chunk) for chunk in chunks]
-    share = sum(costs) / workers
-    assert all(abs(chunk_cost - share) < max(cost.values()) for chunk_cost in costs)
+    assert_even_shares([sum(cost[p] for p in chunk) for chunk in chunks])
     assert summary == fuzz_main2(bases, n_bound, s_bound)
 
 
@@ -981,7 +982,7 @@ def fill_the_pool(monkeypatch):
 def test_run_chunked_raises_a_childs_exception(monkeypatch):
     fill_the_pool(monkeypatch)
     children = started_children(monkeypatch)
-    with pytest.raises(DomainError, match=r"^no verdict for the slice from 3$"):
+    with pytest.raises(DomainError, match=r"^no verdict for the slice from 1$"):
         theorems._run_chunked(fail_past_the_first_slice, range(9), 3)
     assert len(children) == 2 and not any(child.is_alive() for child in children)
     assert multiprocessing.active_children() == []
@@ -1037,6 +1038,9 @@ def test_a_worker_that_died_while_idle_is_replaced(monkeypatch):
     (dead,) = multiprocessing.active_children()
     dead.kill()
     assert wait([dead.sentinel], 30)  # dead, and not yet reaped
+    # A dying worker closes its sentinel before it can be reaped, and until
+    # then is_alive() may still answer True.
+    monkeypatch.setattr(dead, "is_alive", lambda: True)
     assert_pooled_sweep_is_golden()
     (worker,) = multiprocessing.active_children()
     assert worker.pid != dead.pid and dead.exitcode == -signal.SIGKILL
@@ -1220,73 +1224,45 @@ def test_the_workers_of_a_killed_process_exit():
     assert not any(map(running, pids))
 
 
-def test_slices_cut_where_the_cumulative_cost_splits_evenly():
-    # README scale: s = 2..100 at n_bound 100 costs 14,949.  Even halves
-    # would cost 6,174 and 8,775; the cut after s = 58 gives 7,410 and
-    # 7,539.
-    assert theorems._slices(range(2, 101), 2, lambda s: 100 + s) == [range(2, 59),
-                                                                      range(59, 101)]
-    # Slice i ends after the longest prefix costing at most i/parts of the
-    # total, so a costly item starts the next slice.
-    assert theorems._slices([1, 1, 9, 1, 1, 1], 2, lambda x: x) == [[1, 1], [9, 1, 1, 1]]
+def test_deal_zigzags_in_shifted_rounds():
+    # Rounds of 6: slices 0, 1, 2, 2, 1, 0, then 1, 2, 0 one slice on.
+    assert theorems._deal(range(9), 3) == [[0, 5, 8], [1, 4, 6], [2, 3, 7]]
+    for parts in range(2, 9):
+        for n in range(2 * parts, 401):
+            slices = theorems._deal(range(n), parts)
+            assert sorted(item for part in slices for item in part) == list(range(n))
+            assert all(part == sorted(part) for part in slices)
+            sizes = [len(part) for part in slices]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    items = range(9)
+    assert theorems._deal(items, 1)[0] is items
 
 
-def never_called(*args, **kwargs):
-    raise AssertionError(f"called with {args}")
-
-
-def test_serial_sweeps_never_call_their_cost(monkeypatch, in_process_children):
-    # One part needs no cut, so no item is costed: not with one worker,
-    # one usable CPU, or fewer than two items per worker.
-    assert theorems._slices(range(9), 1, never_called) == [range(9)]
-    monkeypatch.setattr(theorems, "_cpu_count", lambda: 1)
-    assert theorems._run_chunked(count_chunk, range(9), 1, never_called).tested == 9
-    assert theorems._run_chunked(count_chunk, range(9), 4, never_called).tested == 9
-    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
-    assert theorems._run_chunked(count_chunk, range(3), 2, never_called).tested == 3
-    assert in_process_children == []
-    # fuzz_main1's cost reads the k-smooth b of each base by bisection.
-    monkeypatch.setattr(theorems, "bisect_right", never_called)
-    assert fuzz_main1(range(2, 17), 120, 5).tested == 15970
-    with pytest.raises(AssertionError, match="^called with"):
-        fuzz_main1(range(2, 17), 120, 5, workers=2)
-
-
-def test_run_chunked_starts_no_child_for_an_empty_slice(monkeypatch, in_process_children):
-    # c = 1 costs as much as 100 others, so even quarters of the cost leave
-    # the first two slices empty: this process runs the first non-empty
-    # slice, and one child the other.
-    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
-    items = list(range(1, 51))
-
-    def cost(c):
-        return 100 if c == 1 else 1
-
-    assert [len(part) for part in theorems._slices(items, 4, cost)] == [0, 0, 12, 38]
+def test_serial_sweeps_start_no_child(monkeypatch, in_process_children):
+    # One worker, one usable CPU, or fewer than two items per worker: one
+    # slice, the items themselves, run in this process.
     chunks = []
 
     def runner(chunk):
         chunks.append(chunk)
         return count_chunk(chunk)
 
-    assert theorems._run_chunked(runner, items, 4, cost).tested == 50
-    assert chunks == [items[:12], items[12:]] and in_process_children == [items[12:]]
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 1)
+    assert theorems._run_chunked(runner, range(9), 1).tested == 9
+    assert theorems._run_chunked(runner, range(9), 4).tested == 9
+    monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
+    assert theorems._run_chunked(runner, range(3), 2).tested == 3
+    assert chunks == [range(9), range(9), range(3)] and in_process_children == []
+    # A main2 sweep over no base has no work, and deals no coprime part.
+    assert fuzz_main2([], 10, 10, workers=2).tested == 0 and in_process_children == []
 
 
 def test_main1_sweeps_deal_no_empty_slice(monkeypatch, in_process_children):
     monkeypatch.setattr(theorems, "_cpu_count", lambda: 4)
     calls = recording(monkeypatch, "_run_main1_chunk")
-    # c = 1 costs more than a quarter of the total, so the cut is 0, 4, 4
-    # and 4 cofactors: three slices run, this process taking c = 1..4.
-    summary = fuzz_main1(range(4, 13), 12, 3, workers=4)
-    assert [chunk for chunk, _ in calls] == [range(1, 5), range(5, 9), range(9, 13)]
-    assert in_process_children == [range(5, 9), range(9, 13)]
-    assert summary == fuzz_main1(range(4, 13), 12, 3)
-    # No composite base: every cofactor costs 0, and the sweep runs serially.
-    calls.clear()
-    in_process_children.clear()
+    # No composite base: no cofactor is dealt, and the sweep runs serially.
     assert fuzz_main1([2, 3, 5, 7], 50, workers=2).tested == 0
-    assert [chunk for chunk, _ in calls] == [range(1, 51)] and in_process_children == []
+    assert [chunk for chunk, _ in calls] == [range(1, 1)] and in_process_children == []
 
 
 def test_main1_chunk_drops_the_tables_of_each_cofactor():
