@@ -35,11 +35,6 @@ class DigitRootResult(_Record):
 
     __slots__ = ("root", "persistence", "trajectory")
 
-    def __init__(self, root: int, persistence: int, trajectory: tuple[int, ...]):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "persistence", persistence)
-        object.__setattr__(self, "trajectory", trajectory)
-
 
 def _root_result(n: int, k: int) -> DigitRootResult:
     chain = _trajectory(n, k)

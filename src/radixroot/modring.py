@@ -25,8 +25,7 @@ class ResidueClass(_Record):
         if _require_int(value, "residue value") >= n:
             raise DomainError(f"residue value {_decimal_text(value)} not in "
                               f"[0, {_decimal_text(n - 1)}]")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
+        _Record.__init__(self, value, modulus)
 
     def __add__(self, other: "ResidueClass") -> "ResidueClass":
         n = _require_same_modulus(self.modulus, other.modulus)
@@ -86,10 +85,6 @@ class OrbitPartition(_Record):
     """The partition of residues mod n into gcd-classes, keyed by divisor."""
 
     __slots__ = ("modulus", "classes")
-
-    def __init__(self, modulus: int, classes: dict[int, tuple[int, ...]]):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "classes", classes)
 
 
 def orbit_partition(n: int) -> OrbitPartition:

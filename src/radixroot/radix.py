@@ -100,11 +100,6 @@ class RadixClassification(_Record):
 
     __slots__ = ("kind", "rho0", "period")
 
-    def __init__(self, kind: Kind, rho0: int, period: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rho0", rho0)
-        object.__setattr__(self, "period", period)
-
     @property
     def is_terminating(self) -> bool:
         return self.kind is Kind.TERMINATING

@@ -95,12 +95,6 @@ def _main1(n0: int, r: int, k: int, terms_max: int, memo: dict[int, int],
 class Main1Term(_Record):
     __slots__ = ("j", "value", "root", "orbit_label")
 
-    def __init__(self, j: int, value: Rational, root: int, orbit_label: int):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "orbit_label", orbit_label)
-
 
 class Main1Report(_Record):
     __slots__ = ("base", "q", "r", "terms", "orbit_delta", "congruence_ok", "passed", "witness")
@@ -528,9 +522,6 @@ def fuzz_main2(bases, n_bound: int, s_bound: int, workers: int = 1) -> FuzzSumma
 
 class MagicDigitResult(_Record):
     __slots__ = ("candidates",)
-
-    def __init__(self, candidates: tuple[int, ...]):
-        object.__setattr__(self, "candidates", candidates)
 
     @property
     def ambiguous(self) -> bool:

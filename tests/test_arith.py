@@ -251,3 +251,10 @@ def test_records_are_immutable_values(record):
             pass
         case _:
             pytest.fail(f"{cls.__name__} does not match by position")
+
+
+def test_only_records_that_check_their_input_have_an_init():
+    """The base stores every field; a record's own ``__init__`` only checks
+    its input."""
+    own = {cls.__name__ for cls in _Record.__subclasses__() if "__init__" in cls.__dict__}
+    assert own == {"Rational", "ResidueClass", "PositionalRepr"}

@@ -181,6 +181,44 @@ def test_private_functions_call_no_public_function():
     assert {"classify", "factorize", "multiplicative_order", "totient"} <= public
 
 
+def test_package_leaves_no_unused_import_or_private_name():
+    """What a deletion leaves behind: no module of the package but
+    ``__init__.py`` imports a name it never reads, and every module-level
+    private name (a leading underscore, dunders aside) is read, or imported
+    by name, somewhere in the package."""
+    package = Path(radixroot.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    read = set()  # each name the package reads, bare or as an attribute, or imports by name
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unused, unread = [], []
+    for module, tree in trees.items():
+        module_reads = {node.id for node in ast.walk(tree)
+                        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):  # imports inside functions too
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and module != "__init__.py" \
+                    and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{module}: {name}" for name in bound if name not in module_reads]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = {node.name}
+            else:  # the names the statement stores, as an assignment's targets
+                defined = {n.id for n in ast.walk(node)
+                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            unread += [f"{module}: {name}" for name in sorted(defined - read)
+                       if name.startswith("_") and not name.endswith("__")]
+    assert unused == []
+    assert unread == []
+
+
 def test_public_surface_is_pinned():
     """``radixroot.__all__`` is exactly this list, so a name added or
     removed is a decision a test records.  perfbench/tracer.py wraps each
