@@ -120,19 +120,20 @@ def _digit_sum(n: int, k: int) -> int:
 
 
 # Long division steps m base-k digits per divmod, m the largest width with
-# k^m <= _BLOCK_CAP, reading each block from a table of k^m entries; bases
-# above isqrt(_BLOCK_CAP) = 32 have no m >= 2 and step one digit at a time.
-# A 2^12 cap timed no faster (its tables miss the CPU cache) and held about
-# six times the memory.
+# k^m <= _BLOCK_CAP, or 2 where k^2 <= _PAIR_CAP (bases 33 to 64), reading
+# each block from a table of k^m entries.  A 2^12 cap timed no faster up to
+# base 32 (its tables miss the CPU cache) and held six times the memory;
+# base 200's 40,000 pairs took 5.5 ms to build, and m = 3 in base 40 lost.
 _BLOCK_CAP = 1 << 10
+_PAIR_CAP = 4 * _BLOCK_CAP
 
 
 @lru_cache(maxsize=32)
 def _digit_blocks(k: int) -> tuple[bytes, ...]:
-    """For 2 <= k <= 32: the table of every m-digit block of base k, m the
-    largest width with k^m <= _BLOCK_CAP.  Entry v is the m base-k digits of
-    v, most significant first and left-padded with zeros, one byte each, so
-    the table has k^m entries of m bytes."""
+    """For 2 <= k <= 64: the table of every m-digit block of base k, m the
+    largest width with k^m <= _BLOCK_CAP, or 2 above base 32.  Entry v is
+    the m base-k digits of v, most significant first and left-padded with
+    zeros, one byte each, so the table has k^m entries of m bytes."""
     m = 2
     while k ** (m + 1) <= _BLOCK_CAP:
         m += 1

@@ -22,10 +22,10 @@ from itertools import islice
 
 from .arith import (
     ALPHABET,
-    _BLOCK_CAP,
     _BYTE_OF_VALUE,
     _DIGIT_VALUES,
     _FORMAT_SPEC,
+    _PAIR_CAP,
     _VALUE_OF_BYTE,
     Rational,
     _Record,
@@ -55,14 +55,14 @@ _ECHO_CHARS = 60
 # any setting of the limit lets format() write.
 _DECIMAL_BLOCK = 160
 # value_of reads a long repetend's fraction off its first digits, enough
-# to reach 2^_GUESS_BITS, and proves it by respelling the repetend: two
-# fractions with denominators below 2^64 differ by more than 2^-128.  It
-# does so above _RESPELL_BITS bits of repetend, in bases that are not
-# powers of two.  There respelling won or broke even in every base timed
-# (3 to 1000); below, at 77 kbit in base 12, it lost to reading the
-# repetend as an integer, 1.38 against 1.19 ms.
+# to reach 2^_GUESS_BITS, and proves it by _spells' packed division, or by
+# respelling the repetend: two fractions with denominators below 2^64
+# differ by more than 2^-128.  It does so above _RESPELL_BITS bits of
+# repetend, in bases that are not powers of two.  Against reading the
+# repetend as an integer, the proof broke even at about 8 kbit in bases 3
+# to 12, and below 4 kbit in bases 33 to 300.
 _GUESS_BITS = 128
-_RESPELL_BITS = 1 << 17
+_RESPELL_BITS = 1 << 14
 
 
 def _decimal(text: str) -> int | None:
@@ -263,7 +263,7 @@ def _repetend(rem: int, p: int, k: int, t: int) -> tuple[int, ...]:
     Bases 2, 8, 10 and 16 take w digits per divmod, v = rem * k^w // p,
     spelled by format() and zero-padded to w digits.  format() is linear
     in bases 2^b, so w = t there: one block, the closed form.  Base 10
-    takes blocks of _DECIMAL_BLOCK digits.  Other bases up to 32 take m
+    takes blocks of _DECIMAL_BLOCK digits.  Other bases up to 64 take m
     digits per divmod, m from arith._digit_blocks, whose table spells each
     quotient below k^m.  Either way the operands stay below k^w * p, and a
     last block of t mod w digits is rem * k^(t mod w) // p.  Larger bases
@@ -280,7 +280,7 @@ def _repetend(rem: int, p: int, k: int, t: int) -> tuple[int, ...]:
         if tail:
             text.append(format(rem * k**tail // p, spec).zfill(tail))
         return tuple("".join(text).encode().translate(_VALUE_OF_BYTE))
-    if k * k > _BLOCK_CAP:
+    if k * k > _PAIR_CAP:
         out = []
         for _ in range(t):
             d, rem = divmod(rem * k, p)
@@ -356,15 +356,38 @@ def _least_fraction(lo: int, hi: int, den: int) -> tuple[int, int]:
         a, b, c, d = d, c - f * d, b, rest
 
 
+def _spells(digits: tuple[int, ...], rem: int, p: int, k: int) -> bool:
+    """Whether ``digits``, T digits of a base k <= 255, spell R = rem * (k^T - 1) / p.
+
+    Long division of rem/p has remainders q_0 = rem, k*q_i = p*d_i + q_(i+1)
+    and q_T = rem.  With the d_i and q_i packed high slot first into s-bit
+    slots, s >= b + bits(k) + 2 for b = bits(p), that reads (X - k) * Q =
+    rem * (X^T - 1) - p * D at X = 2^s.  If the right side divides by X - k
+    and each of Q's T slots is below 2^b, each coefficient is below X in
+    size: no slot carries, the identity holds as polynomials in X, and at
+    X = k it reads p * R = rem * (k^T - 1).  As q_T = rem < p, each q_i < p
+    too, so for 0 < rem < p the d_i are the digits of rem/p.
+    """
+    b = p.bit_length()
+    size = (b + k.bit_length() + 9) // 8  # bytes per slot
+    packed = bytearray(size * len(digits))
+    packed[size - 1::size] = bytes(digits)
+    quotient, left = divmod((rem << 8 * len(packed)) - rem - p * int.from_bytes(packed, "big"),
+                            (1 << 8 * size) - k)
+    low = int.from_bytes(((1 << b) - 1).to_bytes(size, "big") * len(digits), "big")  # b bits a slot
+    return not left and quotient & low == quotient
+
+
 def value_of(r: PositionalRepr) -> Rational:
     """Exact value of a representation.
 
     Past _RESPELL_BITS, a repetend R of length T in a base k that is not a
     power of two is first guessed to be rem/p, the fraction with the least
-    denominator whose digits begin as R's first _GUESS_BITS do.  When p > 1
-    divides k^T - 1, the T long-division digits of rem/p spell
-    rem * (k^T - 1) / p; so if they are R's digits, R / (k^T - 1) is
-    rem/p.  Any other repetend is read as an integer R, over k^T - 1.
+    denominator whose digits begin as R's first _GUESS_BITS do.  It holds
+    if R = rem * (k^T - 1) / p: _spells proves that by one packed division
+    up to base 255.  In base 10, where format() spells faster, and past 255,
+    where a digit is no byte, rem/p's T digits are spelled again and
+    compared once p > 1 divides k^T - 1.  Else R is read, over k^T - 1.
     """
     k = r.base
     head = _int_of(r.int_digits + r.frac_digits, k)
@@ -378,7 +401,8 @@ def value_of(r: PositionalRepr) -> Rational:
             width += 1
         lead = _int_of(r.repetend[:width], k)
         rem, p = _least_fraction(lead, lead + 1, k**width)
-        if p > 1 and pow(k, t, p) == 1 and _repetend(rem, p, k, t) == r.repetend:
+        if p > 1 and (_spells(r.repetend, rem, p, k) if k != 10 and k <= 255
+                      else pow(k, t, p) == 1 and _repetend(rem, p, k, t) == r.repetend):
             return Rational(head * p + rem, shift * p)
     cycle = _power(k, t) - 1
     return Rational(head * cycle + _int_of(r.repetend, k), shift * cycle)

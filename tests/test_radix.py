@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from radixroot import (
@@ -37,7 +37,15 @@ from radixroot import (
     verify_main1,
 )
 from radixroot import arith, modring, radix, theorems
-from radixroot.arith import _BLOCK_CAP, _FORMAT_SPEC, _INT_LEAF, _SPLIT_BITS, _digit_blocks, _power
+from radixroot.arith import (
+    _BLOCK_CAP,
+    _FORMAT_SPEC,
+    _INT_LEAF,
+    _PAIR_CAP,
+    _SPLIT_BITS,
+    _digit_blocks,
+    _power,
+)
 from radixroot.digroot import _digit_sum
 from radixroot.radix import (
     _DECIMAL_BLOCK,
@@ -45,6 +53,7 @@ from radixroot.radix import (
     _int_of,
     _repetend,
     _smooth_split,
+    _spells,
     _string_period,
     _tokenize,
 )
@@ -448,7 +457,8 @@ def test_repetend_matches_schoolbook_long_division(case):
 # block is full, one digit long and one digit short.  Bases 2 and 16 spell
 # the closed form instead; their rows keep them checked at those periods.
 # Base 10's blocks are _DECIMAL_BLOCK digits wide; its periods below that
-# are one short block alone, and 3007 = 31 * 97 is composite.
+# are one short block alone, and 3007 = 31 * 97 is composite.  Bases 33 to
+# 64 read blocks of two digits, and base 65 one digit per step.
 BLOCK_REMAINDERS = [
     (2, 61, 60), (2, 103, 51), (2, 79, 39),
     (3, 19, 18), (3, 431, 43), (3, 47, 23),
@@ -458,12 +468,14 @@ BLOCK_REMAINDERS = [
     (12, 5, 4), (12, 23, 11),
     (16, 97, 12), (16, 11, 5),
     (32, 13, 12), (32, 23, 11),
+    (33, 5, 4), (33, 31, 5), (40, 7, 6), (40, 31, 15), (64, 17, 4), (64, 11, 5),
+    (65, 17, 16), (65, 29, 7),
 ]
 
 
 def test_block_remainder_cases_cover_every_last_block():
-    assert 32 * 32 <= _BLOCK_CAP < 33 * 33
-    for k in (3, 4, 12, 32):
+    assert 32 * 32 <= _BLOCK_CAP < 33 * 33 and 64 * 64 <= _PAIR_CAP < 65 * 65
+    for k in (3, 4, 12, 32, 33, 40, 64):
         m = len(_digit_blocks(k)[0])
         assert {t % m for base, _, t in BLOCK_REMAINDERS if base == k} == {0, 1, m - 1}
     m = _DECIMAL_BLOCK
@@ -492,11 +504,21 @@ def test_closed_form_repetend_past_one_limb_matches_long_division(k):
         assert list(_repetend(rem, p, k, 31)) == long_division_digits(rem, p, k)[2]
 
 
-@pytest.mark.parametrize("k", range(2, 33))
+def test_bases_past_64_take_one_digit_per_step(monkeypatch):
+    monkeypatch.setattr(radix, "_digit_blocks", None)  # a table lookup would raise
+    for k, p, t in BLOCK_REMAINDERS:
+        if k > 64:
+            assert _repetend(1, p, k, t) == closed_form_repetend(1, p, k)
+
+
+@pytest.mark.parametrize("k", range(2, 65))
 def test_digit_blocks_spell_real_digits(k):
     table = _digit_blocks(k)
     m = len(table[0])
-    assert k**m <= _BLOCK_CAP < k ** (m + 1)
+    if k <= 32:
+        assert k**m <= _BLOCK_CAP < k ** (m + 1)
+    else:
+        assert m == 2 and k**m <= _PAIR_CAP
     assert len(table) == k**m
     for v, block in enumerate(table):
         digits = digits_brute(v, k)
@@ -525,11 +547,12 @@ def test_long_repetends_round_trip_through_text(k, p, t):
 
 @pytest.mark.parametrize("limit", [sys.int_info.default_max_str_digits,
                                    sys.int_info.str_digits_check_threshold])
-@pytest.mark.parametrize("k, p, t", [(7, 100003, 100002), (10, 1000171, 1000170)])
+@pytest.mark.parametrize("k, p, t", [(7, 100003, 100002), (10, 1000171, 1000170),
+                                     (40, 100003, 50001)])
 def test_long_repetend_costs_a_bounded_number_of_bytes_per_digit(k, p, t, limit):
     """Digits are gathered in one bytearray, or in 160-digit text blocks in
     base 10, not in one object per few digits: the tuple of T small ints
-    (8 bytes a digit) dominates the peak."""
+    (8 bytes a digit) dominates the peak.  Base 40 reads two-digit blocks."""
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     tracemalloc.start()
@@ -593,6 +616,83 @@ def test_value_of_falls_back_when_the_guess_spells_other_digits(int_string_limit
     v = value_of(r)
     assert respelled == [(1, 65657, 10, 65656)]
     assert fraction_of(v) == decimal_value_by_int(r) != Fraction(1, 65657)
+
+
+def test_value_of_falls_back_when_the_certificate_rejects_the_guess(int_string_limit, monkeypatch):
+    """One digit of 1/3301's base-40 repetend changed: the leading digits
+    still guess 1/3301, the packed division rejects it without spelling a
+    digit, and the value is read from the digits."""
+    digits = list(to_repeating(Rational(1, 3301), 40).repetend)
+    digits[2000] = (digits[2000] + 1) % 40
+    r = PositionalRepr(40, (0,), (), digits)
+    assert r.period * 6 > radix._RESPELL_BITS
+    proofs = []
+    monkeypatch.setattr(radix, "_spells", lambda *args: proofs.append(args[1:]) or _spells(*args))
+    monkeypatch.setattr(radix, "_repetend", lambda *args: pytest.fail("value_of respelled"))
+    monkeypatch.setattr(radix, "_order", unordered)
+    v = value_of(r)
+    assert proofs == [(1, 3301, 40)]
+    cycle = 40**r.period - 1
+    assert fraction_of(v) == Fraction(int_of_digits_brute(digits, 40), cycle) != Fraction(1, 3301)
+
+
+@st.composite
+def certificate_cases(draw):
+    """(digits, rem, p, k): k in 3..255 and the real repetend of rem/p in
+    base k, or one changed copy of it: a digit +-1, two digits swapped, or
+    the repetend of (rem * k mod p)/p, one digit on.  p is either up to 5000
+    or (k^T - 1) / g for a small g, up to just below 2^64."""
+    k = draw(st.integers(3, 255))
+    if draw(st.booleans()):
+        p = draw(st.integers(2, 5000).filter(lambda p: math.gcd(p, k) == 1))
+    else:
+        t = draw(st.integers(1, next(t for t in itertools.count(1) if k ** (t + 1) > 2**64)))
+        cycle = k**t - 1
+        p = cycle // draw(st.sampled_from([g for g in range(1, 1001)
+                                           if cycle % g == 0 and cycle > g]))
+    rem = draw(st.integers(1, p - 1))
+    digits = list(long_division_digits(rem, p, k)[2])
+    change = draw(st.sampled_from(["none", "digit", "swap", "rem", "rotate"]))
+    if change == "digit":
+        i = draw(st.integers(0, len(digits) - 1))
+        digits[i] = (digits[i] + draw(st.sampled_from([1, -1]))) % k
+    elif change == "swap":
+        i, j = draw(st.lists(st.integers(0, len(digits) - 1), min_size=2, max_size=2))
+        digits[i], digits[j] = digits[j], digits[i]
+    elif change == "rotate":
+        digits = long_division_digits(rem * k % p, p, k)[2]
+    elif change == "rem":
+        rem += draw(st.sampled_from([1, -1]))
+    return tuple(digits), rem, p, k
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(certificate_cases())
+@example(((3,), 1, 3, 10))  # 1/3 in base 10
+@example(((2,), 1, 4, 9))  # 1/4 in base 9: 0.(2)
+@example(((2,), 2, 4, 9))  # its rem + 1: a reducible 2/4 spells 0.(4)
+@example(((0, 0, 1), 1, 999, 10))  # a repetend that leads with zeros
+@example(((254,) * 7 + (253,), 255**8 - 2, 255**8 - 1, 255))  # p just below 2^64
+def test_certificate_accepts_exactly_the_long_division_digits(int_string_limit, case):
+    digits, rem, p, k = case
+    assert _spells(digits, rem, p, k) == (list(digits) == long_division_digits(rem, p, k)[2])
+
+
+@pytest.mark.parametrize("k, p", [(40, 1000033), (12, 1000003)])
+def test_value_of_costs_a_bounded_number_of_bytes_per_digit(k, p):
+    """At p = 10^6 the packed certificate's integers hold T slots of 4
+    bytes each, and its peak is about 17 bytes per digit."""
+    q = Rational(1, p)
+    r = to_repeating(q, k)
+    assert r.period == p - 1
+    tracemalloc.start()
+    try:
+        v = value_of(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == q
+    assert peak < 18 * r.period
 
 
 def test_value_of_reads_random_digits_whose_guess_fails(int_string_limit):
@@ -665,14 +765,24 @@ def near_gate_rationals(draw):
 
 @settings(max_examples=40)
 @given(near_gate_rationals())
-@example((Rational(1, 65657), 10, True))
-@example((Rational(123457, 27 * 65539), 3, True))  # T = 65538 in base 3, with a prefix
-@example((Rational(1, 65537), 3, False))  # T * 2 = 2^17: the last period below
-@example((Rational(1, 87383), 4, True))  # power-of-two bases read R by one int()
-@example((Rational(5, 8 * 37463), 64, True))
-@example((Rational(1, 52511), 16, True))
-@example((Rational(7, 20 * 21851), 40, True))  # a prefix above base 36
-@example((Rational(3, 81967), 4, False))
+# Respelled past the gate in bases 10 and 300, proved by _spells in bases
+# 3, 12, 40 and 64, and read as R / (k^T - 1) below it.
+@example((Rational(1, 4099), 10, True))
+@example((Rational(1, 3847), 10, False))
+@example((Rational(1, 1867), 300, True))  # digits past a byte
+@example((Rational(1, 1709), 300, False))
+@example((Rational(123457, 27 * 8237), 3, True))  # T = 8236 in base 3, with a prefix
+@example((Rational(1, 7699), 3, False))
+@example((Rational(1, 4099), 12, True))
+@example((Rational(1, 3847), 12, False))
+@example((Rational(7, 20 * 2741), 40, True))  # a prefix above base 36
+@example((Rational(1, 2579), 40, False))
+@example((Rational(5, 8 * 4691), 64, True))
+# power-of-two bases read R by one int() on both sides
+@example((Rational(1, 6599), 16, True))
+@example((Rational(1, 6199), 16, False))
+@example((Rational(1, 10949), 4, True))
+@example((Rational(3, 10247), 4, False))
 def test_round_trip_on_both_sides_of_the_respelling_gate(case):
     q, k, above = case
     r = to_repeating(q, k)
