@@ -145,11 +145,14 @@ ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # Digit value -> byte, for bytes.translate to spell a whole string of digits
 # of a base up to 36 at once.
 _BYTE_OF_VALUE = ALPHABET.encode().ljust(256, b"\0")
-_DIGIT_VALUES = {ch: i for i, upper in enumerate(ALPHABET) for ch in (upper, upper.lower())}
-# Byte -> digit value, also of format()'s lowercase a-f.  Bytes that spell
-# no digit read as _NOT_A_DIGIT, which no base up to 36 has.
+# Byte -> digit value, of either case, so also of format()'s lowercase a-f.
+# Bytes that spell no digit read as _NOT_A_DIGIT, which no base up to 36
+# has.  Built by slices of byte ranges, not a loop over 256 bytes: '0' is
+# byte 48, 'A' 65 and 'a' 97.
 _NOT_A_DIGIT = 255
-_VALUE_OF_BYTE = bytes(_DIGIT_VALUES.get(chr(b), _NOT_A_DIGIT) for b in range(256))
+_LETTERS = bytes(range(10, 36))
+_VALUE_OF_BYTE = (b"\xff" * 48 + bytes(range(10)) + b"\xff" * 7 + _LETTERS + b"\xff" * 6
+                  + _LETTERS).ljust(256, b"\xff")
 _FORMAT_SPEC = {2: "b", 8: "o", 16: "x"}  # the bases format() spells in linear time
 # int() reads at most this many characters at once in a base that is not
 # a power of two: sys.int_info.str_digits_check_threshold, the lowest

@@ -3,8 +3,9 @@
 Each subcommand is declared once, in ``_COMMANDS``: its help, its
 ``cmd_*`` function and its flags.  Its JSON "inputs" are its arguments in
 declaration order, after "check" for ``verify`` and ``fuzz``; ``value`` and
-``q`` literals are parsed before the command runs.  Each ``cmd_*`` calls
-the library and returns ``(result, text, passed)``, with ``passed`` None
+``q`` literals are parsed before the command runs, a ``-`` read from stdin
+first.  Each ``cmd_*`` calls the library and returns
+``(result, text, passed)``, with ``passed`` None
 for commands that check nothing.  ``main`` alone turns that into output
 and an exit code: the text, or with ``--json`` the document {"command",
 "inputs", "result", "pass"}, where "pass" is present only when ``passed``
@@ -263,9 +264,12 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         # Parsed here, not as an argparse type, so a bad literal reports
-        # its own position instead of a usage message.
+        # its own position instead of a usage message.  "-" reads it from
+        # stdin: Linux refuses one argument over 128 KiB, shorter than a
+        # long repetend in comma notation.
         for name in {"value", "q"}.intersection(args.inputs):
-            setattr(args, name, parse_value_literal(getattr(args, name)))
+            literal = getattr(args, name)
+            setattr(args, name, parse_value_literal(sys.stdin.read() if literal == "-" else literal))
         result, text, passed = args.func(args)
         if args.json:
             inputs = {name: getattr(args, name) for name in args.inputs}

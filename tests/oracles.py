@@ -173,6 +173,16 @@ def main1_roots_brute(num: int, den: int, r: int, k: int, terms: int) -> list[in
     return roots
 
 
+def spell_brute(digits, base: int) -> str:
+    """Digit values as bracket-notation text, one digit at a time: one
+    0-9A-Z character each up to base 36, decimal numerals (by repeated
+    division by 10) joined by commas above."""
+    alphabet = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    if base <= 36:
+        return "".join(alphabet[d] for d in digits)
+    return ",".join("".join(alphabet[c] for c in digits_brute(d, 10)) for d in digits)
+
+
 class TokenizeBruteError(ValueError):
     """What ``tokenize_brute`` raises: the message and position that the
     library's ParseError must carry for the same input."""

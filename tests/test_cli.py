@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shlex
@@ -56,6 +57,30 @@ def test_repr_json_digit_arrays(capsys):
 def test_convert_round_trips_large_base_literal(capsys):
     code, out, _ = run_cli(capsys, "convert", "[1,30.0,39(7)]_40", "--to", "40")
     assert code == 0 and out.strip() == "[1,30.0,39(7)]_40"
+
+
+def test_a_dash_reads_the_literal_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[1,30.0,39(7)]_40\n"))
+    assert run_cli(capsys, "convert", "-", "--to", "40")[:2] == (0, "[1,30.0,39(7)]_40\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("7/4"))
+    code, out, _ = run_cli(capsys, "verify", "lemma31", "--q", "-", "--base", "10", "--json")
+    assert code == 0 and json.loads(out)["inputs"]["q"] == {"num": "7", "den": "4"}
+    # A bad literal on stdin reports its own position, as an argument does.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[1,30.0,40]_40"))
+    code, out, err = run_cli(capsys, "convert", "-", "--to", "10")
+    assert (code, out, err) == (2, "", "error: digit '40' is >= base 40 (at position 8)\n")
+
+
+def test_convert_reads_a_literal_past_the_argument_limit_from_stdin():
+    # Linux refuses one command-line argument over 128 KiB.  The comma
+    # notation of 1/65003 in base 60 (T = 65,002) is about 190 KB, so it
+    # reaches convert only on stdin; the timeout turns a hang into a failure.
+    text = radixroot.format_repr(radixroot.to_repeating(Rational(1, 65003), 60))
+    assert len(text) > 128 * 1024
+    proc = subprocess.run([sys.executable, "-m", "radixroot", "convert", "-", "--to", "60"],
+                          input=text + "\n", capture_output=True, text=True, env=child_env(),
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, text + "\n", "")
 
 
 def test_repr_zero_infinite_is_usage_error(capsys):

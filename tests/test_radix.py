@@ -67,6 +67,7 @@ from oracles import (
     multiplicative_order_brute,
     smooth_split_brute,
     smooth_split_by_gcd,
+    spell_brute,
     string_period_brute,
     tokenize_brute,
 )
@@ -1108,6 +1109,109 @@ def test_tokenize_matches_brute_up_to_base_36(base, section, start):
 def test_tokenize_matches_brute_above_base_36(base, section, start):
     got, want = tokenize_outcome(section, start, base)
     assert got == want
+
+
+def by_name_table(function, *args):
+    """``function(*args)`` with the bytes path of bases 37 to 100 out of
+    reach, so digits are spelled and read through the table of names."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radix, "_BYTE_DIGITS", math.inf)
+        return function(*args)
+
+
+# Digit strings of bases 37 to 100 whose lengths straddle the bytes path's
+# gate: _BYTE_DIGITS digits for spelling, 3 * _BYTE_DIGITS characters (about
+# 44 digits) for reading.
+byte_base_digits = st.integers(37, radix._BYTE_BASES).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, k - 1), min_size=radix._BYTE_DIGITS - 8,
+                         max_size=2 * radix._BYTE_DIGITS)))
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(byte_base_digits)
+def test_bases_37_to_100_spell_and_read_like_the_oracle_and_the_name_table(int_string_limit, case):
+    base, digits = case
+    text = radix._join_digits(tuple(digits), base)
+    assert text == spell_brute(digits, base) == by_name_table(radix._join_digits,
+                                                              tuple(digits), base)
+    assert (_tokenize(text, 3, base) == tuple(digits) == tokenize_brute(text, 3, base)
+            == by_name_table(_tokenize, text, 3, base))
+
+
+def corrupted(tokens: list[str], at: int, kind: str, base: int) -> str:
+    """The section of ``tokens`` with one fault of the given kind at token ``at``."""
+    tokens = list(tokens)
+    if kind == "leading zero":
+        tokens[at] = "0" + tokens[at]
+    elif kind == "three characters":
+        tokens[at] = "1" + tokens[at].zfill(2)
+    elif kind == "empty token":
+        tokens[at] = ""
+    elif kind == "trailing comma":
+        tokens.append("")
+    elif kind == "leading comma":
+        tokens.insert(0, "")
+    elif kind == "digit past the base":
+        tokens[at] = str(base + at % (101 - base))
+    elif kind == "non-ASCII digit":
+        tokens[at] = tokens[at][:1] + "١"
+    elif kind == "05":  # not the canonical name of 5, but a decimal numeral of it
+        tokens[at] = "05"
+    return ",".join(tokens)
+
+
+CORRUPTIONS = ["leading zero", "three characters", "empty token", "trailing comma",
+               "leading comma", "digit past the base", "non-ASCII digit", "05"]
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(37, radix._BYTE_BASES).flatmap(lambda k: st.tuples(
+           st.just(k), st.lists(st.integers(0, k - 1), min_size=2 * radix._BYTE_DIGITS,
+                                max_size=3 * radix._BYTE_DIGITS))),
+       st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(CORRUPTIONS)),
+                min_size=1, max_size=3),
+       st.integers(0, 5))
+# A token too long by two characters ("101" reads 1), or by one ("110"
+# reads 10), beside an empty token that would read as a name of two
+# characters, or one: the widths alone would balance.
+@example((40, [1] * 80), [(0, "three characters"), (5, "empty token")], 0)
+@example((40, [1] * 80), [(0, "three characters"), (0, "trailing comma")], 0)
+@example((40, [10] * 80), [(0, "three characters"), (0, "leading comma")], 0)
+def test_corrupted_long_sections_in_bases_37_to_100_give_the_walks_result(
+        int_string_limit, case, faults, start):
+    """Long sections past the bytes path's gate, with one to three faults:
+    the digits, or the ParseError message and position, of a walk that
+    reads one token at a time.  A two-character name with a leading zero
+    is a decimal numeral, which the walk accepts."""
+    base, digits = case
+    tokens = [str(d) for d in digits]
+    for at, kind in faults:
+        tokens = corrupted(tokens, at % len(tokens), kind, base).split(",")
+    section = ",".join(tokens)
+    assert len(section) >= 3 * radix._BYTE_DIGITS
+    got, want = tokenize_outcome(section, start, base)
+    assert got == want
+
+
+def test_long_strings_in_bases_37_to_100_skip_the_name_table(monkeypatch):
+    """From _BYTE_DIGITS digits (3 * _BYTE_DIGITS characters) on, bases 37
+    to 100 spell and read digit strings without _digit_names; base 101,
+    and shorter strings, still take the table of names."""
+    calls = []
+    names = radix._digit_names
+    monkeypatch.setattr(radix, "_digit_names", lambda base: calls.append(base) or names(base))
+    for base, digits in [(40, tuple(range(40)) * 2), (100, tuple(range(99, -1, -1))),
+                         (37, (0, 36) * 30)]:
+        text = radix._join_digits(digits, base)
+        assert _tokenize(text, 0, base) == digits
+        assert parse(f"[1,{text}]_{base}").int_digits == (1, *digits)
+    assert calls == []
+    short = tuple(range(radix._BYTE_DIGITS - 1))  # 106 characters
+    for base, digits in [(101, tuple(range(101))), (40, short)]:
+        text = radix._join_digits(digits, base)
+        assert _tokenize(text, 0, base) == digits
+        assert calls == [base, base]
+        calls.clear()
 
 
 def with_placeholder(base: int, digits: list[int], at: int) -> tuple[int, str]:
