@@ -196,8 +196,9 @@ def cmd_magic(args):
 # Each subcommand once: name -> (help, cmd_*, [(flag, add_argument keywords)]),
 # or for a group, name -> (help, {check: the same triple}).  A help of None
 # leaves the name out of its group's listing.
-_VALUE = ("value", {})
-_Q = ("--q", {"required": True})
+_LITERAL = "a/b, an integer, a bracket literal, or - to read stdin"
+_VALUE = ("value", {"help": _LITERAL})
+_Q = ("--q", {"required": True, "help": _LITERAL})
 _INT = {"type": _integer, "required": True}
 _BASE = ("--base", _INT)
 _WORKERS = ("--workers", {"type": _integer, "default": 1})

@@ -11,14 +11,13 @@ the repetend parenthesized, e.g. ``[4.24(5)]_6``.  Bases up to 36 use the
 0-9A-Z alphabet; larger bases spell each digit as a decimal number with
 commas between digits, e.g. ``[1,30.0,39(7)]_40``.
 
-Text and digits convert by whole-string bytes operations, not one Python
-object per digit, wherever each digit's name is short: up to base 36 by
-bytes.translate, and in bases 37 to 100, where a name has one or two
-characters, by slices of a bytearray and by packing a long section into
-an int, one byte a character (``_join_digits`` and ``_tokenize`` say how,
-and what proves the bytes).  Short strings there, and bases 101 to 1024,
-use a table of the digits' names; larger bases read and write each name
-as a decimal numeral.
+Each direction has three paths, chosen by base alone.  Up to base 36 one
+bytes.translate converts a whole string.  In bases 37 to 100, where a
+name has one or two characters, whole-string bytes operations do: slices
+of a bytearray, and a section packed into an int one byte a character
+(``_join_digits`` and ``_tokenize`` say how, and what proves the bytes).
+Larger bases write each digit as a decimal numeral and read the
+comma-separated tokens one by one.
 """
 
 from __future__ import annotations
@@ -51,15 +50,11 @@ from .arith import (
 )
 from .errors import DomainError, ParseError
 
-# Bases from 37 up to this one name each digit by one or two decimal
-# characters; they spell strings of _BYTE_DIGITS digits or more, and read
-# sections of 3 * _BYTE_DIGITS characters or more, by whole-string bytes
-# operations (see _join_digits and _tokenize).  Shorter strings took less
-# time by the table of names: reading and spelling broke even at 32 to 40
-# digits in bases 40 and 100, with a fixed cost of about 2 us against 15
-# to 40 ns a digit.
+# Text takes one of three paths, by base alone: the 0-9A-Z alphabet up to
+# base 36; from 37 up to this one, where each digit's name has one or two
+# decimal characters, whole-string bytes operations at every length (see
+# _join_digits and _tokenize); above it, one decimal numeral a digit.
 _BYTE_BASES = 100
-_BYTE_DIGITS = 40
 # _DIGIT_BYTES[:base] holds every digit of a base up to _BYTE_BASES.
 _DIGIT_BYTES = bytes(range(_BYTE_BASES + 1))
 # Digit value -> its tens character, or 0xFF (deleted after) below 10; and
@@ -70,9 +65,6 @@ _TENS = (b"\xff" * 10 + b"1" * 10 + b"2" * 10 + b"3" * 10 + b"4" * 10
 _ONES = (b"0123456789" * 10).ljust(256, b"\xff")
 _NUMERAL_VALUE = (bytes(48) + bytes(range(10))).ljust(256, b"\0")
 _NUMERAL_MASK = (bytes(48) + b"\xff" * 10).ljust(256, b"\0")
-# Bases from 37 up to this one keep a table of their digits' names; the
-# table holds one name per digit of the base, so larger bases do without.
-_NAMED_BASES = 1024
 # Error messages quote at most this many characters of the input.
 _ECHO_CHARS = 60
 # Base-10 repetends are spelled this many digits per format() call.  str()
@@ -397,7 +389,7 @@ def _spells(digits: tuple[int, ...], rem: int, p: int, k: int) -> bool:
     b = p.bit_length()
     size = (b + k.bit_length() + 9) // 8  # bytes per slot
     packed = bytearray(size * len(digits))
-    packed[size - 1::size] = bytes(digits)
+    packed[size - 1::size] = bytearray(digits)
     quotient, left = divmod((rem << 8 * len(packed)) - rem - p * int.from_bytes(packed, "big"),
                             (1 << 8 * size) - k)
     low = int.from_bytes(((1 << b) - 1).to_bytes(size, "big") * len(digits), "big")  # b bits a slot
@@ -442,34 +434,24 @@ def convert(r: PositionalRepr, k2: int, infinite: bool = False) -> PositionalRep
     return _encode(value_of(r), k2, infinite)
 
 
-@lru_cache(maxsize=32)
-def _digit_names(base: int) -> tuple[tuple[str, ...], dict[str, int]]:
-    """The decimal names of the digits of a base from 37 to _NAMED_BASES,
-    and the value of each name."""
-    names = tuple(map(str, range(base)))
-    return names, dict(zip(names, range(base)))
-
-
 def _join_digits(digits, base: int) -> str:
     """Digits as text, spelled as the module docstring describes.
 
     Up to base 36 one bytes.translate spells them all.  In bases 37 to
-    _BYTE_BASES, _BYTE_DIGITS digits or more are spelled three bytes a
-    digit: its tens character, or 0xFF below 10, then its ones character,
-    each put in place by one slice assignment of a translated copy of the
-    digits, then a comma; one more translate deletes the 0xFF bytes.
+    _BYTE_BASES each digit is spelled in three bytes: its tens character,
+    or 0xFF below 10, then its ones character, each put in place by one
+    slice assignment of a translated copy of the digits, then a comma;
+    one more translate deletes the 0xFF bytes.  Larger bases join each
+    digit's decimal numeral.
     """
     if base <= 36:
         return bytearray(digits).translate(_BYTE_OF_VALUE).decode("ascii")
-    if base <= _BYTE_BASES and len(digits) >= _BYTE_DIGITS:
+    if base <= _BYTE_BASES:
         raw = bytearray(digits)  # from a tuple, twice as fast as bytes()
         text = bytearray(b",") * (3 * len(raw) - 1)
         text[0::3] = raw.translate(_TENS)
         text[1::3] = raw.translate(_ONES)
         return text.translate(None, b"\xff").decode("ascii")
-    if base <= _NAMED_BASES:
-        names = _digit_names(base)[0]
-        return ",".join([names[d] for d in digits])
     return ",".join(map(_decimal_text, digits))
 
 
@@ -489,24 +471,23 @@ def _tokenize(section: str, start: int, base: int) -> tuple[int, ...]:
 
     Up to base 36 one bytes.translate reads the section whole, and the
     first byte past the base names the offender.  In bases 37 to
-    _BYTE_BASES, a section of 3 * _BYTE_DIGITS characters or more, with
-    no empty token and no character but digits and commas, is read as one
-    int x: one byte a character of the section and of a comma put after
-    it, each byte the character's decimal value, a comma's 0.  In
-    v = x + (10x >> 8) the byte of a digit b holds 10a + b, a the digit
-    before it or 0 after a comma; no byte carries, as none exceeds 99.  So
-    at the last character of a token ab v holds 10a + b, and of a token b
-    it holds b.  v >> 8 moves that value onto the comma after its token,
-    and the bytes of digits are ORed to 0xFF and deleted, which leaves one
-    value a token (an empty token would leave a stray byte, so none may
-    be).  They are taken if each is below the base and the
-    values' names and the commas have as many characters as the section:
-    a token of three or more characters, or of two with a leading zero,
-    leaves a value with a shorter name, so each token must be its value's
-    name.  Other sections in bases up to _NAMED_BASES look each token up
-    in the table of names.  Only when that fails -- a leading zero, a name
-    past the table, or an error -- are the tokens walked one by one, and
-    the walk raises at the first offender.
+    _BYTE_BASES, a section with no empty token and no character but
+    digits and commas is read as one int x: one byte a character of the
+    section and of a comma put after it, each byte the character's
+    decimal value, a comma's 0.  In v = x + (10x >> 8) the byte of a
+    digit b holds 10a + b, a the digit before it or 0 after a comma; no
+    byte carries, as none exceeds 99.  So at the last character of a
+    token ab v holds 10a + b, and of a token b it holds b.  v >> 8 moves
+    that value onto the comma after its token, and the bytes of digits
+    are ORed to 0xFF and deleted, which leaves one value a token (an
+    empty token would leave a stray byte, so none may be).  They are
+    taken if each is below the base and the values' names and the commas
+    have as many characters as the section: a token of three or more
+    characters, or of two with a leading zero, leaves a value with a
+    shorter name, so each token must be its value's name.  Larger bases,
+    and sections that fail those checks (a leading zero such as 07, or
+    an error), walk the tokens one by one, and the walk raises at the
+    first offender.
     """
     if not section:
         return ()
@@ -521,7 +502,7 @@ def _tokenize(section: str, start: int, base: int) -> tuple[int, ...]:
         if values[pos] == _NOT_A_DIGIT:
             raise ParseError(f"invalid digit character {char}", start + pos)
         raise ParseError(f"digit {char} is >= base {_decimal_text(base)}", start + pos)
-    if (base <= _BYTE_BASES and len(section) >= 3 * _BYTE_DIGITS and section.isascii()
+    if (base <= _BYTE_BASES and section.isascii()
             and section[0] != "," and section[-1] != "," and ",," not in section):
         text = section.encode("ascii") + b","
         if not text.translate(None, b"0123456789,"):
@@ -532,15 +513,9 @@ def _tokenize(section: str, start: int, base: int) -> tuple[int, ...]:
             if (not values.translate(None, _DIGIT_BYTES[:base])
                     and 2 * len(values) + len(values.translate(None, _DIGIT_BYTES[:10])) == len(text)):
                 return tuple(values)
-    tokens = section.split(",")
-    if base <= _NAMED_BASES:
-        try:
-            return tuple(map(_digit_names(base)[1].__getitem__, tokens))
-        except KeyError:
-            pass
     out = []
     pos = start
-    for token in tokens:
+    for token in section.split(","):
         value = _decimal(token)
         if value is None:
             raise ParseError(f"invalid digit token {_echo(token)}", pos)

@@ -734,7 +734,7 @@ options:
 usage: radixroot classify [-h] --base BASE [--json] value
 
 positional arguments:
-  value
+  value        a/b, an integer, a bracket literal, or - to read stdin
 
 options:
   -h, --help   show this help message and exit
@@ -745,7 +745,7 @@ options:
 usage: radixroot repr [-h] --base BASE [--infinite] [--json] value
 
 positional arguments:
-  value
+  value        a/b, an integer, a bracket literal, or - to read stdin
 
 options:
   -h, --help   show this help message and exit
@@ -757,7 +757,7 @@ options:
 usage: radixroot convert [-h] --to TO [--infinite] [--json] value
 
 positional arguments:
-  value
+  value       a/b, an integer, a bracket literal, or - to read stdin
 
 options:
   -h, --help  show this help message and exit
@@ -769,7 +769,7 @@ options:
 usage: radixroot digroot [-h] --base BASE [--json] value
 
 positional arguments:
-  value
+  value        a/b, an integer, a bracket literal, or - to read stdin
 
 options:
   -h, --help   show this help message and exit
@@ -803,7 +803,7 @@ usage: radixroot verify main1 [-h] --q Q --r R --base BASE [--terms TERMS]
 
 options:
   -h, --help     show this help message and exit
-  --q Q
+  --q Q          a/b, an integer, a bracket literal, or - to read stdin
   --r R
   --base BASE
   --terms TERMS  largest exponent j
@@ -824,7 +824,7 @@ usage: radixroot verify cor1 [-h] --q Q --r R --base BASE [--json]
 
 options:
   -h, --help   show this help message and exit
-  --q Q
+  --q Q        a/b, an integer, a bracket literal, or - to read stdin
   --r R
   --base BASE
   --json       emit a JSON document
@@ -834,7 +834,7 @@ usage: radixroot verify lemma31 [-h] --q Q --base BASE [--json]
 
 options:
   -h, --help   show this help message and exit
-  --q Q
+  --q Q        a/b, an integer, a bracket literal, or - to read stdin
   --base BASE
   --json       emit a JSON document
 """,

@@ -1111,31 +1111,19 @@ def test_tokenize_matches_brute_above_base_36(base, section, start):
     assert got == want
 
 
-def by_name_table(function, *args):
-    """``function(*args)`` with the bytes path of bases 37 to 100 out of
-    reach, so digits are spelled and read through the table of names."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(radix, "_BYTE_DIGITS", math.inf)
-        return function(*args)
-
-
-# Digit strings of bases 37 to 100 whose lengths straddle the bytes path's
-# gate: _BYTE_DIGITS digits for spelling, 3 * _BYTE_DIGITS characters (about
-# 44 digits) for reading.
+# Digit strings of bases 37 to 100, from the empty one to 80 digits: the
+# bytes path spells and reads every length there.
 byte_base_digits = st.integers(37, radix._BYTE_BASES).flatmap(lambda k: st.tuples(
-    st.just(k), st.lists(st.integers(0, k - 1), min_size=radix._BYTE_DIGITS - 8,
-                         max_size=2 * radix._BYTE_DIGITS)))
+    st.just(k), st.lists(st.integers(0, k - 1), max_size=80)))
 
 
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(byte_base_digits)
-def test_bases_37_to_100_spell_and_read_like_the_oracle_and_the_name_table(int_string_limit, case):
+def test_bases_37_to_100_spell_and_read_like_the_oracle(int_string_limit, case):
     base, digits = case
     text = radix._join_digits(tuple(digits), base)
-    assert text == spell_brute(digits, base) == by_name_table(radix._join_digits,
-                                                              tuple(digits), base)
-    assert (_tokenize(text, 3, base) == tuple(digits) == tokenize_brute(text, 3, base)
-            == by_name_table(_tokenize, text, 3, base))
+    assert text == spell_brute(digits, base)
+    assert _tokenize(text, 3, base) == tuple(digits) == tokenize_brute(text, 3, base)
 
 
 def corrupted(tokens: list[str], at: int, kind: str, base: int) -> str:
@@ -1166,8 +1154,7 @@ CORRUPTIONS = ["leading zero", "three characters", "empty token", "trailing comm
 
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(37, radix._BYTE_BASES).flatmap(lambda k: st.tuples(
-           st.just(k), st.lists(st.integers(0, k - 1), min_size=2 * radix._BYTE_DIGITS,
-                                max_size=3 * radix._BYTE_DIGITS))),
+           st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=120))),
        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(CORRUPTIONS)),
                 min_size=1, max_size=3),
        st.integers(0, 5))
@@ -1177,41 +1164,77 @@ CORRUPTIONS = ["leading zero", "three characters", "empty token", "trailing comm
 @example((40, [1] * 80), [(0, "three characters"), (5, "empty token")], 0)
 @example((40, [1] * 80), [(0, "three characters"), (0, "trailing comma")], 0)
 @example((40, [10] * 80), [(0, "three characters"), (0, "leading comma")], 0)
-def test_corrupted_long_sections_in_bases_37_to_100_give_the_walks_result(
+def test_corrupted_sections_in_bases_37_to_100_give_the_walks_result(
         int_string_limit, case, faults, start):
-    """Long sections past the bytes path's gate, with one to three faults:
-    the digits, or the ParseError message and position, of a walk that
-    reads one token at a time.  A two-character name with a leading zero
-    is a decimal numeral, which the walk accepts."""
+    """Sections of one digit or more, with one to three faults: the
+    digits, or the ParseError message and position, of a walk that reads
+    one token at a time.  A two-character name with a leading zero is a
+    decimal numeral, which the walk accepts."""
     base, digits = case
     tokens = [str(d) for d in digits]
     for at, kind in faults:
         tokens = corrupted(tokens, at % len(tokens), kind, base).split(",")
-    section = ",".join(tokens)
-    assert len(section) >= 3 * radix._BYTE_DIGITS
-    got, want = tokenize_outcome(section, start, base)
+    got, want = tokenize_outcome(",".join(tokens), start, base)
     assert got == want
 
 
-def test_long_strings_in_bases_37_to_100_skip_the_name_table(monkeypatch):
-    """From _BYTE_DIGITS digits (3 * _BYTE_DIGITS characters) on, bases 37
-    to 100 spell and read digit strings without _digit_names; base 101,
-    and shorter strings, still take the table of names."""
+@pytest.mark.parametrize("base", [37, 40, 100])
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_corrupted_short_sections_in_bases_37_to_100_give_the_walks_result(base, kind):
+    """Each fault in a section of one token or two, at either token, and
+    a lone comma."""
+    for digits in [(5,), (36,), (5, 36), (36, 5), (9, 10)]:
+        for at in range(len(digits)):
+            section = corrupted([str(d) for d in digits], at, kind, base)
+            got, want = tokenize_outcome(section, 2, base)
+            assert got == want, section
+    got, want = tokenize_outcome(",", 2, base)
+    assert got == want == ("invalid digit token '' (at position 2)", 2)
+
+
+def spelled_in(width: int, base: int) -> tuple[int, ...]:
+    """Digits of ``base`` (37 to 100) whose comma notation has ``width``
+    characters: k tokens, width + 1 - 2k of them two characters long."""
+    k = -(-(width + 1) // 3)
+    two = width + 1 - 2 * k
+    return tuple([10 + i % (base - 10) for i in range(two)] + [i % 10 for i in range(k - two)])
+
+
+def test_bases_37_to_100_read_and_spell_without_the_walk(monkeypatch):
+    """Valid sections in bases 37 and 100, of every width from 1 to 130
+    characters, never reach the walk (radix._decimal) or a decimal
+    numeral per digit (radix._decimal_text); base 101, the first past the
+    bytes path, does both, and its walk names each offender's position."""
     calls = []
-    names = radix._digit_names
-    monkeypatch.setattr(radix, "_digit_names", lambda base: calls.append(base) or names(base))
-    for base, digits in [(40, tuple(range(40)) * 2), (100, tuple(range(99, -1, -1))),
-                         (37, (0, 36) * 30)]:
-        text = radix._join_digits(digits, base)
-        assert _tokenize(text, 0, base) == digits
-        assert parse(f"[1,{text}]_{base}").int_digits == (1, *digits)
+
+    def recorded(name):
+        real = getattr(radix, name)
+        return lambda text: calls.append(name) or real(text)
+
+    for name in ("_decimal", "_decimal_text"):
+        monkeypatch.setattr(radix, name, recorded(name))
+    for base in (37, 100):
+        for width in range(1, 131):
+            digits = spelled_in(width, base)
+            text = radix._join_digits(digits, base)
+            assert len(text) == width
+            assert _tokenize(text, 0, base) == digits
     assert calls == []
-    short = tuple(range(radix._BYTE_DIGITS - 1))  # 106 characters
-    for base, digits in [(101, tuple(range(101))), (40, short)]:
-        text = radix._join_digits(digits, base)
-        assert _tokenize(text, 0, base) == digits
-        assert calls == [base, base]
-        calls.clear()
+    text = radix._join_digits((100, 0, 99), 101)
+    assert text == "100,0,99" and calls == ["_decimal_text"] * 3
+    assert _tokenize(text, 4, 101) == (100, 0, 99) and calls[3:] == ["_decimal"] * 3
+    for section, message, position in [
+            ("100,5,101", "digit '101' is >= base 101", 10),
+            ("7,,9", "invalid digit token ''", 6),
+            ("07,x", "invalid digit token 'x'", 7)]:
+        with pytest.raises(ParseError) as excinfo:
+            _tokenize(section, 4, 101)
+        assert (str(excinfo.value), excinfo.value.position) == (
+            f"{message} (at position {position})", position)
+    monkeypatch.undo()
+    for base in (37, 100, 101):
+        digits = (base - 1, 0, 9, 10)
+        assert parse(f"[1,{radix._join_digits(digits, base)}]_{base}").int_digits == (1, *digits)
 
 
 def with_placeholder(base: int, digits: list[int], at: int) -> tuple[int, str]:
