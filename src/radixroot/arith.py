@@ -28,6 +28,14 @@ def _require_int(x: int, name: str, low: int | None = 0,
     return x
 
 
+def _require_type(x, cls: type, name: str):
+    """The rule for record and text parameters: x is a ``cls``, taken as
+    it is, else a DomainError naming the type it has."""
+    if not isinstance(x, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
+    return x
+
+
 def _require_digits(digits, k: int) -> tuple[int, ...]:
     """``digits`` as a tuple, or a DomainError naming the first that is not a digit of base k."""
     digits = tuple(digits)

@@ -50,12 +50,14 @@ def digital_root(n: int, k: int) -> DigitRootResult:
 
 def tf_digit_sum(q: Rational, k: int) -> int:
     """Digit sum of a terminating fractional: digit_sum of k^rho0 * q."""
-    return _digit_sum(_scaled(q.num, k, _terminating_split(q, k)), k)
+    split = _terminating_split(q, k)
+    return _digit_sum(_scaled(q.num, k, split), k)
 
 
 def tf_digital_root(q: Rational, k: int) -> DigitRootResult:
     """Digital root of a terminating fractional: root of k^rho0 * q."""
-    return _root_result(_scaled(q.num, k, _terminating_split(q, k)), k)
+    split = _terminating_split(q, k)
+    return _root_result(_scaled(q.num, k, split), k)
 
 
 def digit_sum_of_digits(digits, k: int) -> int:

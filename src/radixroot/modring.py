@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import _decimal_text, _factor, _Record, _require_int
+from .arith import _decimal_text, _factor, _Record, _require_int, _require_type
 from .errors import DomainError
 
 
@@ -51,6 +51,7 @@ def _require_same_modulus(m: int, n: int) -> int:
 
 def additive_order(x: ResidueClass) -> int:
     """Smallest d >= 1 with d*x = 0 mod n; always a divisor of n."""
+    _require_type(x, ResidueClass, "x")
     return x.modulus // math.gcd(x.value, x.modulus)
 
 
@@ -72,6 +73,7 @@ def gcd_class(n: int, d: int) -> tuple[int, ...]:
 
 def orbit(n: int, x: ResidueClass) -> tuple[int, ...]:
     """The orbit of x under multiplication by every unit mod n."""
+    _require_type(x, ResidueClass, "x")
     _require_same_modulus(x.modulus, _require_int(n, "modulus", 2))
     return tuple(sorted({g * x.value % n for g in _units(n)}))
 

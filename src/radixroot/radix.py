@@ -15,7 +15,8 @@ Each direction has three paths, chosen by base alone.  Up to base 36 one
 bytes.translate converts a whole string.  In bases 37 to 100, where a
 name has one or two characters, whole-string bytes operations do: slices
 of a bytearray, and a section packed into an int one byte a character
-(``_join_digits`` and ``_tokenize`` say how, and what proves the bytes).
+(``_join_digits`` and ``_tokenize`` say how); digits read from a section
+are kept only if ``_join_digits`` spells them back as that section.
 Larger bases write each digit as a decimal numeral and read the
 comma-separated tokens one by one.
 """
@@ -45,6 +46,7 @@ from .arith import (
     _power,
     _require_digits,
     _require_int,
+    _require_type,
     _totient,
     _valuation,
 )
@@ -58,7 +60,7 @@ _BYTE_BASES = 100
 # _DIGIT_BYTES[:base] holds every digit of a base up to _BYTE_BASES.
 _DIGIT_BYTES = bytes(range(_BYTE_BASES + 1))
 # Digit value -> its tens character, or 0xFF (deleted after) below 10; and
-# -> its ones character.  Character -> its decimal value, a comma 0; and ->
+# -> its ones character.  Character -> its decimal value, any other 0; and ->
 # 0xFF at a decimal digit, else 0.  Each is a 256-byte bytes.translate table.
 _TENS = (b"\xff" * 10 + b"1" * 10 + b"2" * 10 + b"3" * 10 + b"4" * 10
          + b"5" * 10 + b"6" * 10 + b"7" * 10 + b"8" * 10 + b"9" * 10).ljust(256, b"\xff")
@@ -170,6 +172,7 @@ multiplicative_order.cache_info = _order.cache_info  # the hit ratio of the cach
 
 def classify(q: Rational, k: int) -> RadixClassification:
     """Classify q as terminating or repeating in base k."""
+    _require_type(q, Rational, "q")
     _require_int(k, "base", 2)
     smooth, p, rho0 = _smooth_split(q.den, k)
     if p == 1:
@@ -179,7 +182,9 @@ def classify(q: Rational, k: int) -> RadixClassification:
 
 def _terminating_split(q: Rational, k: int) -> tuple[int, int, int]:
     """The split (den, 1, rho0) of q's denominator when q terminates in
-    base k; else a DomainError that names the coprime part, unfactored."""
+    base k; else a DomainError that names the coprime part, unfactored.
+    It checks q and k, so callers split before they read q.num."""
+    _require_type(q, Rational, "q")
     _require_int(k, "base", 2)
     smooth, p, rho0 = _smooth_split(q.den, k)
     if p != 1:
@@ -329,7 +334,8 @@ def _expand(num: int, k: int, split: tuple[int, int, int], infinite: bool) -> Po
 
 def to_finite(q: Rational, k: int) -> PositionalRepr:
     """The unique finite base-k representation of a terminating rational."""
-    return _expand(q.num, k, _terminating_split(q, k), False)
+    split = _terminating_split(q, k)
+    return _expand(q.num, k, split, False)
 
 
 def to_repeating(q: Rational, k: int) -> PositionalRepr:
@@ -345,6 +351,7 @@ def to_repeating(q: Rational, k: int) -> PositionalRepr:
 
 def _encode(q: Rational, k: int, infinite: bool) -> PositionalRepr:
     """``_expand`` of q, after the public checks."""
+    _require_type(q, Rational, "q")
     _require_int(k, "base", 2)
     if infinite and q.is_zero:
         raise DomainError("0 has no representation with infinitely many nonzero digits")
@@ -407,7 +414,7 @@ def value_of(r: PositionalRepr) -> Rational:
     where a digit is no byte, rem/p's T digits are spelled again and
     compared once p > 1 divides k^T - 1.  Else R is read, over k^T - 1.
     """
-    k = r.base
+    k = _require_type(r, PositionalRepr, "r").base
     head = _int_of(r.int_digits + r.frac_digits, k)
     shift = _power(k, len(r.frac_digits))
     t = len(r.repetend)
@@ -457,7 +464,7 @@ def _join_digits(digits, base: int) -> str:
 
 def format_repr(r: PositionalRepr) -> str:
     """Render a representation in bracket notation."""
-    body = _join_digits(r.int_digits, r.base)
+    body = _join_digits(_require_type(r, PositionalRepr, "r").int_digits, r.base)
     if r.frac_digits or r.repetend:
         body += "." + _join_digits(r.frac_digits, r.base)
     if r.repetend:
@@ -471,23 +478,17 @@ def _tokenize(section: str, start: int, base: int) -> tuple[int, ...]:
 
     Up to base 36 one bytes.translate reads the section whole, and the
     first byte past the base names the offender.  In bases 37 to
-    _BYTE_BASES, a section with no empty token and no character but
-    digits and commas is read as one int x: one byte a character of the
-    section and of a comma put after it, each byte the character's
-    decimal value, a comma's 0.  In v = x + (10x >> 8) the byte of a
-    digit b holds 10a + b, a the digit before it or 0 after a comma; no
-    byte carries, as none exceeds 99.  So at the last character of a
-    token ab v holds 10a + b, and of a token b it holds b.  v >> 8 moves
-    that value onto the comma after its token, and the bytes of digits
-    are ORed to 0xFF and deleted, which leaves one value a token (an
-    empty token would leave a stray byte, so none may be).  They are
-    taken if each is below the base and the values' names and the commas
-    have as many characters as the section: a token of three or more
-    characters, or of two with a leading zero, leaves a value with a
-    shorter name, so each token must be its value's name.  Larger bases,
-    and sections that fail those checks (a leading zero such as 07, or
-    an error), walk the tokens one by one, and the walk raises at the
-    first offender.
+    _BYTE_BASES the section and a comma put after it are read as one int
+    x, one byte a character: a decimal digit's value, any other
+    character's 0.  In v = x + (10x >> 8) the byte of a digit b holds
+    10a + b, a the digit before it or 0, and no byte carries, as none
+    exceeds 99; v >> 8 moves each token's value onto the character after
+    it, and the bytes of digits are ORed to 0xFF and deleted.  The values
+    are kept if each is below the base and _join_digits spells them as
+    the section: it writes each digit's one name, so the section's
+    tokens are then those names, whatever the bytes held.  Larger bases,
+    and sections that fail (a leading zero such as 07, or an error), walk
+    the tokens one by one, and the walk raises at the first offender.
     """
     if not section:
         return ()
@@ -502,17 +503,14 @@ def _tokenize(section: str, start: int, base: int) -> tuple[int, ...]:
         if values[pos] == _NOT_A_DIGIT:
             raise ParseError(f"invalid digit character {char}", start + pos)
         raise ParseError(f"digit {char} is >= base {_decimal_text(base)}", start + pos)
-    if (base <= _BYTE_BASES and section.isascii()
-            and section[0] != "," and section[-1] != "," and ",," not in section):
-        text = section.encode("ascii") + b","
-        if not text.translate(None, b"0123456789,"):
-            x = int.from_bytes(text.translate(_NUMERAL_VALUE), "big")
-            v = x + (x * 10 >> 8)
-            at_commas = (v >> 8) | int.from_bytes(text.translate(_NUMERAL_MASK), "big")
-            values = at_commas.to_bytes(len(text), "big").translate(None, b"\xff")
-            if (not values.translate(None, _DIGIT_BYTES[:base])
-                    and 2 * len(values) + len(values.translate(None, _DIGIT_BYTES[:10])) == len(text)):
-                return tuple(values)
+    if base <= _BYTE_BASES:
+        text = section.encode("ascii", "replace") + b","
+        x = int.from_bytes(text.translate(_NUMERAL_VALUE), "big")
+        v = x + (x * 10 >> 8)
+        at_commas = (v >> 8) | int.from_bytes(text.translate(_NUMERAL_MASK), "big")
+        values = at_commas.to_bytes(len(text), "big").translate(None, b"\xff")
+        if not values.translate(None, _DIGIT_BYTES[:base]) and _join_digits(values, base) == section:
+            return tuple(values)
     out = []
     pos = start
     for token in section.split(","):
@@ -535,7 +533,7 @@ def parse(text: str) -> PositionalRepr:
     ``PositionalRepr``) are rejected with the offending position rather
     than silently rewritten.
     """
-    if not text:
+    if not _require_type(text, str, "text"):
         raise ParseError("empty input", 0)
     if text[0] != "[":
         raise ParseError("expected '['", 0)

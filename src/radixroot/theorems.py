@@ -20,7 +20,7 @@ import os
 from functools import cache, partial
 from itertools import islice, repeat
 
-from .arith import Rational, _decimal_text, _divisors, _factor, _Record, _require_int
+from .arith import Rational, _decimal_text, _divisors, _factor, _Record, _require_int, _require_type
 from .digroot import _digit_sum, _trajectory
 from .errors import DomainError, PreconditionError
 from .radix import _order, _repetend, _scaled, _smooth_split, _terminating_split, _tokenize
@@ -28,7 +28,8 @@ from .radix import _order, _repetend, _scaled, _smooth_split, _terminating_split
 
 def verify_lemma_dr(q: Rational, k: int) -> bool:
     """Digit sum and digital root of a terminating fractional agree mod k-1."""
-    n = _scaled(q.num, k, _terminating_split(q, k))
+    split = _terminating_split(q, k)
+    n = _scaled(q.num, k, split)
     return (_digit_sum(n, k) - _trajectory(n, k)[-1]) % (k - 1) == 0
 
 
@@ -535,6 +536,7 @@ def solve_missing_digit(pattern: str, k: int) -> MagicDigitResult:
     placeholder down to one digit, except that 0 and k-1 are
     indistinguishable; that case is reported as ambiguous.
     """
+    _require_type(pattern, str, "pattern")
     _require_int(k, "base", 2)
     tokens = pattern if k <= 36 else pattern.split(",")
     # Each '?' reads as 0: it adds nothing to the digit sum, and being one

@@ -1,9 +1,12 @@
-"""The one integer rule of the public API: every integer parameter takes an
-int, never a bool or a float, at or above its bound, and a rejected value
-raises that parameter's library error with the value printed in full."""
+"""The two argument rules of the public API.  Every integer parameter takes
+an int, never a bool or a float, at or above its bound, and a rejected
+value raises that parameter's library error with the value printed in
+full.  Every record or text parameter takes an instance of its type,
+never coerced, and anything else raises a DomainError naming both types."""
 
 import ast
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from radixroot import (
     PreconditionError,
     Rational,
     ResidueClass,
+    additive_order,
     classify,
     convert,
     digit_sum,
@@ -44,6 +48,7 @@ from radixroot import (
     totient,
     unit_group_is_cyclic,
     units,
+    value_of,
     verify_cor1,
     verify_lemma_dr,
     verify_main1,
@@ -128,6 +133,53 @@ def test_integer_parameters_raise_their_library_error(call, bad, error):
     with pytest.raises(error) as excinfo:
         call(bad)
     assert excinfo.type is error
+
+
+HALF = Rational(1, 2)
+TENTHS = parse("[0.5]_10")
+THREE = ResidueClass(3, 6)
+
+# (label, call with the bad value in one record or text parameter, the
+# parameter's name, its type)
+TYPED_PARAMETERS = [
+    ("classify.q", lambda x: classify(x, 10), "q", Rational),
+    ("min_exponent.q", lambda x: min_exponent(x, 10), "q", Rational),
+    ("to_finite.q", lambda x: to_finite(x, 10), "q", Rational),
+    ("to_repeating.q", lambda x: to_repeating(x, 10), "q", Rational),
+    ("period.q", lambda x: period(x, 10), "q", Rational),
+    ("tf_digit_sum.q", lambda x: tf_digit_sum(x, 10), "q", Rational),
+    ("tf_digital_root.q", lambda x: tf_digital_root(x, 10), "q", Rational),
+    ("verify_lemma_dr.q", lambda x: verify_lemma_dr(x, 10), "q", Rational),
+    ("verify_main1.q", lambda x: verify_main1(x, 2, 10, 3), "q", Rational),
+    ("verify_cor1.q", lambda x: verify_cor1(x, 2, 10), "q", Rational),
+    ("value_of.r", value_of, "r", PositionalRepr),
+    ("convert.r", lambda x: convert(x, 10), "r", PositionalRepr),
+    ("format_repr.r", format_repr, "r", PositionalRepr),
+    ("additive_order.x", additive_order, "x", ResidueClass),
+    ("orbit.x", lambda x: orbit(6, x), "x", ResidueClass),
+    ("parse.text", parse, "text", str),
+    ("solve_missing_digit.pattern", lambda x: solve_missing_digit(x, 10), "pattern", str),
+]
+
+# Near misses of each type: numbers, text, a fraction of another class,
+# bytes, a tuple of a record's fields, and each record where another is due.
+WRONG_VALUES = [5, 0.5, True, None, "1/2", b"[0.5]_10", Fraction(1, 2), (1, 2),
+                HALF, TENTHS, THREE]
+
+TYPE_CASES = [
+    pytest.param(call, bad, f"{name} must be a {cls.__name__}, got {type(bad).__name__}",
+                 id=f"{label}={type(bad).__name__}")
+    for label, call, name, cls in TYPED_PARAMETERS
+    for bad in WRONG_VALUES
+    if not isinstance(bad, cls)
+]
+
+
+@pytest.mark.parametrize("call, bad, message", TYPE_CASES)
+def test_record_and_text_parameters_take_only_their_type(call, bad, message):
+    with pytest.raises(DomainError) as excinfo:
+        call(bad)
+    assert excinfo.type is DomainError and str(excinfo.value) == message
 
 
 def test_cached_functions_reject_values_equal_to_cached_ints():

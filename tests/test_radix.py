@@ -1192,6 +1192,36 @@ def test_corrupted_short_sections_in_bases_37_to_100_give_the_walks_result(base,
     assert got == want == ("invalid digit token '' (at position 2)", 2)
 
 
+@settings(max_examples=400)
+@given(st.integers(37, radix._BYTE_BASES),
+       st.lists(st.sampled_from("0123456789,x ?\u0661"), max_size=40).map("".join),
+       st.integers(0, 5))
+def test_random_sections_in_bases_37_to_100_read_as_the_oracle_does(base, section, start):
+    """Strings of digits, commas and a few other characters, one of them
+    non-ASCII: the oracle's digits, or its message and position."""
+    got, want = tokenize_outcome(section, start, base)
+    assert got == want
+
+
+@pytest.mark.parametrize("table", ["_NUMERAL_VALUE", "_NUMERAL_MASK"])
+def test_the_spelling_not_the_extraction_decides(monkeypatch, table):
+    """With either table of the bytes reader zeroed, it extracts wrong
+    values, yet every section reads as the oracle does: values are kept
+    only if they spell the section back, and the walk reads the rest."""
+    monkeypatch.setattr(radix, table, bytes(256))
+    assert _tokenize("5,7", 0, 40) == (5, 7)
+    rng = random.Random(table)
+    for _ in range(40):
+        base = rng.randint(37, radix._BYTE_BASES)
+        tokens = [str(rng.randrange(base)) for _ in range(rng.randint(1, 120))]
+        sections = [",".join(tokens)]
+        sections += [corrupted(tokens, rng.randrange(len(tokens)), kind, base)
+                     for kind in CORRUPTIONS]
+        for section in sections:
+            got, want = tokenize_outcome(section, 1, base)
+            assert got == want, (base, section)
+
+
 def spelled_in(width: int, base: int) -> tuple[int, ...]:
     """Digits of ``base`` (37 to 100) whose comma notation has ``width``
     characters: k tokens, width + 1 - 2k of them two characters long."""
